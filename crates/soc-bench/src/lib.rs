@@ -7,8 +7,6 @@
 //! This library holds the workload generators the binaries and benches
 //! share.
 
-use soc_registry::descriptor::{Binding, ServiceDescriptor};
-
 /// Deterministic pseudo-random u64 stream (SplitMix64) — benches avoid
 /// pulling `rand` into hot loops.
 pub struct SplitMix(pub u64);
@@ -61,29 +59,6 @@ const WORDS: &[&str] = &[
     "event",
     "semaphore",
 ];
-
-/// Generate `n` synthetic service descriptors with word-salad
-/// descriptions (the registry/search corpus).
-pub fn synthetic_catalog(n: usize, seed: u64) -> Vec<ServiceDescriptor> {
-    let mut rng = SplitMix(seed);
-    (0..n)
-        .map(|i| {
-            let words: Vec<&str> =
-                (0..8).map(|_| WORDS[rng.below(WORDS.len() as u64) as usize]).collect();
-            let kw1 = WORDS[rng.below(WORDS.len() as u64) as usize];
-            let kw2 = WORDS[rng.below(WORDS.len() as u64) as usize];
-            ServiceDescriptor::new(
-                &format!("svc-{i}"),
-                &format!("{} {} service {i}", words[0], words[1]),
-                &format!("mem://host-{}/{i}", rng.below(16)),
-                if i % 3 == 0 { Binding::Soap } else { Binding::Rest },
-            )
-            .describe(&words.join(" "))
-            .category(WORDS[rng.below(8) as usize])
-            .keywords(&[kw1, kw2])
-        })
-        .collect()
-}
 
 /// Generate a synthetic XML document with `breadth` children per node
 /// and `depth` levels (the XML bench corpus).
@@ -201,14 +176,6 @@ mod tests {
         };
         assert_eq!(a, b);
         assert!(a.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn catalog_has_unique_ids() {
-        let c = synthetic_catalog(100, 3);
-        let ids: std::collections::HashSet<&str> = c.iter().map(|d| d.id.as_str()).collect();
-        assert_eq!(ids.len(), 100);
-        assert!(c.iter().any(|d| d.binding == Binding::Soap));
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub const TOPICS: &[Topic] = &[
         name: "P2P",
         bloom: &[Bloom::K],
         outcome: "server and client roles of nodes with distributed data",
-        modules: &["soc_registry::crawler"],
+        modules: &["soc_discover::crawler"],
     },
     Topic {
         table: TopicTable::CrossCutting,
@@ -195,6 +195,7 @@ mod tests {
                         | "soc_soap"
                         | "soc_parallel"
                         | "soc_registry"
+                        | "soc_discover"
                         | "soc_services"
                         | "soc_workflow"
                         | "soc_robotics"

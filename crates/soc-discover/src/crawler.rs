@@ -192,9 +192,12 @@ impl Crawler {
         let mut crawl_span = soc_observe::span("discover.crawl", SpanKind::Internal);
         let _active = crawl_span.activate();
         let mut stats = CrawlStats::default();
-        let mut queue: VecDeque<String> =
-            roots.iter().map(|r| r.trim_end_matches('/').to_string()).collect();
-        let mut seen: HashSet<String> = queue.iter().cloned().collect();
+        let mut seen: HashSet<String> = HashSet::new();
+        let mut queue: VecDeque<String> = roots
+            .iter()
+            .map(|r| r.trim_end_matches('/').to_string())
+            .filter(|r| seen.insert(r.clone()))
+            .collect();
 
         while let Some(base) = queue.pop_front() {
             if stats.directories() >= self.config.max_directories {
@@ -258,5 +261,47 @@ impl Crawler {
         m.counter("soc_discover_wsdl_errors_total", &[]).add(stats.wsdl_errors.len() as u64);
         m.gauge("soc_discover_catalog_services", &[]).set(catalog.len() as i64);
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::demo;
+    use soc_gateway::GatewayConfig;
+    use soc_http::mem::MemNetwork;
+    use std::sync::Arc;
+
+    /// A crawl of the demo federation (`dir-a → dir-b → dir-c → dir-a`).
+    fn crawl(roots: &[&str], config: CrawlConfig) -> (CrawlStats, Catalog) {
+        let net = MemNetwork::new();
+        let _federation = demo::host_mem(&net);
+        let gateway = Gateway::new(Arc::new(net), GatewayConfig::default());
+        let mut catalog = Catalog::new();
+        let stats = Crawler::new(gateway, config).crawl(roots, &mut catalog);
+        (stats, catalog)
+    }
+
+    #[test]
+    fn directory_count_limit() {
+        let config = CrawlConfig { max_directories: 2, ..CrawlConfig::default() };
+        let (stats, _) = crawl(&["mem://dir-a"], config);
+        assert_eq!(stats.visited.len(), 2, "{stats:?}");
+        assert_eq!(stats.directories(), 2, "{stats:?}");
+    }
+
+    #[test]
+    fn empty_seed_list() {
+        let (stats, catalog) = crawl(&[], CrawlConfig::default());
+        assert!(catalog.is_empty());
+        assert!(stats.visited.is_empty());
+        assert_eq!(stats.directories(), 0);
+    }
+
+    #[test]
+    fn duplicate_roots_are_visited_once() {
+        let (stats, _) = crawl(&["mem://dir-a", "mem://dir-a/"], CrawlConfig::default());
+        assert_eq!(stats.visited, vec!["mem://dir-a", "mem://dir-b", "mem://dir-c"]);
+        assert!(stats.skipped_unchanged.is_empty(), "{stats:?}");
     }
 }

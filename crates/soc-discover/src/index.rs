@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use soc_gateway::Gateway;
+use soc_registry::search::{descriptor_fields, TfIdf};
 use soc_soap::contract::Param;
 
 use crate::catalog::{Catalog, DiscoveredService, TypedOperation};
@@ -119,17 +120,13 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-struct Posting {
-    service: usize,
-    weight: f64,
-}
-
 /// The inverted index. Built from a [`Catalog`] snapshot; owns its own
 /// copy of the catalog entries so searches and planning never touch
 /// the network.
 pub struct SearchIndex {
     services: Vec<DiscoveredService>,
-    postings: HashMap<String, Vec<Posting>>,
+    /// Document `i` is `services[i]`.
+    text: TfIdf,
     /// `(name, type)` signature key → `(service idx, op idx)`.
     producers: HashMap<String, Vec<(usize, usize)>>,
 }
@@ -139,73 +136,30 @@ pub(crate) fn param_key(p: &Param) -> String {
     format!("{}:{}", p.name.to_lowercase(), p.ty.xsd_name())
 }
 
-/// Lowercase word tokens, splitting on non-alphanumerics *and* on
-/// camelCase boundaries (`GetQuote` → `getquote`, `get`, `quote`).
-fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
-        if raw.is_empty() {
-            continue;
-        }
-        out.push(raw.to_lowercase());
-        // Camel boundaries within the raw word.
-        let mut word = String::new();
-        let mut words = Vec::new();
-        for ch in raw.chars() {
-            if ch.is_ascii_uppercase() && !word.is_empty() {
-                words.push(std::mem::take(&mut word));
-            }
-            word.push(ch.to_ascii_lowercase());
-        }
-        words.push(word);
-        if words.len() > 1 {
-            out.extend(words);
-        }
-    }
-    out
-}
-
 impl SearchIndex {
     /// Index every service in `catalog`.
     pub fn build(catalog: &Catalog) -> Self {
         let services: Vec<DiscoveredService> = catalog.services().cloned().collect();
-        let mut tf: Vec<HashMap<String, f64>> = vec![HashMap::new(); services.len()];
+        let mut text = TfIdf::default();
         let mut producers: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
         for (si, svc) in services.iter().enumerate() {
-            let mut weigh = |text: &str, weight: f64| {
-                for tok in tokenize(text) {
-                    *tf[si].entry(tok).or_insert(0.0) += weight;
-                }
-            };
-            let d = &svc.descriptor;
-            weigh(&d.id, 2.0);
-            weigh(&d.name, 2.0);
-            weigh(&d.description, 1.0);
-            weigh(&d.category, 1.0);
-            for kw in &d.keywords {
-                weigh(kw, 1.5);
-            }
+            let mut fields = descriptor_fields(&svc.descriptor);
             for (oi, op) in svc.operations.iter().enumerate() {
-                weigh(&op.name, 3.0);
+                fields.push((&op.name, 3.0));
                 if let Some(doc) = &op.doc {
-                    weigh(doc, 1.0);
+                    fields.push((doc, 1.0));
                 }
                 for p in op.inputs.iter().chain(&op.outputs) {
-                    weigh(&p.name, 2.0);
-                    weigh(p.ty.xsd_name(), 0.5);
+                    fields.push((&p.name, 2.0));
+                    fields.push((p.ty.xsd_name(), 0.5));
                 }
                 for p in &op.outputs {
                     producers.entry(param_key(p)).or_default().push((si, oi));
                 }
             }
+            text.add(fields);
         }
-        let mut postings: HashMap<String, Vec<Posting>> = HashMap::new();
-        for (si, terms) in tf.into_iter().enumerate() {
-            for (tok, weight) in terms {
-                postings.entry(tok).or_default().push(Posting { service: si, weight });
-            }
-        }
-        SearchIndex { services, postings, producers }
+        SearchIndex { services, text, producers }
     }
 
     /// Number of indexed services.
@@ -226,17 +180,9 @@ impl SearchIndex {
     /// Free-text search, ranked by `relevance × health`. Deterministic
     /// for a given index and feed: ties break on service id.
     pub fn search(&self, query: &str, qos: &dyn QosFeed, limit: usize) -> Vec<SearchHit> {
-        let n = self.services.len().max(1) as f64;
-        let mut relevance: HashMap<usize, f64> = HashMap::new();
-        for tok in tokenize(query) {
-            if let Some(posts) = self.postings.get(&tok) {
-                let idf = (1.0 + n / posts.len() as f64).ln();
-                for p in posts {
-                    *relevance.entry(p.service).or_insert(0.0) += (1.0 + p.weight.ln()) * idf;
-                }
-            }
-        }
-        let mut hits: Vec<SearchHit> = relevance
+        let mut hits: Vec<SearchHit> = self
+            .text
+            .scores(query)
             .into_iter()
             .map(|(si, rel)| {
                 let svc = &self.services[si];
@@ -324,6 +270,63 @@ mod tests {
         let hits = idx.search("risk", &Down("risk-model"), 10);
         assert_eq!(hits[0].service_id, "risk-model-alt");
         assert!(hits[1].health < 0.1, "ejected service keeps only a floor score");
+    }
+
+    #[test]
+    fn directory_search_and_index_rank_a_descriptor_catalog_identically() {
+        use soc_http::mem::Transport;
+        use soc_registry::directory::DirectoryService;
+        use soc_registry::Repository;
+
+        let corpus = [
+            ("enc", "Encryption Service", "encrypts text with a shared secret key", "security"),
+            ("img", "Image Verifier", "a random string image for human verification", "security"),
+            ("cart", "Shopping Cart", "add items and compute totals", "commerce"),
+            ("mortgage", "Mortgage Approval", "approval using a credit score service", "finance"),
+            ("credit-check", "CreditCheck", "credit score lookup by ssn", "finance"),
+        ];
+        let repo = Repository::new();
+        let mut cat = Catalog::new();
+        for (id, name, description, category) in corpus {
+            let d = ServiceDescriptor::new(id, name, &format!("mem://{id}/api"), Binding::Rest)
+                .describe(description)
+                .category(category)
+                .keywords(&["demo"]);
+            repo.publish(d.clone()).unwrap();
+            cat.merge(DiscoveredService {
+                descriptor: d,
+                namespace: String::new(),
+                base_path: "/api".into(),
+                operations: vec![],
+                replicas: vec![],
+                directories: vec![],
+            });
+        }
+        let net = soc_http::MemNetwork::new();
+        net.host("dir", DirectoryService::new(repo, vec![]).0);
+        let idx = SearchIndex::build(&cat);
+
+        for query in ["encrypt secret", "security", "credit score", "check service", "demo"] {
+            let url = format!("mem://dir/search?q={}", soc_http::url::percent_encode(query));
+            let resp = net.send(soc_http::Request::get(&url)).unwrap();
+            let served = soc_json::Value::parse(resp.text_body().unwrap()).unwrap();
+            let served: Vec<(&str, f64)> = served
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|h| {
+                    let id = h.get("id").and_then(soc_json::Value::as_str).unwrap();
+                    (id, h.get("score").and_then(soc_json::Value::as_f64).unwrap())
+                })
+                .collect();
+            let indexed = idx.search(query, &NoQos, 10);
+            let ids: Vec<&str> = indexed.iter().map(|h| h.service_id.as_str()).collect();
+            assert!(!ids.is_empty(), "{query:?} matches nothing");
+            assert_eq!(served.iter().map(|h| h.0).collect::<Vec<_>>(), ids, "{query:?}");
+            for ((_, served), hit) in served.iter().zip(&indexed) {
+                assert!((served - hit.score).abs() < 1e-9, "{query:?}: {served} vs {hit:?}");
+            }
+        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl ThreadPool {
         let scope = Scope {
             pool: self,
             pending: AtomicUsize::new(1),
-            done: ManualResetEvent::new(false),
+            done: Arc::new(ManualResetEvent::new(false)),
             panic: Mutex::new(None),
             _env: std::marker::PhantomData,
         };
@@ -340,7 +340,10 @@ impl<T> TaskHandle<T> {
 pub struct Scope<'scope, 'env: 'scope> {
     pool: &'scope ThreadPool,
     pending: AtomicUsize,
-    done: ManualResetEvent,
+    /// Shared with the task that finishes last: `scope()` may return and
+    /// free the `Scope` as soon as the flag is set, while `set` is still
+    /// draining the event's waiter list.
+    done: Arc<ManualResetEvent>,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     _env: std::marker::PhantomData<&'env ()>,
 }
@@ -370,8 +373,9 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     }
 
     fn complete_one(&self) {
+        let done = self.done.clone();
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.set();
+            done.set();
         }
     }
 }
@@ -380,6 +384,25 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn scope_outlives_its_last_task_signal() {
+        // The last task signals `done` and may still be inside `set` when
+        // the scope sees the flag and returns; the scope's frame is then
+        // reused by the next call while that `set` finishes.
+        let pool = ThreadPool::new(3);
+        for round in 0..20_000u64 {
+            let hits = AtomicU64::new(0);
+            pool.scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 3, "round {round}");
+        }
+    }
 
     #[test]
     fn spawn_returns_result() {

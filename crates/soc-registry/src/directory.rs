@@ -8,9 +8,8 @@
 //! | `/services` | POST | register a descriptor (the paper's "registration page") |
 //! | `/services/{id}` | GET / DELETE | fetch / unregister |
 //! | `/categories` | GET | distinct categories |
-//! | `/search?q=…` | GET | ranked TF-IDF search |
+//! | `/search?q=…` | GET | ranked tf·idf search (see [`crate::search`]) |
 //! | `/semantic-search?category=…` | GET | ontology-expanded category match (CSE446 unit 6) |
-//! | `/peers` | GET | other directories this one knows about (crawler fuel) |
 //! | `/directory/peers` | GET | federation referral: peer base URLs plus this directory's lease version |
 //! | `/leases` | GET | lease table version + live service ids |
 //! | `/leases/{id}` | POST / DELETE | renew / revoke a registration lease |
@@ -27,7 +26,6 @@ use soc_rest::router::Router;
 
 use crate::descriptor::ServiceDescriptor;
 use crate::repository::Repository;
-use crate::search::SearchEngine;
 
 /// A hosted directory service wrapping a [`Repository`].
 pub struct DirectoryService {
@@ -273,11 +271,8 @@ impl DirectoryService {
                 };
                 let limit = req.query("limit").and_then(|l| l.parse::<usize>().ok()).unwrap_or(10);
                 // The index is rebuilt per query; directories are small
-                // and registrations are frequent. The bench quantifies
-                // the tradeoff against a cached index.
-                let engine = SearchEngine::build(st.repository.list());
-                let hits: Vec<Value> = engine
-                    .search(&q, limit)
+                // and registrations are frequent.
+                let hits: Vec<Value> = crate::search::search(&st.repository.list(), &q, limit)
                     .into_iter()
                     .map(|h| {
                         let mut v = h.service.to_json();
@@ -305,13 +300,6 @@ impl DirectoryService {
                     .map(|d| d.to_json())
                     .collect();
                 Response::json(&Value::Array(hits).to_compact())
-            });
-        }
-        {
-            let st = state.clone();
-            router.get("/peers", move |_req, _p| {
-                let peers: Vec<Value> = st.peers.read().iter().cloned().map(Value::from).collect();
-                Response::json(&Value::Array(peers).to_compact())
             });
         }
         {
@@ -456,17 +444,6 @@ impl DirectoryClient {
         );
         let v = self.rest.get(&url)?;
         decode_list(&v)
-    }
-
-    /// Peer directory URLs.
-    pub fn peers(&self) -> DirectoryResult<Vec<String>> {
-        let v = self.rest.get(&format!("{}/peers", self.base))?;
-        Ok(v.as_array()
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Value::as_str)
-            .map(str::to_string)
-            .collect())
     }
 
     /// Federation referral: peer directory base URLs plus this
@@ -673,12 +650,6 @@ mod tests {
         client.register(&svc("cart").describe("shopping cart totals")).unwrap();
         let hits = client.search("guessing game").unwrap();
         assert_eq!(hits[0].id, "guess");
-    }
-
-    #[test]
-    fn peers_endpoint() {
-        let (_net, client) = setup();
-        assert_eq!(client.peers().unwrap(), vec!["mem://dir-b".to_string()]);
     }
 
     #[test]

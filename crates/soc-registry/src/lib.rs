@@ -1,4 +1,4 @@
-//! # soc-registry — service repository, directory, search, crawler, QoS
+//! # soc-registry — service repository, directory, search, QoS
 //!
 //! Section V of the paper describes the ASU Repository of Services and
 //! Applications: a self-hosted repository ("we develop services
@@ -6,22 +6,22 @@
 //! services from other directories, a *service crawler* "that discovers
 //! available services online", a registration page, and an availability
 //! story motivated by flaky free public services. This crate implements
-//! all of it:
+//! the repository, the directory, and the search core; the crawler is
+//! `soc_discover::crawler`, which walks directories' `/directory/peers`
+//! referrals through a gateway:
 //!
 //! - [`descriptor`] — [`ServiceDescriptor`]: what a published service
 //!   says about itself; XML and JSON codecs (registry documents).
 //! - [`repository`] — [`Repository`]: publish / unpublish / lookup /
 //!   category listing, with XML persistence (the repository document).
-//! - [`search`] — [`search::SearchEngine`]: tokenized inverted index
-//!   with TF-IDF ranking, plus a naive keyword scan for the bench
-//!   comparison (the "service search engine" at `…/sse/`).
+//! - [`search`] — the one tokenizer and tf·idf scoring loop (the
+//!   "service search engine" at `…/sse/`), shared by the directory's
+//!   `/search` and `soc_discover`'s QoS-fused index.
 //! - [`directory`] — the directory's REST binding
 //!   ([`directory::DirectoryService`]) and typed client
 //!   ([`directory::DirectoryClient`]): register, list, get, search,
-//!   and peer links to other directories.
-//! - [`crawler`] — [`crawler::Crawler`]: breadth-first discovery across
-//!   peer directories, deduplicating services and tolerating offline
-//!   hosts.
+//!   leases, and the federation referral other directories are
+//!   crawled through.
 //! - [`monitor`] — [`monitor::QosMonitor`]: availability/latency
 //!   probing and lease-based liveness, reproducing the paper's
 //!   availability complaints measurably.
@@ -29,7 +29,6 @@
 //!   `subClassOf` subsumption, giving the directory semantic category
 //!   matching (CSE446 unit 6, "Ontology and Semantic Web").
 
-pub mod crawler;
 pub mod descriptor;
 pub mod directory;
 pub mod monitor;

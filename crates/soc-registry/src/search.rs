@@ -1,35 +1,102 @@
-//! The service search engine: inverted index with TF-IDF ranking.
+//! The service search engine's core: one tokenizer and one tf·idf
+//! scoring loop.
 //!
 //! The paper hosts a "service engine" at `venus.eas.asu.edu/sse/` that
-//! searches services discovered by the crawler. This module is that
-//! engine: documents are descriptors (name + description + keywords +
-//! category), queries are free text, results are ranked by cosine-ish
-//! TF-IDF score. A naive substring scan is included as the baseline the
-//! bench compares against.
+//! searches services discovered by the crawler. Two callers rank with
+//! this module: the directory's `GET /search` (via [`search`], over the
+//! descriptors it holds) and `soc_discover`'s `SearchIndex`, which adds
+//! typed-operation fields and fuses the relevance with live QoS. Both
+//! weigh descriptors through [`descriptor_fields`], so a query ranks the
+//! same descriptor-only catalog identically in either place.
 
 use std::collections::HashMap;
 
 use crate::descriptor::ServiceDescriptor;
 
-/// Lowercase word tokens of length ≥ 2 (letters/digits).
+/// Lowercase word tokens of length ≥ 2: each alphanumeric run, plus its
+/// camelCase parts when it has several (`AssessRisk` → `assessrisk`,
+/// `assess`, `risk`).
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() {
-            cur.extend(c.to_lowercase());
-        } else if !cur.is_empty() {
-            if cur.len() >= 2 {
-                out.push(std::mem::take(&mut cur));
-            } else {
-                cur.clear();
+    for run in text.split(|c: char| !c.is_alphanumeric()).filter(|r| !r.is_empty()) {
+        let whole = run.to_lowercase();
+        let mut parts = Vec::new();
+        let mut part = String::new();
+        for c in run.chars() {
+            if c.is_uppercase() && !part.is_empty() {
+                parts.push(std::mem::take(&mut part));
             }
+            part.extend(c.to_lowercase());
+        }
+        parts.push(part);
+        if whole.len() >= 2 {
+            out.push(whole);
+        }
+        if parts.len() > 1 {
+            out.extend(parts.into_iter().filter(|p| p.len() >= 2));
         }
     }
-    if cur.len() >= 2 {
-        out.push(cur);
-    }
     out
+}
+
+/// The weighted text fields of a descriptor: id and name ×2, each
+/// keyword ×1.5, description and category ×1.
+pub fn descriptor_fields(d: &ServiceDescriptor) -> Vec<(&str, f64)> {
+    let mut fields = vec![
+        (d.id.as_str(), 2.0),
+        (d.name.as_str(), 2.0),
+        (d.description.as_str(), 1.0),
+        (d.category.as_str(), 1.0),
+    ];
+    fields.extend(d.keywords.iter().map(|k| (k.as_str(), 1.5)));
+    fields
+}
+
+/// An inverted index of weighted term frequencies over numbered
+/// documents.
+#[derive(Debug, Default)]
+pub struct TfIdf {
+    docs: usize,
+    /// term → `(doc, summed field weight of the term in that doc)`.
+    postings: HashMap<String, Vec<(usize, f64)>>,
+}
+
+impl TfIdf {
+    /// Index the next document from its weighted text fields.
+    /// Documents are numbered from 0 in insertion order.
+    pub fn add<'a>(&mut self, fields: impl IntoIterator<Item = (&'a str, f64)>) {
+        let doc = self.docs;
+        self.docs += 1;
+        let mut tf: HashMap<String, f64> = HashMap::new();
+        for (text, weight) in fields {
+            for tok in tokenize(text) {
+                *tf.entry(tok).or_insert(0.0) += weight;
+            }
+        }
+        for (tok, weight) in tf {
+            self.postings.entry(tok).or_default().push((doc, weight));
+        }
+    }
+
+    /// Is the index empty?
+    pub fn is_empty(&self) -> bool {
+        self.docs == 0
+    }
+
+    /// Relevance of every document sharing a token with `query`:
+    /// the sum over query tokens of `(1 + ln w) · ln(1 + n/df)`. Unordered.
+    pub fn scores(&self, query: &str) -> HashMap<usize, f64> {
+        let n = self.docs as f64;
+        let mut scores: HashMap<usize, f64> = HashMap::new();
+        for tok in tokenize(query) {
+            let Some(posting) = self.postings.get(&tok) else { continue };
+            let idf = (1.0 + n / posting.len() as f64).ln();
+            for &(doc, weight) in posting {
+                *scores.entry(doc).or_insert(0.0) += (1.0 + weight.ln()) * idf;
+            }
+        }
+        scores
+    }
 }
 
 /// A ranked search hit.
@@ -37,136 +104,25 @@ pub fn tokenize(text: &str) -> Vec<String> {
 pub struct Hit {
     /// The matching service.
     pub service: ServiceDescriptor,
-    /// TF-IDF relevance score (higher = better).
+    /// tf·idf relevance score (higher = better).
     pub score: f64,
 }
 
-#[derive(Debug)]
-struct DocEntry {
-    descriptor: ServiceDescriptor,
-    /// term → term frequency in this document.
-    terms: HashMap<String, u32>,
-    /// Total terms (for normalization).
-    length: u32,
-}
-
-/// An inverted index over service descriptors.
-#[derive(Debug, Default)]
-pub struct SearchEngine {
-    docs: Vec<DocEntry>,
-    /// term → doc indices containing it.
-    postings: HashMap<String, Vec<usize>>,
-}
-
-impl SearchEngine {
-    /// Empty engine.
-    pub fn new() -> Self {
-        SearchEngine::default()
+/// Rank `services` against `query`: up to `limit` hits, best first,
+/// ties broken by id for determinism.
+pub fn search(services: &[ServiceDescriptor], query: &str, limit: usize) -> Vec<Hit> {
+    let mut index = TfIdf::default();
+    for d in services {
+        index.add(descriptor_fields(d));
     }
-
-    /// Build from a batch of descriptors.
-    pub fn build(descriptors: impl IntoIterator<Item = ServiceDescriptor>) -> Self {
-        let mut e = SearchEngine::new();
-        for d in descriptors {
-            e.index(d);
-        }
-        e
-    }
-
-    /// The text fields that get indexed, weighted: name ×3, keywords ×2,
-    /// description and category ×1.
-    fn document_terms(d: &ServiceDescriptor) -> Vec<String> {
-        let mut terms = Vec::new();
-        for _ in 0..3 {
-            terms.extend(tokenize(&d.name));
-        }
-        for k in &d.keywords {
-            let toks = tokenize(k);
-            terms.extend(toks.clone());
-            terms.extend(toks);
-        }
-        terms.extend(tokenize(&d.description));
-        terms.extend(tokenize(&d.category));
-        terms
-    }
-
-    /// Add one descriptor to the index. Re-indexing the same id replaces
-    /// nothing — deduplicate upstream (the crawler does).
-    pub fn index(&mut self, d: ServiceDescriptor) {
-        let terms = Self::document_terms(&d);
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in &terms {
-            *tf.entry(t.clone()).or_insert(0) += 1;
-        }
-        let idx = self.docs.len();
-        for term in tf.keys() {
-            let posting = self.postings.entry(term.clone()).or_default();
-            if posting.last() != Some(&idx) {
-                posting.push(idx);
-            }
-        }
-        self.docs.push(DocEntry { descriptor: d, length: terms.len() as u32, terms: tf });
-    }
-
-    /// Number of indexed services.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
-    /// TF-IDF ranked search. Returns up to `limit` hits, best first;
-    /// ties broken by id for determinism.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<Hit> {
-        let q_terms = tokenize(query);
-        if q_terms.is_empty() || self.docs.is_empty() {
-            return Vec::new();
-        }
-        let n = self.docs.len() as f64;
-        let mut scores: HashMap<usize, f64> = HashMap::new();
-        for term in &q_terms {
-            let Some(posting) = self.postings.get(term) else { continue };
-            let idf = (n / posting.len() as f64).ln() + 1.0;
-            for &doc in posting {
-                let entry = &self.docs[doc];
-                let tf =
-                    entry.terms.get(term).copied().unwrap_or(0) as f64 / entry.length.max(1) as f64;
-                *scores.entry(doc).or_insert(0.0) += tf * idf;
-            }
-        }
-        let mut hits: Vec<Hit> = scores
-            .into_iter()
-            .map(|(doc, score)| Hit { service: self.docs[doc].descriptor.clone(), score })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.service.id.cmp(&b.service.id))
-        });
-        hits.truncate(limit);
-        hits
-    }
-
-    /// The naive baseline: case-insensitive substring scan over all
-    /// fields, unranked. Kept for the search-quality/latency ablation.
-    pub fn naive_scan(&self, query: &str) -> Vec<ServiceDescriptor> {
-        let q = query.to_lowercase();
-        self.docs
-            .iter()
-            .filter(|d| {
-                let s = &d.descriptor;
-                s.name.to_lowercase().contains(&q)
-                    || s.description.to_lowercase().contains(&q)
-                    || s.category.to_lowercase().contains(&q)
-                    || s.keywords.iter().any(|k| k.to_lowercase().contains(&q))
-            })
-            .map(|d| d.descriptor.clone())
-            .collect()
-    }
+    let mut hits: Vec<Hit> = index
+        .scores(query)
+        .into_iter()
+        .map(|(doc, score)| Hit { service: services[doc].clone(), score })
+        .collect();
+    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.service.id.cmp(&b.service.id)));
+    hits.truncate(limit);
+    hits
 }
 
 #[cfg(test)]
@@ -203,70 +159,61 @@ mod tests {
         assert_eq!(tokenize("Hello, World!"), vec!["hello", "world"]);
         assert_eq!(tokenize("TF-IDF 2.0"), vec!["tf", "idf"]);
         assert!(tokenize("a ! ?").is_empty()); // 1-char tokens dropped
+        assert_eq!(tokenize("AssessRisk"), vec!["assessrisk", "assess", "risk"]);
     }
 
     #[test]
     fn finds_by_description_terms() {
-        let e = SearchEngine::build(corpus());
-        let hits = e.search("encrypt secret", 10);
+        let hits = search(&corpus(), "encrypt secret", 10);
         assert!(!hits.is_empty());
         assert_eq!(hits[0].service.id, "enc");
     }
 
     #[test]
     fn name_terms_outrank_description_terms() {
-        let e = SearchEngine::build(corpus());
         // "image" appears in img's name-ish keywords and description.
-        let hits = e.search("image", 10);
+        let hits = search(&corpus(), "image", 10);
         assert_eq!(hits[0].service.id, "img");
     }
 
     #[test]
     fn multi_term_queries_accumulate() {
-        let e = SearchEngine::build(corpus());
-        let hits = e.search("mortgage credit score", 10);
+        let hits = search(&corpus(), "mortgage credit score", 10);
         assert_eq!(hits[0].service.id, "mortgage");
     }
 
     #[test]
     fn rare_terms_weigh_more_than_common() {
         // "service" appears everywhere → low idf; "captcha" only in img.
-        let e = SearchEngine::build(corpus());
-        let hits = e.search("service captcha", 10);
+        let hits = search(&corpus(), "service captcha", 10);
         assert_eq!(hits[0].service.id, "img");
     }
 
     #[test]
     fn no_match_is_empty() {
-        let e = SearchEngine::build(corpus());
-        assert!(e.search("blockchain", 10).is_empty());
-        assert!(e.search("", 10).is_empty());
+        assert!(search(&corpus(), "blockchain", 10).is_empty());
+        assert!(search(&corpus(), "", 10).is_empty());
+    }
+
+    #[test]
+    fn substrings_do_not_match() {
+        // Ranking tokenizes, so "crypt" misses encrypts/decrypts/crypto.
+        assert!(search(&corpus(), "crypt", 10).is_empty());
     }
 
     #[test]
     fn limit_respected_and_deterministic() {
-        let e = SearchEngine::build(corpus());
-        let hits = e.search("security", 1);
+        let hits = search(&corpus(), "security", 1);
         assert_eq!(hits.len(), 1);
-        let again = e.search("security", 1);
+        let again = search(&corpus(), "security", 1);
         assert_eq!(hits[0].service.id, again[0].service.id);
     }
 
     #[test]
-    fn naive_scan_substring_semantics() {
-        let e = SearchEngine::build(corpus());
-        // Substring "crypt" matches encrypts/decrypts/crypto.
-        let found = e.naive_scan("crypt");
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].id, "enc");
-        // But the ranked engine tokenizes, so "crypt" alone misses.
-        assert!(e.search("crypt", 10).is_empty());
-    }
-
-    #[test]
     fn empty_engine() {
-        let e = SearchEngine::new();
-        assert!(e.search("anything", 5).is_empty());
-        assert!(e.is_empty());
+        let index = TfIdf::default();
+        assert!(index.scores("anything").is_empty());
+        assert!(index.is_empty());
+        assert!(search(&[], "anything", 5).is_empty());
     }
 }

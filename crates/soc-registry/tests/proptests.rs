@@ -1,10 +1,10 @@
 //! Property tests for the registry: descriptor codec round-trips,
-//! repository persistence identity, search-engine ranking invariants,
-//! and crawler determinism over random federations.
+//! repository persistence identity, search-core ranking invariants, and
+//! tokenizer invariants.
 
 use proptest::prelude::*;
 use soc_registry::descriptor::{Binding, ServiceDescriptor};
-use soc_registry::search::{tokenize, SearchEngine};
+use soc_registry::search::{descriptor_fields, search, tokenize};
 use soc_registry::Repository;
 
 fn binding_strategy() -> impl Strategy<Value = Binding> {
@@ -68,8 +68,7 @@ proptest! {
         query in "[a-z ]{0,24}",
         limit in 0usize..12,
     ) {
-        let engine = SearchEngine::build(catalog);
-        let hits = engine.search(&query, limit);
+        let hits = search(&catalog, &query, limit);
         prop_assert!(hits.len() <= limit);
         for w in hits.windows(2) {
             prop_assert!(
@@ -82,16 +81,10 @@ proptest! {
         let q_tokens: std::collections::HashSet<String> =
             tokenize(&query).into_iter().collect();
         for h in &hits {
-            let mut doc_text = format!(
-                "{} {} {} {}",
-                h.service.name,
-                h.service.description,
-                h.service.category,
-                h.service.keywords.join(" ")
-            );
-            doc_text = doc_text.to_lowercase();
-            let doc_tokens: std::collections::HashSet<String> =
-                tokenize(&doc_text).into_iter().collect();
+            let doc_tokens: std::collections::HashSet<String> = descriptor_fields(&h.service)
+                .into_iter()
+                .flat_map(|(text, _weight)| tokenize(text))
+                .collect();
             prop_assert!(
                 q_tokens.iter().any(|t| doc_tokens.contains(t)),
                 "hit shares no token with the query"
@@ -108,8 +101,7 @@ proptest! {
             ServiceDescriptor::new("planted", "Planted Service", "mem://p/x", Binding::Rest)
                 .describe(&format!("the {needle} sentinel value")),
         );
-        let engine = SearchEngine::build(catalog);
-        let hits = engine.search(needle, 5);
+        let hits = search(&catalog, needle, 5);
         prop_assert_eq!(hits.len(), 1);
         prop_assert_eq!(hits[0].service.id.as_str(), "planted");
     }
@@ -122,6 +114,21 @@ proptest! {
         for t in &once {
             prop_assert!(t.len() >= 2);
             prop_assert_eq!(t.to_lowercase(), t.clone());
+        }
+    }
+
+    #[test]
+    fn tokenizer_on_mixed_case_keeps_every_lowercased_run(text in "[ -~é中A-Z]{0,64}") {
+        let tokens = tokenize(&text);
+        prop_assert_eq!(tokenize(&tokens.join(" ")), tokens.clone());
+        for t in &tokens {
+            prop_assert!(t.len() >= 2);
+            prop_assert_eq!(t.to_lowercase(), t.clone());
+        }
+        // Lowercasing only drops the camelCase parts: every whole run
+        // is still emitted.
+        for t in tokenize(&text.to_lowercase()) {
+            prop_assert!(tokens.contains(&t), "{t:?} missing from {tokens:?}");
         }
     }
 

@@ -1,7 +1,8 @@
 //! The Section V scenario at full scale: three federated directories, a
-//! crawler that discovers every service across them, a TF-IDF search
-//! engine over the result, and a QoS monitor that watches a flaky
-//! upstream — the paper's motivation for hosting a reliable repository.
+//! crawler that discovers every service across them through a gateway,
+//! a tf·idf search index over the result, and a QoS monitor that
+//! watches a flaky upstream — the paper's motivation for hosting a
+//! reliable repository.
 //!
 //! ```sh
 //! cargo run --example service_marketplace
@@ -10,9 +11,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use soc::discover::{Catalog, CrawlConfig, Crawler, NoQos, SearchIndex};
+use soc::gateway::{Gateway, GatewayConfig};
 use soc::http::mem::{FaultConfig, Transport};
 use soc::http::MemNetwork;
-use soc::registry::crawler::Crawler;
 use soc::registry::directory::{DirectoryClient, DirectoryService};
 use soc::registry::monitor::QosMonitor;
 use soc::registry::{Binding, Repository, ServiceDescriptor};
@@ -59,23 +61,27 @@ fn main() {
     let transport: Arc<dyn Transport> = Arc::new(net.clone());
 
     // Crawl the federation.
-    let report = Crawler::new(transport.clone()).crawl(&["mem://asu.directory"]);
+    let gateway = Gateway::new(transport.clone(), GatewayConfig::default());
+    let mut catalog = Catalog::new();
+    let stats =
+        Crawler::new(gateway, CrawlConfig::default()).crawl(&["mem://asu.directory"], &mut catalog);
     println!(
         "crawler: visited {} directories, found {} services, {} unreachable",
-        report.visited.len(),
-        report.services.len(),
-        report.unreachable.len()
+        stats.visited.len(),
+        catalog.len(),
+        stats.unreachable.len()
     );
-    for (url, err) in &report.unreachable {
-        println!("  unreachable: {url} ({err})");
+    for url in &stats.unreachable {
+        println!("  unreachable: {url}");
     }
 
     // Search what the crawler found (the `/sse/` service engine).
-    let engine = report.into_search_engine();
+    let index = SearchIndex::build(&catalog);
     for query in ["password strong random", "credit score", "zip code city"] {
         println!("\nsearch: {query:?}");
-        for hit in engine.search(query, 3) {
-            println!("  {:>6.3}  [{}] {}", hit.score, hit.service.id, hit.service.name);
+        for hit in index.search(query, &NoQos, 3) {
+            let name = &index.service(&hit.service_id).unwrap().descriptor.name;
+            println!("  {:>6.3}  [{}] {}", hit.score, hit.service_id, name);
         }
     }
 

@@ -5,10 +5,11 @@
 
 use std::sync::Arc;
 
+use soc::discover::{Catalog, CrawlConfig, Crawler, NoQos, SearchIndex};
+use soc::gateway::{Gateway, GatewayConfig};
 use soc::http::mem::{FaultConfig, Transport};
 use soc::http::MemNetwork;
 use soc::json::{json, Value};
-use soc::registry::crawler::Crawler;
 use soc::registry::directory::{DirectoryClient, DirectoryService};
 use soc::registry::monitor::QosMonitor;
 use soc::registry::Repository;
@@ -103,12 +104,15 @@ fn crawler_feeds_search_feeds_invocation() {
     net.host("dir-b", dir_b);
 
     let transport: Arc<dyn Transport> = Arc::new(net);
-    let report = Crawler::new(transport.clone()).crawl(&["mem://dir-b"]);
-    assert_eq!(report.visited.len(), 2);
-    assert_eq!(report.services.len(), 12);
+    let gateway = Gateway::new(transport.clone(), GatewayConfig::default());
+    let mut catalog = Catalog::new();
+    let stats = Crawler::new(gateway, CrawlConfig::default()).crawl(&["mem://dir-b"], &mut catalog);
+    assert_eq!(stats.visited.len(), 2);
+    assert_eq!(catalog.len(), 12);
 
-    let engine = report.into_search_engine();
-    let hit = &engine.search("guessing game", 1)[0].service;
+    let index = SearchIndex::build(&catalog);
+    let top = &index.search("guessing game", &NoQos, 1)[0];
+    let hit = &index.service(&top.service_id).unwrap().descriptor;
     // The discovered endpoint is live: start a game through it.
     let rest = RestClient::new(transport);
     let base = hit.endpoint.trim_end_matches("/guess/start");
