@@ -10,9 +10,16 @@
 //! before any response byte arrived the request is retried on a fresh
 //! connection (the server may have reaped the idle socket between our
 //! checkout and our write — that race is inherent to keep-alive reuse).
+//!
+//! An exchange keeps its syscalls few. `TCP_NODELAY` is set once, at
+//! connect. A pooled connection remembers the socket timeouts armed on
+//! it, so a timeout is set again only when the wanted value changes: a
+//! send without a deadline never re-arms. The request goes out in one
+//! write through `&TcpStream`, with no cloned descriptor. A parked
+//! connection's liveness probe is one nonblocking `recv(MSG_PEEK)`.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,8 +61,39 @@ pub struct ClientPoolStats {
     pub retired: u64,
 }
 
-struct IdleConn {
+/// An open connection: the buffered socket plus the timeouts last
+/// armed on it, so arming an unchanged value costs no syscall.
+struct Conn {
     reader: BufReader<TcpStream>,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        stream.set_nodelay(true).ok();
+        Conn { reader: BufReader::new(stream), read_timeout: None, write_timeout: None }
+    }
+
+    fn arm_read(&mut self, timeout: Duration) {
+        if self.read_timeout != Some(timeout)
+            && self.reader.get_ref().set_read_timeout(Some(timeout)).is_ok()
+        {
+            self.read_timeout = Some(timeout);
+        }
+    }
+
+    fn arm_write(&mut self, timeout: Duration) {
+        if self.write_timeout != Some(timeout)
+            && self.reader.get_ref().set_write_timeout(Some(timeout)).is_ok()
+        {
+            self.write_timeout = Some(timeout);
+        }
+    }
+}
+
+struct IdleConn {
+    conn: Conn,
     parked_at: Instant,
 }
 
@@ -91,15 +129,15 @@ impl Pool {
 
     /// Take the freshest healthy idle connection for `key`, evicting
     /// expired or visibly-dead ones along the way.
-    fn checkout(&self, key: &str) -> Option<BufReader<TcpStream>> {
+    fn checkout(&self, key: &str) -> Option<Conn> {
         let mut idle = self.idle.lock();
         let list = idle.get_mut(key)?;
-        while let Some(conn) = list.pop() {
-            if conn.parked_at.elapsed() > self.cfg.idle_timeout {
+        while let Some(parked) = list.pop() {
+            if parked.parked_at.elapsed() > self.cfg.idle_timeout {
                 continue; // expired; dropping closes the socket
             }
-            if let Some(reader) = probe_alive(conn.reader) {
-                return Some(reader);
+            if let Some(conn) = probe_alive(parked.conn) {
+                return Some(conn);
             }
             // Dead or poisoned while parked: not an error, just gone.
         }
@@ -108,36 +146,45 @@ impl Pool {
 
     /// Park a connection for reuse, bounding the per-host idle list
     /// (the oldest connection is dropped when full).
-    fn park(&self, key: &str, reader: BufReader<TcpStream>) {
+    fn park(&self, key: &str, conn: Conn) {
         let mut idle = self.idle.lock();
         let list = idle.entry(key.to_string()).or_default();
         if list.len() >= self.cfg.max_idle_per_host.max(1) {
             list.remove(0);
         }
-        list.push(IdleConn { reader, parked_at: Instant::now() });
+        list.push(IdleConn { conn, parked_at: Instant::now() });
     }
 }
 
-/// Cheap liveness probe on a parked connection: a nonblocking read that
+/// Cheap liveness probe on a parked connection: a nonblocking peek that
 /// yields `WouldBlock` means the socket is open with nothing buffered —
 /// exactly the state a reusable keep-alive connection must be in. EOF
 /// means the server closed it while parked; actual bytes mean a
-/// desynchronized (poisoned) connection. Both are discarded.
-fn probe_alive(mut reader: BufReader<TcpStream>) -> Option<BufReader<TcpStream>> {
-    if !reader.buffer().is_empty() {
+/// desynchronized (poisoned) connection. Both are discarded, as is a
+/// socket error.
+fn probe_alive(conn: Conn) -> Option<Conn> {
+    if !conn.reader.buffer().is_empty() {
         return None;
     }
-    let stream = reader.get_mut();
-    if stream.set_nonblocking(true).is_err() {
-        return None;
+    match peek_idle(conn.reader.get_ref()) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Some(conn),
+        _ => None,
     }
-    let mut probe = [0u8; 1];
-    let verdict =
-        matches!(stream.read(&mut probe), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock);
-    if stream.set_nonblocking(false).is_err() {
-        return None;
-    }
-    verdict.then_some(reader)
+}
+
+/// One `recv(MSG_PEEK | MSG_DONTWAIT)`, leaving the socket blocking.
+#[cfg(target_os = "linux")]
+fn peek_idle(stream: &TcpStream) -> std::io::Result<usize> {
+    crate::poller::peek_nonblocking(std::os::unix::io::AsRawFd::as_raw_fd(stream))
+}
+
+/// Portable fallback: flip the socket to nonblocking around a peek.
+#[cfg(not(target_os = "linux"))]
+fn peek_idle(stream: &TcpStream) -> std::io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false)?;
+    peeked
 }
 
 /// A blocking client with per-authority keep-alive pooling. The
@@ -158,7 +205,7 @@ impl Default for HttpClient {
 
 /// Outcome of one wire exchange: the response plus the connection if
 /// it is still reusable.
-type ExchangeOk = (Response, Option<BufReader<TcpStream>>);
+type ExchangeOk = (Response, Option<Conn>);
 
 impl HttpClient {
     /// Client with a 30 s timeout and default pooling.
@@ -247,21 +294,21 @@ impl HttpClient {
             // Fail fast once the budget is gone, including between
             // retry rounds.
             self.op_timeout(deadline)?;
-            let (reader, reused) = match self.pool.cfg.enabled.then(|| self.pool.checkout(&key)) {
-                Some(Some(reader)) => (reader, true),
+            let (conn, reused) = match self.pool.cfg.enabled.then(|| self.pool.checkout(&key)) {
+                Some(Some(conn)) => (conn, true),
                 _ => {
                     let stream = self.connect(&url, deadline)?;
                     self.pool.opened.fetch_add(1, Ordering::Relaxed);
-                    (BufReader::new(stream), false)
+                    (Conn::new(stream), false)
                 }
             };
-            match self.exchange(reader, &req, &url, deadline) {
+            match self.exchange(conn, &req, &url, deadline) {
                 Ok((resp, keep)) => {
                     if reused {
                         self.pool.reused.fetch_add(1, Ordering::Relaxed);
                     }
-                    if let Some(reader) = keep {
-                        self.pool.park(&key, reader);
+                    if let Some(conn) = keep {
+                        self.pool.park(&key, conn);
                     }
                     return Ok(resp);
                 }
@@ -332,7 +379,7 @@ impl HttpClient {
     /// (the precondition for a safe retry on a reused connection).
     fn exchange(
         &self,
-        mut reader: BufReader<TcpStream>,
+        mut conn: Conn,
         req: &Request,
         url: &Url,
         deadline: Option<Instant>,
@@ -340,12 +387,9 @@ impl HttpClient {
         let pre = |e: HttpError| (e, true);
         let post = |e: HttpError| (e, false);
 
-        {
-            let stream = reader.get_ref();
-            stream.set_read_timeout(Some(self.op_timeout(deadline).map_err(pre)?)).ok();
-            stream.set_write_timeout(Some(self.op_timeout(deadline).map_err(pre)?)).ok();
-            stream.set_nodelay(true).ok();
-        }
+        let budget = self.op_timeout(deadline).map_err(pre)?;
+        conn.arm_read(budget);
+        conn.arm_write(budget);
 
         let mut wire_req = req.clone();
         wire_req.target = url.path_and_query();
@@ -357,22 +401,22 @@ impl HttpClient {
         if !self.pool.cfg.enabled && !wire_req.headers.contains("Connection") {
             wire_req.headers.set("Connection", "close");
         }
-        let mut writer =
-            reader.get_ref().try_clone().map_err(|e| pre(HttpError::Io(e.to_string())))?;
+        let mut writer = conn.reader.get_ref();
         codec::write_request(&mut writer, &wire_req, Some(&url.authority())).map_err(pre)?;
-        // Re-arm the read timeout with whatever budget the write left.
-        reader.get_ref().set_read_timeout(Some(self.op_timeout(deadline).map_err(pre)?)).ok();
+        // Re-arm the read timeout with whatever budget the write left
+        // (a no-op without a deadline: the wanted value is unchanged).
+        conn.arm_read(self.op_timeout(deadline).map_err(pre)?);
         // Peek before parsing: an EOF or error *here* means the server
         // never started a response (stale pooled connection, reaped
         // idle socket) — retry-safe. Once bytes exist, failures are
         // real protocol or transfer errors.
-        match reader.fill_buf() {
+        match conn.reader.fill_buf() {
             Ok([]) => return Err(pre(HttpError::UnexpectedEof)),
             Ok(_) => {}
             Err(e) => return Err(pre(HttpError::Io(e.to_string()))),
         }
         let (resp, version) =
-            codec::read_response_versioned(&mut reader, self.body_limit).map_err(post)?;
+            codec::read_response_versioned(&mut conn.reader, self.body_limit).map_err(post)?;
 
         // Reuse only when both sides allow it and the response framing
         // was explicit (a length-less EOF-delimited body can't share a
@@ -386,7 +430,7 @@ impl HttpClient {
                 .get("Transfer-Encoding")
                 .is_some_and(|te| te.eq_ignore_ascii_case("chunked"));
         let keep = self.pool.cfg.enabled && !resp_closes && !req_closes && self_delimited;
-        Ok((resp, keep.then_some(reader)))
+        Ok((resp, keep.then_some(conn)))
     }
 
     /// GET an absolute URL.
@@ -531,6 +575,29 @@ mod tests {
         assert_eq!(resp.text_body().unwrap(), "two");
         let stats = c.pool_stats();
         assert!(stats.opened >= 2, "a fresh connection replaced the dead one: {stats:?}");
+    }
+
+    #[test]
+    fn plain_send_restores_the_timeout_a_deadline_send_shortened() {
+        // The pooled connection remembers the timeout armed on it. A
+        // deadline send arms its short budget; the plain send that
+        // reuses the connection must re-arm the client's own timeout,
+        // or the slow handler below would time it out.
+        let server = crate::HttpServer::bind("127.0.0.1:0", 2, |req: Request| {
+            if req.path() == "/slow" {
+                std::thread::sleep(Duration::from_millis(600));
+            }
+            crate::Response::text("ok")
+        })
+        .unwrap();
+        let c = HttpClient::with_timeout(Duration::from_secs(5));
+        let deadline = Instant::now() + Duration::from_millis(250);
+        let fast = c.send_with_deadline(Request::get(format!("{}/fast", server.url())), deadline);
+        assert!(fast.unwrap().status.is_success());
+        let slow = c.get(&format!("{}/slow", server.url())).expect("timeout was restored");
+        assert!(slow.status.is_success());
+        let stats = c.pool_stats();
+        assert_eq!((stats.opened, stats.reused), (1, 1), "both sends share one connection");
     }
 
     #[test]

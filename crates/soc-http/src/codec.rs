@@ -298,70 +298,115 @@ fn outgoing_framing(headers: &Headers) -> HttpResult<WireFraming> {
 /// Chunk size for write-side chunked encoding.
 const WRITE_CHUNK_SIZE: usize = 8 * 1024;
 
-fn write_body<W: Write>(w: &mut W, framing: WireFraming, body: &[u8]) -> HttpResult<()> {
-    match framing {
-        WireFraming::Length => w.write_all(body)?,
-        WireFraming::Chunked => w.write_all(&encode_chunked(body, WRITE_CHUNK_SIZE))?,
+/// Room reserved for a head's fixed parts (start line, terminators, an
+/// auto `Content-Length` or `Host`) on top of the header bytes.
+const HEAD_SLACK: usize = 64;
+
+/// Append one `name: value\r\n` header line.
+fn push_header(out: &mut Vec<u8>, name: &str, value: &str) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b": ");
+    out.extend_from_slice(value.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Serialize the header lines, an auto `Content-Length` when the body
+/// is length-framed and the caller set none, the blank line, and the
+/// body (chunk-encoded under `Transfer-Encoding: chunked`) after the
+/// start line already in `out`.
+fn encode_rest(out: &mut Vec<u8>, headers: &Headers, framing: WireFraming, body: &[u8]) {
+    let mut has_len = false;
+    for (name, value) in headers.iter() {
+        has_len |= name.eq_ignore_ascii_case("Content-Length");
+        push_header(out, name, value);
     }
-    w.flush()?;
-    Ok(())
+    if !has_len && framing == WireFraming::Length {
+        push_header(out, "Content-Length", &body.len().to_string());
+    }
+    out.extend_from_slice(b"\r\n");
+    match framing {
+        WireFraming::Length => out.extend_from_slice(body),
+        WireFraming::Chunked => encode_chunked_into(out, body, WRITE_CHUNK_SIZE),
+    }
+}
+
+/// Capacity for a whole message: head, body, and the chunk framing a
+/// chunked body adds (one size line and CRLF per chunk, plus the last).
+fn message_capacity(headers: &Headers, framing: WireFraming, body_len: usize) -> usize {
+    let head: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum();
+    let framing_bytes = match framing {
+        WireFraming::Length => 0,
+        WireFraming::Chunked => (body_len / WRITE_CHUNK_SIZE + 1) * 8 + 5,
+    };
+    head + HEAD_SLACK + body_len + framing_bytes
+}
+
+/// Serialize a response into one buffer (see [`write_response`]). The
+/// reactor's workers send these bytes themselves, on a nonblocking
+/// socket that may take only part of them.
+pub(crate) fn encode_response(resp: &Response) -> HttpResult<Vec<u8>> {
+    let framing = outgoing_framing(&resp.headers)?;
+    let mut out = Vec::with_capacity(message_capacity(&resp.headers, framing, resp.body.len()));
+    out.extend_from_slice(b"HTTP/1.1 ");
+    out.extend_from_slice(resp.status.0.to_string().as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(resp.status.reason().as_bytes());
+    out.extend_from_slice(b"\r\n");
+    encode_rest(&mut out, &resp.headers, framing, &resp.body);
+    Ok(out)
 }
 
 /// Serialize a request for the wire. Sets `Content-Length` (and `Host`
 /// when given) if absent; a caller-set `Transfer-Encoding: chunked`
-/// gets its body chunk-encoded rather than sent raw.
+/// gets its body chunk-encoded rather than sent raw. The whole message
+/// is formatted first and handed to `w` in one `write_all`: on a
+/// `TCP_NODELAY` socket each write is its own segment, so a write per
+/// header line would cost a syscall and a packet apiece.
 pub fn write_request<W: Write>(w: &mut W, req: &Request, host: Option<&str>) -> HttpResult<()> {
     let framing = outgoing_framing(&req.headers)?;
-    write!(w, "{} {} HTTP/1.1\r\n", req.method, req.target)?;
+    let mut out = Vec::with_capacity(
+        message_capacity(&req.headers, framing, req.body.len())
+            + req.target.len()
+            + host.map_or(0, str::len),
+    );
+    out.extend_from_slice(req.method.as_str().as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(req.target.as_bytes());
+    out.extend_from_slice(b" HTTP/1.1\r\n");
     if let Some(h) = host {
         if !req.headers.contains("Host") {
-            write!(w, "Host: {h}\r\n")?;
+            push_header(&mut out, "Host", h);
         }
     }
-    let mut has_len = false;
-    for (name, value) in req.headers.iter() {
-        if name.eq_ignore_ascii_case("Content-Length") {
-            has_len = true;
-        }
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    if !has_len && framing == WireFraming::Length {
-        write!(w, "Content-Length: {}\r\n", req.body.len())?;
-    }
-    write!(w, "\r\n")?;
-    write_body(w, framing, &req.body)
+    encode_rest(&mut out, &req.headers, framing, &req.body);
+    w.write_all(&out)?;
+    w.flush()?;
+    Ok(())
 }
 
-/// Serialize a response for the wire. Framing rules match
-/// [`write_request`].
+/// Serialize a response for the wire, in one `write_all`. Framing
+/// rules match [`write_request`].
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> HttpResult<()> {
-    let framing = outgoing_framing(&resp.headers)?;
-    write!(w, "HTTP/1.1 {} {}\r\n", resp.status.0, resp.status.reason())?;
-    let mut has_len = false;
-    for (name, value) in resp.headers.iter() {
-        if name.eq_ignore_ascii_case("Content-Length") {
-            has_len = true;
-        }
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    if !has_len && framing == WireFraming::Length {
-        write!(w, "Content-Length: {}\r\n", resp.body.len())?;
-    }
-    write!(w, "\r\n")?;
-    write_body(w, framing, &resp.body)
+    w.write_all(&encode_response(resp)?)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Serialize a body as chunked transfer coding (used by tests and the
 /// streaming bench).
 pub fn encode_chunked(body: &[u8], chunk_size: usize) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_chunked_into(&mut out, body, chunk_size);
+    out
+}
+
+fn encode_chunked_into(out: &mut Vec<u8>, body: &[u8], chunk_size: usize) {
     for chunk in body.chunks(chunk_size.max(1)) {
         out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
         out.extend_from_slice(chunk);
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"0\r\n\r\n");
-    out
 }
 
 #[cfg(test)]
@@ -623,6 +668,71 @@ mod tests {
         };
         assert_eq!(reader(b"GET / HTTP/1.0\r\n\r\n"), Version::Http10);
         assert_eq!(reader(b"GET / HTTP/1.1\r\n\r\n"), Version::Http11);
+    }
+
+    /// A `Write` that records each call, so a test can see how many
+    /// writes (one syscall apiece on a socket) a message costs.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_with_golden_bytes() {
+        let keyed = Request::post("/apply", b"{\"k\":1}".to_vec())
+            .with_header("Content-Type", "application/json")
+            .with_header("Idempotency-Key", "k-7");
+        let chunked_req = Request::post("/u", b"hello chunked world".to_vec())
+            .with_header("Transfer-Encoding", "chunked");
+        let requests: [(&Request, Option<&str>, &str); 3] = [
+            (&Request::get("/score?id=3"), Some("h:80"), "GET /score?id=3 HTTP/1.1\r\nHost: h:80\r\nContent-Length: 0\r\n\r\n"),
+            (&keyed, None, "POST /apply HTTP/1.1\r\nContent-Type: application/json\r\nIdempotency-Key: k-7\r\nContent-Length: 7\r\n\r\n{\"k\":1}"),
+            (&chunked_req, Some("h"), "POST /u HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n13\r\nhello chunked world\r\n0\r\n\r\n"),
+        ];
+        for (req, host, golden) in requests {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, req, host).unwrap();
+            assert_eq!(String::from_utf8_lossy(&w.bytes), golden);
+            assert_eq!(w.writes, 1, "request {:?} took {} writes", req.target, w.writes);
+        }
+
+        let json = Response::json("{\"a\":1}");
+        let chunked_resp =
+            Response::text("streamed reply").with_header("Transfer-Encoding", "chunked");
+        let set_len = Response::text("ok").with_header("Content-Length", "2");
+        let responses: [(&Response, &str); 3] = [
+            (&json, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n{\"a\":1}"),
+            (&chunked_resp, "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nTransfer-Encoding: chunked\r\n\r\ne\r\nstreamed reply\r\n0\r\n\r\n"),
+            (&set_len, "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 2\r\n\r\nok"),
+        ];
+        for (resp, golden) in responses {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, resp).unwrap();
+            assert_eq!(String::from_utf8_lossy(&w.bytes), golden);
+            assert_eq!(w.writes, 1, "response took {} writes", w.writes);
+        }
+
+        // A body spanning several write-side chunks is still one write.
+        let big = Response::new(Status::OK)
+            .with_body_bytes(vec![b'z'; 2 * WRITE_CHUNK_SIZE + 3])
+            .with_header("Transfer-Encoding", "chunked");
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &big).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(parse_resp(&w.bytes).unwrap().body, big.body);
     }
 
     #[test]

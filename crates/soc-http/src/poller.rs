@@ -6,7 +6,9 @@
 //! [`Poller::wait`] until the kernel reports readiness, instead of
 //! parking one blocked thread per connection. The workspace vendors no
 //! FFI crates, so the handful of syscalls are declared directly against
-//! the system libc that `std` already links.
+//! the system libc that `std` already links. Its `sys` block is the
+//! crate's only FFI site, which is why the pooled client's one-syscall
+//! liveness probe, `peek_nonblocking`, lives here too.
 //!
 //! Level-triggered mode throughout: a readiness bit stays set until the
 //! state machine drains it, which keeps the connection logic re-entrant
@@ -32,6 +34,7 @@ mod sys {
         pub fn eventfd(initval: u32, flags: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        pub fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
         pub fn close(fd: i32) -> i32;
     }
 
@@ -48,6 +51,29 @@ mod sys {
 
     pub const EFD_NONBLOCK: i32 = 0o4000;
     pub const EFD_CLOEXEC: i32 = 0o2000000;
+
+    pub const MSG_PEEK: i32 = 0x02;
+    pub const MSG_DONTWAIT: i32 = 0x40;
+}
+
+/// Peek at most one byte of `fd`'s receive queue without blocking and
+/// without consuming it: one `recv(MSG_PEEK | MSG_DONTWAIT)`, whatever
+/// the socket's blocking mode. `Ok(0)` is EOF, `Ok(1)` means bytes are
+/// waiting, and `WouldBlock` means the socket is open and empty.
+pub(crate) fn peek_nonblocking(fd: RawFd) -> io::Result<usize> {
+    let mut byte = 0u8;
+    loop {
+        // SAFETY: `byte` is a live one-byte buffer for the whole call
+        // and `len` is 1; an invalid `fd` is reported as an error.
+        let rc = unsafe { sys::recv(fd, &mut byte, 1, sys::MSG_PEEK | sys::MSG_DONTWAIT) };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
 }
 
 /// One readiness report from the kernel.
@@ -192,9 +218,13 @@ unsafe impl Sync for Poller {}
 
 /// Cross-thread wakeup for a [`Poller`] loop, backed by an `eventfd`.
 ///
-/// Worker threads finishing a handler call [`Waker::wake`]; the reactor
-/// sees the eventfd turn readable under the waker's token and drains
-/// its completion queue. Writes coalesce (an eventfd is a counter), so
+/// The reactor's workers write a response themselves and re-arm the
+/// connection with [`Poller::modify`], which needs no wakeup. They call
+/// [`Waker::wake`] only on the fallback path — a partial write, a
+/// closing connection, or a write error — when the loop must take the
+/// remaining bytes from its completion queue; `shutdown` wakes it too.
+/// The reactor sees the eventfd turn readable under the waker's token
+/// and drains the queue. Writes coalesce (an eventfd is a counter), so
 /// waking an already-woken loop is one cheap syscall.
 #[derive(Debug)]
 pub struct Waker {
@@ -297,6 +327,32 @@ mod tests {
 
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
         assert!(events.is_empty(), "drained waker must go quiet");
+    }
+
+    #[test]
+    fn peek_tells_idle_eof_and_pending_apart_without_consuming() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        // A blocking socket: the peek must not wait for bytes.
+        let err = peek_nonblocking(server.as_raw_fd()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        client.write_all(b"x").unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while peek_nonblocking(server.as_raw_fd()).is_err() {
+            assert!(std::time::Instant::now() < deadline, "byte never arrived");
+            std::thread::yield_now();
+        }
+        assert_eq!(peek_nonblocking(server.as_raw_fd()).unwrap(), 1, "peeking leaves it queued");
+        let mut byte = [0u8; 1];
+        std::io::Read::read_exact(&mut &server, &mut byte).unwrap();
+        assert_eq!(&byte, b"x");
+        drop(client);
+        while peek_nonblocking(server.as_raw_fd()).is_err() {
+            assert!(std::time::Instant::now() < deadline, "EOF never arrived");
+            std::thread::yield_now();
+        }
+        assert_eq!(peek_nonblocking(server.as_raw_fd()).unwrap(), 0, "EOF");
     }
 
     #[test]

@@ -16,12 +16,30 @@
 //!
 //! and the bytes live in per-connection incremental codec buffers
 //! instead of a thread's stack. When a full request has been parsed the
-//! reactor hands it to the worker pool (`Handling`); the worker runs
-//! the same `Handler`/span/panic-catch path as the threaded transport,
-//! serializes the response, pushes it onto a completion queue, and
-//! wakes the loop through an eventfd [`Waker`](crate::poller::Waker).
-//! The reactor never executes handler code and workers never touch a
-//! socket.
+//! reactor hands it to the worker pool (`Handling`) with read interest
+//! parked; the worker runs the same `Handler`/span/panic-catch path as
+//! the threaded transport and serializes the response. The reactor
+//! never executes handler code.
+//!
+//! The worker then writes the response itself, on the nonblocking
+//! socket it shares with the loop through an `Arc<TcpStream>`. When
+//! the whole response went out and the connection stays open, it
+//! queues a `Written` completion and re-arms `READ` with `epoll_ctl`:
+//! no eventfd wake, no hop back to the loop before the client sees its
+//! answer. The completion is queued before the re-arm, and the loop
+//! applies completions before it dispatches each event batch, so the
+//! readiness that the client's next request raises always finds the
+//! connection back in `KeepAlive`. A partial write, a closing
+//! connection, or a write error falls back to the completion queue:
+//! the worker hands over the unwritten bytes and wakes the loop through
+//! the eventfd [`Waker`](crate::poller::Waker), and the loop finishes
+//! the write under `WRITE` interest. Only one side writes at a time —
+//! the worker while the connection is `Handling`, the loop after. The
+//! `Arc` keeps the descriptor open while a worker holds it, so a
+//! connection the loop closes meanwhile cannot have its fd reused
+//! under the worker; the worker's re-arm of a deregistered fd just
+//! fails. `soc_http_responses_total{write="worker"|"reactor"}` counts
+//! which side finished each response.
 //!
 //! Backpressure at the connection cap is identical to the threaded
 //! transport: connections over `max_connections` are shed with a
@@ -36,6 +54,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use soc_observe::Counter;
 use soc_parallel::ThreadPool;
 
 use crate::codec::{self, BodyFraming};
@@ -67,11 +86,22 @@ const READ_CHUNK: usize = 16 * 1024;
 struct Completion {
     slot: usize,
     gen: u64,
-    /// Serialized response bytes; `None` if serialization failed (the
-    /// connection is closed without a response, like the threaded
-    /// transport's failed write).
-    bytes: Option<Vec<u8>>,
-    close: bool,
+    outcome: Outcome,
+}
+
+enum Outcome {
+    /// The worker wrote the whole response and re-armed `READ`.
+    Written,
+    /// The loop finishes the response: `bytes[written..]` is still
+    /// unsent (possibly nothing, when only the close is left). `bytes`
+    /// is `None` when serialization or the write failed: the connection
+    /// is closed without a response, like the threaded transport's
+    /// failed write.
+    Pending { bytes: Option<Vec<u8>>, written: usize, close: bool },
+}
+
+fn token(slot: usize) -> u64 {
+    slot as u64 + TOKEN_BASE
 }
 
 // ---------------------------------------------------------------------
@@ -378,7 +408,9 @@ enum ConnState {
 }
 
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the worker that handles the current request, which
+    /// writes the response itself.
+    stream: Arc<TcpStream>,
     gen: u64,
     state: ConnState,
     parser: RequestParser,
@@ -425,19 +457,74 @@ impl Slab {
     }
 }
 
-struct Reactor {
-    listener: TcpListener,
+/// The state the loop shares with every worker, behind one `Arc`.
+struct Shared {
     poller: Poller,
     waker: Arc<Waker>,
-    cfg: ReactorConfig,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
+    completions: Mutex<Vec<Completion>>,
+    /// `soc_http_responses_total{write="worker"}`: responses a worker
+    /// wrote in full.
+    worker_writes: Counter,
+}
+
+impl Shared {
+    /// Worker side of a response: write it straight to the socket (see
+    /// the module docs). A complete write on a connection that stays
+    /// open queues `Written` and re-arms `READ`; anything else queues
+    /// the rest for the loop and wakes it.
+    fn deliver(&self, slot: usize, gen: u64, stream: &TcpStream, bytes: Vec<u8>, close: bool) {
+        let mut written = 0;
+        let failed = loop {
+            if written == bytes.len() {
+                break false;
+            }
+            match (&*stream).write(&bytes[written..]) {
+                Ok(0) => break true,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break true,
+            }
+        };
+        if written == bytes.len() {
+            self.worker_writes.inc();
+            if !close {
+                self.completions.lock().push(Completion { slot, gen, outcome: Outcome::Written });
+                // Queued before the re-arm: the readiness this raises
+                // must find the completion already there.
+                self.poller.modify(stream.as_raw_fd(), token(slot), Interest::READ).ok();
+                return;
+            }
+        }
+        let bytes = (!failed).then_some(bytes);
+        self.hand_back(Completion {
+            slot,
+            gen,
+            outcome: Outcome::Pending { bytes, written, close },
+        });
+    }
+
+    /// The fallback path: queue work the loop must finish, and wake it.
+    fn hand_back(&self, completion: Completion) {
+        self.completions.lock().push(completion);
+        self.waker.wake();
+    }
+}
+
+struct Reactor {
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
     pool: ThreadPool,
     conns: Slab,
-    completions: Arc<Mutex<Vec<Completion>>>,
     gen: u64,
-    shed_counter: soc_observe::Counter,
+    shed_counter: Counter,
+    /// `soc_http_responses_total{write="reactor"}`: responses the loop
+    /// finished writing (worker fallbacks and its own 400s).
+    reactor_writes: Counter,
 }
 
 /// Create the poller + waker and spawn the event-loop thread. The
@@ -479,20 +566,26 @@ fn run(
     if poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).is_err() {
         return;
     }
-    let shed_counter = soc_observe::metrics().counter("soc_http_connections_shed_total", &[]);
+    let metrics = soc_observe::metrics();
+    let shed_counter = metrics.counter("soc_http_connections_shed_total", &[]);
+    let responses = |write| metrics.counter("soc_http_responses_total", &[("write", write)]);
     let mut reactor = Reactor {
         listener,
-        poller,
-        waker,
+        shared: Arc::new(Shared {
+            poller,
+            waker,
+            handler,
+            stats,
+            completions: Mutex::new(Vec::new()),
+            worker_writes: responses("worker"),
+        }),
         cfg,
-        handler,
-        stats,
         stop,
         pool,
         conns: Slab { entries: Vec::new(), free: Vec::new(), live: 0 },
-        completions: Arc::new(Mutex::new(Vec::new())),
         gen: 0,
         shed_counter,
+        reactor_writes: responses("reactor"),
     };
     reactor.run_loop();
 }
@@ -507,22 +600,28 @@ impl Reactor {
             }
             let now = Instant::now();
             let timeout = next_sweep.saturating_duration_since(now);
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+            if self.shared.poller.wait(&mut events, Some(timeout)).is_err() {
                 return;
             }
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
+            // Before the batch: a worker that re-armed `READ` queued its
+            // `Written` first, so this puts the connection back in
+            // `KeepAlive` before its readiness is dispatched.
+            self.apply_completions();
             // Pull the batch out so `self` stays borrowable.
             let batch = std::mem::take(&mut events);
             for ev in &batch {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.waker.drain(),
+                    TOKEN_WAKER => self.shared.waker.drain(),
                     token => self.conn_ready((token - TOKEN_BASE) as usize, ev),
                 }
             }
             events = batch;
+            // After the batch: completions queued before the drain above
+            // consumed their wake.
             self.apply_completions();
             let now = Instant::now();
             if now >= next_sweep {
@@ -539,7 +638,7 @@ impl Reactor {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     if self.conns.live >= self.cfg.max_connections {
-                        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                        self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                         self.shed_counter.inc();
                         // Accepted sockets don't inherit nonblocking
                         // from the listener, so the bounded blocking
@@ -553,7 +652,7 @@ impl Reactor {
                     stream.set_nodelay(true).ok();
                     self.gen += 1;
                     let conn = Conn {
-                        stream,
+                        stream: Arc::new(stream),
                         gen: self.gen,
                         state: ConnState::ReadingHead,
                         parser: RequestParser::new(self.cfg.body_limit),
@@ -564,9 +663,9 @@ impl Reactor {
                         deadline: Instant::now() + self.cfg.io_timeout,
                         interest: Interest::READ,
                     };
+                    let fd = conn.stream.as_raw_fd();
                     let slot = self.conns.insert(conn);
-                    let fd = self.conns.get_mut(slot).unwrap().stream.as_raw_fd();
-                    if self.poller.add(fd, slot as u64 + TOKEN_BASE, Interest::READ).is_err() {
+                    if self.shared.poller.add(fd, token(slot), Interest::READ).is_err() {
                         self.conns.remove(slot);
                     }
                 }
@@ -600,7 +699,7 @@ impl Reactor {
                 // hard error drops it.
                 if ev.hangup {
                     let mut probe = [0u8; 64];
-                    match conn.stream.read(&mut probe) {
+                    match (&*conn.stream).read(&mut probe) {
                         Ok(0) => conn.peer_closed = true,
                         Ok(n) => conn.parser.push(&probe[..n]),
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
@@ -639,11 +738,11 @@ impl Reactor {
             let read = if let Some((body, need)) = conn.parser.direct_body() {
                 let start = body.len();
                 body.resize(start + need.min(READ_CHUNK), 0);
-                let r = conn.stream.read(&mut body[start..]);
+                let r = (&*conn.stream).read(&mut body[start..]);
                 body.truncate(start + *r.as_ref().unwrap_or(&0));
                 r
             } else {
-                conn.stream.read(&mut scratch).inspect(|&n| conn.parser.push(&scratch[..n]))
+                (&*conn.stream).read(&mut scratch).inspect(|&n| conn.parser.push(&scratch[..n]))
             };
             match read {
                 Ok(0) => {
@@ -723,12 +822,10 @@ impl Reactor {
                 // transport — with the close made explicit on the wire.
                 let resp = Response::error(Status::BAD_REQUEST, &e.to_string())
                     .with_header("Connection", "close");
-                let mut bytes = Vec::new();
-                if codec::write_response(&mut bytes, &resp).is_err() {
-                    self.close(slot);
-                    return;
+                match codec::encode_response(&resp) {
+                    Ok(bytes) => self.start_write(slot, bytes, 0, true),
+                    Err(_) => self.close(slot),
                 }
-                self.start_write(slot, bytes, true);
             }
         }
     }
@@ -737,12 +834,11 @@ impl Reactor {
     fn dispatch(&mut self, slot: usize, req: Request, version: Version) {
         let Some(conn) = self.conns.get_mut(slot) else { return };
         let gen = conn.gen;
+        let stream = conn.stream.clone();
         let close_requested = codec::wants_close(version, &req.headers);
-        let handler = self.handler.clone();
-        let stats = self.stats.clone();
-        let completions = self.completions.clone();
-        let waker = self.waker.clone();
+        let shared = self.shared.clone();
         self.pool.spawn_detached(move || {
+            let handler = &shared.handler;
             let mut resp = crate::observe::serve_with_span(req, "http.server", |req| {
                 match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(req)))
                 {
@@ -751,24 +847,27 @@ impl Reactor {
                 }
             });
             if resp.status.0 >= 500 {
-                stats.failed.fetch_add(1, Ordering::Relaxed);
+                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
             }
-            stats.served.fetch_add(1, Ordering::Relaxed);
+            shared.stats.served.fetch_add(1, Ordering::Relaxed);
             // Close if the client asked, or the handler did. Either
             // way the peer (possibly a pooled client) must see it.
             let close = close_requested || resp.headers.has_token("Connection", "close");
             if close && !resp.headers.has_token("Connection", "close") {
                 resp.headers.set("Connection", "close");
             }
-            let mut bytes = Vec::with_capacity(resp.body.len() + 256);
-            let ok = codec::write_response(&mut bytes, &resp).is_ok();
-            completions.lock().push(Completion { slot, gen, bytes: ok.then_some(bytes), close });
-            waker.wake();
+            match codec::encode_response(&resp) {
+                Ok(bytes) => shared.deliver(slot, gen, &stream, bytes, close),
+                Err(_) => {
+                    let outcome = Outcome::Pending { bytes: None, written: 0, close };
+                    shared.hand_back(Completion { slot, gen, outcome });
+                }
+            }
         });
     }
 
     fn apply_completions(&mut self) {
-        let done: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
+        let done: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
         for c in done {
             let Some(conn) = self.conns.get_mut(c.slot) else { continue };
             // Generation guard: the slot may have been reused after a
@@ -776,19 +875,32 @@ impl Reactor {
             if conn.gen != c.gen || conn.state != ConnState::Handling {
                 continue;
             }
-            match c.bytes {
-                Some(bytes) => self.start_write(c.slot, bytes, c.close),
-                None => self.close(c.slot),
+            match c.outcome {
+                Outcome::Written => {
+                    // The worker re-armed `READ` in the kernel already.
+                    conn.interest = Interest::READ;
+                    conn.close_after_write = false;
+                    self.finish_write(c.slot);
+                }
+                Outcome::Pending { bytes: Some(bytes), written, close } => {
+                    self.start_write(c.slot, bytes, written, close)
+                }
+                Outcome::Pending { bytes: None, .. } => self.close(c.slot),
             }
         }
     }
 
     // -- write path ----------------------------------------------------
 
-    fn start_write(&mut self, slot: usize, bytes: Vec<u8>, close: bool) {
+    /// Send `bytes[written..]` from the loop, then keep or close the
+    /// connection.
+    fn start_write(&mut self, slot: usize, bytes: Vec<u8>, written: usize, close: bool) {
         let Some(conn) = self.conns.get_mut(slot) else { return };
+        if written < bytes.len() {
+            self.reactor_writes.inc();
+        }
         conn.write_buf = bytes;
-        conn.written = 0;
+        conn.written = written;
         conn.close_after_write = close;
         conn.state = ConnState::Writing;
         conn.deadline = Instant::now() + self.cfg.io_timeout;
@@ -798,7 +910,7 @@ impl Reactor {
     fn write_ready(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot) else { return };
         while conn.written < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.written..]) {
+            match (&*conn.stream).write(&conn.write_buf[conn.written..]) {
                 Ok(0) => {
                     self.close(slot);
                     return;
@@ -842,13 +954,14 @@ impl Reactor {
         }
         conn.interest = interest;
         let fd = conn.stream.as_raw_fd();
-        self.poller.modify(fd, slot as u64 + TOKEN_BASE, interest).ok();
+        self.shared.poller.modify(fd, token(slot), interest).ok();
     }
 
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns.remove(slot) {
-            self.poller.delete(conn.stream.as_raw_fd()).ok();
-            // Dropping the stream closes the fd.
+            self.shared.poller.delete(conn.stream.as_raw_fd()).ok();
+            // Dropping the last `Arc` of the stream closes the fd: here,
+            // or in a worker still writing to it.
         }
     }
 

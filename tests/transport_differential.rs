@@ -77,6 +77,10 @@ fn connect(server: &HttpServer) -> BufReader<TcpStream> {
     BufReader::new(stream)
 }
 
+/// Bigger than loopback's socket buffers hold while the client is not
+/// reading, so the response cannot go out in one nonblocking write.
+const BIG_BODY: usize = 4 * 1024 * 1024;
+
 /// One scenario: a name plus a transcript of what a client observed.
 type Scenario = (&'static str, String);
 
@@ -203,6 +207,58 @@ fn run_battery(transport: ServerTransport) -> Vec<Scenario> {
         out.push(("truncated_request", resp));
     }
 
+    // --- 11. A response bigger than the socket buffers, read only after
+    // a pause: the reactor's worker gets part of it out and the event
+    // loop writes the rest. The connection then serves on. ---
+    {
+        let mut conn = connect(&server);
+        let body: Vec<u8> = (0..BIG_BODY).map(|i| (i % 251) as u8).collect();
+        let head =
+            format!("POST /echo HTTP/1.1\r\nHost: h\r\nContent-Length: {}\r\n\r\n", body.len());
+        conn.get_mut().write_all(head.as_bytes()).unwrap();
+        conn.get_mut().write_all(&body).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let big = match codec::read_response(&mut conn, 2 * BIG_BODY) {
+            Ok(resp) => format!(
+                "status={} len={} intact={}",
+                resp.status.0,
+                resp.body.len(),
+                resp.body == body
+            ),
+            Err(e) => format!("error={e}"),
+        };
+        conn.get_mut().write_all(b"GET /ping HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
+        let next = observe_response(&mut conn);
+        out.push(("large_response", format!("big[{big}] next[{next}]")));
+    }
+
+    // --- 12. A complete request, then the client shuts its write side:
+    // the response still arrives, then EOF. ---
+    {
+        let mut conn = connect(&server);
+        conn.get_mut().write_all(b"GET /ping HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
+        conn.get_mut().shutdown(std::net::Shutdown::Write).ok();
+        let resp = observe_response(&mut conn);
+        let after = observe_eof(&mut conn);
+        out.push(("half_close_after_request", format!("resp[{resp}] then={after}")));
+    }
+
+    // --- 13. Keep-alive with each next request sent only after the
+    // previous response was read and a pause: on the reactor, the
+    // worker wrote that response and re-armed read interest itself,
+    // and the loop sat idle until the next request arrived. ---
+    {
+        let mut conn = connect(&server);
+        let mut seen = Vec::new();
+        for q in ["x", "y", "z"] {
+            let req = format!("GET /n?q={q} HTTP/1.1\r\nHost: h\r\n\r\n");
+            conn.get_mut().write_all(req.as_bytes()).unwrap();
+            seen.push(observe_response(&mut conn));
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        out.push(("keep_alive_after_pause", seen.join(" | ")));
+    }
+
     out
 }
 
@@ -249,4 +305,20 @@ fn battery_baseline_expectations_hold() {
     assert!(get("http10_default_close").contains("then=eof"), "{}", get("http10_default_close"));
     assert!(get("http10_keep_alive").contains("second[status=200"), "{}", get("http10_keep_alive"));
     assert!(get("truncated_request").starts_with("error="), "{}", get("truncated_request"));
+    assert_eq!(
+        get("large_response"),
+        format!(
+            "big[status=200 len={BIG_BODY} intact=true] \
+             next[status=200 close_token=false body=\"pong\"]"
+        )
+    );
+    assert_eq!(
+        get("half_close_after_request"),
+        "resp[status=200 close_token=false body=\"pong\"] then=eof"
+    );
+    assert_eq!(
+        get("keep_alive_after_pause"),
+        "status=200 close_token=false body=\"x\" | status=200 close_token=false body=\"y\" | \
+         status=200 close_token=false body=\"z\""
+    );
 }
