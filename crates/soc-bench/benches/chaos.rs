@@ -8,47 +8,18 @@
 //! compensation rollback, a seeded fault-verdict draw, an idempotency
 //! key mint — and the coarse budgets are **asserted**, so
 //! `cargo bench --bench chaos` is an executable acceptance check.
-//!
-//! Not a Criterion harness, for the same reason as `observe.rs`: the
-//! budget asserts need a hard pass/fail, and the saga rows spawn real
-//! activity threads, where a plain warm-up + timed-loop measurement is
-//! steadier than statistical resampling.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use soc_bench::Record;
 use soc_http::fault::FaultRng;
 use soc_json::Value;
 use soc_workflow::activity::{Activity, ActivityError, Compute, Const, Ports};
 use soc_workflow::graph::WorkflowGraph;
 use soc_workflow::saga::{ResiliencePolicy, SagaConfig};
-
-/// Coarse per-row budgets, in nanoseconds. The saga rows spawn one OS
-/// thread per activity firing, so these are milliseconds-scale caps:
-/// wide enough for a loaded CI box, tight enough to catch the executor
-/// accidentally going quadratic or a stray sleep landing on a hot path.
-const BUDGET_SAGA_NOOP_NS: f64 = 5_000_000.0;
-const BUDGET_RETRY_NS: f64 = 10_000_000.0;
-const BUDGET_COMPENSATION_NS: f64 = 10_000_000.0;
-/// The fault plane's verdict draw sits on every in-memory send; it must
-/// stay nanoseconds-cheap so a fault-configured network measures the
-/// same as a clean one.
-const BUDGET_VERDICT_NS: f64 = 1_000.0;
-
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..(iters / 10).max(1) {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    println!("{name:<24} {ns:>12.1} ns/op   ({iters} iters)");
-    ns
-}
 
 /// Fails on a fixed cadence: attempts 1 and 2 of every 3 error, the
 /// third succeeds — so each saga run exercises exactly two retries.
@@ -113,17 +84,22 @@ fn noop_graph() -> WorkflowGraph {
 }
 
 fn main() {
-    println!("resilience-layer overhead");
-    println!("{:<24} {:>15}", "operation", "cost");
+    let mut rec = Record::new("chaos");
     let saga = SagaConfig { deadline: Duration::from_secs(5), seed: 0xBE4C };
+
+    // The saga rows spawn one OS thread per activity firing, so their
+    // budgets are milliseconds-scale caps: wide enough for a loaded CI
+    // box, tight enough to catch the executor accidentally going
+    // quadratic or a stray sleep landing on a hot path.
 
     // A clean two-node saga run: pure executor overhead (topo order,
     // per-node thread, completion log) with no retries, no rollback.
     let noop = noop_graph();
-    let saga_noop = bench("saga_noop", 500, || {
+    rec.time("saga_noop", || {
         let out = noop.run_saga(&HashMap::new(), &saga).unwrap();
         assert!(black_box(&out).is_completed());
-    });
+    })
+    .max(5_000_000.0);
 
     // Two injected failures absorbed by the policy, then success: the
     // retry loop with (tiny) backoff + jitter, three attempts per run.
@@ -140,10 +116,11 @@ fn main() {
         .unwrap();
         g
     };
-    let retry = bench("saga_retry_recovery", 300, || {
+    rec.time("saga_retry_recovery", || {
         let out = retry_graph.run_saga(&HashMap::new(), &saga).unwrap();
         assert!(black_box(&out).is_completed());
-    });
+    })
+    .max(10_000_000.0);
 
     // Forward step completes, the next node fails terminally, the
     // completed step is compensated: the full rollback round trip.
@@ -157,30 +134,21 @@ fn main() {
         g.set_compensation(step, NoopCompensator).unwrap();
         g
     };
-    let compensation = bench("saga_compensation", 300, || {
+    rec.time("saga_compensation", || {
         let out = comp_graph.run_saga(&HashMap::new(), &saga).unwrap();
         assert!(!black_box(&out).is_completed());
-    });
+    })
+    .max(10_000_000.0);
 
     // The per-send price of a fault-configured MemNetwork: one seeded
-    // draw per injected decision.
+    // draw per injected decision. It sits on every in-memory send, so
+    // it must stay nanoseconds-cheap for a fault-configured network to
+    // measure the same as a clean one.
     let mut rng = FaultRng::new(0xD1CE);
-    let verdict = bench("fault_verdict_draw", 200_000, || {
-        black_box(rng.chance(black_box(0.2)));
-    });
+    rec.time("fault_verdict_draw", || rng.chance(black_box(0.2))).max(1_000.0);
 
     // Minting the Idempotency-Key a ServiceCall attaches to POSTs.
-    bench("idempotency_key_mint", 200_000, || {
-        black_box(soc_http::fresh_idempotency_key());
-    });
+    rec.time("idempotency_key_mint", soc_http::fresh_idempotency_key);
 
-    for (name, got, budget) in [
-        ("saga_noop", saga_noop, BUDGET_SAGA_NOOP_NS),
-        ("saga_retry_recovery", retry, BUDGET_RETRY_NS),
-        ("saga_compensation", compensation, BUDGET_COMPENSATION_NS),
-        ("fault_verdict_draw", verdict, BUDGET_VERDICT_NS),
-    ] {
-        assert!(got < budget, "{name} costs {got:.1} ns/op, over the {budget} ns budget");
-    }
-    println!("PASS: all rows within budget");
+    rec.finish();
 }

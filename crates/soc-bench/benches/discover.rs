@@ -9,16 +9,11 @@
 //! blows up on a deep dependency chain. Each row pins one such path and
 //! the budgets are **asserted**, so `cargo bench --bench discover` is
 //! an executable acceptance check.
-//!
-//! Not a Criterion harness, for the same reason as `chaos.rs`: the
-//! budget asserts need a hard pass/fail, and the crawl row drives a
-//! whole in-memory federation, where warm-up + timed-loop is steadier
-//! than statistical resampling.
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use soc_bench::Record;
 use soc_discover::catalog::{Catalog, DiscoveredService, TypedOperation};
 use soc_discover::{demo, CrawlConfig, Discovery, Goal, NoQos, Planner, SearchIndex};
 use soc_gateway::GatewayConfig;
@@ -26,31 +21,6 @@ use soc_http::mem::{MemNetwork, UniClient};
 use soc_registry::{Binding, ServiceDescriptor};
 use soc_soap::contract::Param;
 use soc_soap::XsdType;
-
-/// Coarse per-row budgets, in nanoseconds.
-const BUDGET_CRAWL_COLD_NS: f64 = 20_000_000.0;
-/// An unchanged re-crawl only re-reads lease versions; it must be far
-/// cheaper than the cold crawl that fetches and parses every WSDL.
-const BUDGET_CRAWL_WARM_NS: f64 = 2_000_000.0;
-const BUDGET_INDEX_BUILD_NS: f64 = 2_000_000.0;
-const BUDGET_SEARCH_NS: f64 = 100_000.0;
-const BUDGET_PLAN_DEMO_NS: f64 = 500_000.0;
-/// A 48-service chain, planned end to end with the static check on
-/// top: the planner's worst committed shape must stay sub-millisecond.
-const BUDGET_PLAN_CHAIN_NS: f64 = 3_000_000.0;
-
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..(iters / 10).max(1) {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    println!("{name:<24} {ns:>12.1} ns/op   ({iters} iters)");
-    ns
-}
 
 /// A linear dependency chain of `depth` services: service i consumes
 /// `p{i}` and produces `p{i+1}`, so planning `have p0 → want p{depth}`
@@ -77,8 +47,7 @@ fn chain_catalog(depth: usize) -> Catalog {
 }
 
 fn main() {
-    println!("discovery-layer overhead");
-    println!("{:<24} {:>15}", "operation", "cost");
+    let mut rec = Record::new("discover");
 
     let net = MemNetwork::new();
     let _federation = demo::host_mem(&net);
@@ -86,7 +55,7 @@ fn main() {
 
     // Cold crawl: 3 directories, 5 WSDL fetches, full catalog + index
     // rebuild, all through the gateway on the in-memory network.
-    let crawl_cold = bench("crawl_cold", 200, || {
+    rec.time("crawl_cold", || {
         let mut disc = Discovery::new(
             Arc::new(UniClient::new(net.clone())),
             GatewayConfig::default(),
@@ -94,31 +63,34 @@ fn main() {
         );
         let stats = disc.crawl(&roots);
         assert_eq!(black_box(stats).visited.len(), 3);
-    });
+    })
+    .max(20_000_000.0);
 
     // Warm re-crawl: lease versions unchanged, every directory skipped;
-    // the price of polling the federation when nothing moved.
+    // the price of polling the federation when nothing moved. It only
+    // re-reads lease versions, so it must be far cheaper than the cold
+    // crawl that fetches and parses every WSDL.
     let mut warm_disc = Discovery::new(
         Arc::new(UniClient::new(net.clone())),
         GatewayConfig::default(),
         CrawlConfig::default(),
     );
     warm_disc.crawl(&roots);
-    let crawl_warm = bench("crawl_warm", 500, || {
+    rec.time("crawl_warm", || {
         let stats = warm_disc.crawl(&roots);
         assert_eq!(black_box(stats).skipped_unchanged.len(), 3);
-    });
+    })
+    .max(2_000_000.0);
 
     let catalog = warm_disc.catalog().clone();
-    let index_build = bench("index_build", 2_000, || {
-        black_box(SearchIndex::build(black_box(&catalog)));
-    });
+    rec.time("index_build", || SearchIndex::build(black_box(&catalog))).max(2_000_000.0);
 
     let index = SearchIndex::build(&catalog);
-    let search = bench("search_query", 20_000, || {
+    rec.time("search_query", || {
         let hits = index.search(black_box("assess loan risk"), &NoQos, 10);
         assert!(!black_box(hits).is_empty());
-    });
+    })
+    .max(100_000.0);
 
     // The demo composition: 3-node credit → risk → underwriting plan.
     let goal = Goal::new()
@@ -127,13 +99,15 @@ fn main() {
         .have("income", XsdType::Int)
         .want("approved", XsdType::Boolean)
         .want("rate_bps", XsdType::Int);
-    let plan_demo = bench("plan_demo", 5_000, || {
+    rec.time("plan_demo", || {
         let plan = Planner::new(&index, &NoQos).plan(black_box(&goal)).unwrap();
         assert_eq!(black_box(&plan).nodes.len(), 3);
-    });
+    })
+    .max(500_000.0);
 
     // A 48-deep dependency chain: every node instantiated, then the
     // full static check (wiring, types, coverage, acyclicity) on top.
+    // The planner's worst committed shape must stay in milliseconds.
     const DEPTH: usize = 48;
     let chain = chain_catalog(DEPTH);
     let chain_index = SearchIndex::build(&chain);
@@ -141,21 +115,12 @@ fn main() {
         .have("p0", XsdType::Int)
         .want(&format!("p{DEPTH}"), XsdType::Int)
         .max_nodes(DEPTH);
-    let plan_chain = bench("plan_chain_checked", 500, || {
+    rec.time("plan_chain_checked", || {
         let plan = Planner::new(&chain_index, &NoQos).plan(black_box(&chain_goal)).unwrap();
         assert_eq!(plan.nodes.len(), DEPTH);
         assert!(soc_discover::check(black_box(&plan), &chain_goal).is_empty());
-    });
+    })
+    .max(3_000_000.0);
 
-    for (name, got, budget) in [
-        ("crawl_cold", crawl_cold, BUDGET_CRAWL_COLD_NS),
-        ("crawl_warm", crawl_warm, BUDGET_CRAWL_WARM_NS),
-        ("index_build", index_build, BUDGET_INDEX_BUILD_NS),
-        ("search_query", search, BUDGET_SEARCH_NS),
-        ("plan_demo", plan_demo, BUDGET_PLAN_DEMO_NS),
-        ("plan_chain_checked", plan_chain, BUDGET_PLAN_CHAIN_NS),
-    ] {
-        assert!(got < budget, "{name} costs {got:.1} ns/op, over the {budget} ns budget");
-    }
-    println!("PASS: all rows within budget");
+    rec.finish();
 }

@@ -1,62 +1,40 @@
-//! Figure 3 as a Criterion bench: Collatz validation, sequential vs
-//! parallel, static vs dynamic scheduling, plus a chunk-size ablation —
-//! the measured side of the speedup/efficiency figure.
+//! Figure 3 as a bench: Collatz validation, sequential vs parallel,
+//! static vs dynamic scheduling, plus a chunk-size ablation — the
+//! measured side of the speedup/efficiency figure.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+
+use soc_bench::Record;
 use soc_parallel::workloads::{validate_parallel, validate_sequential};
 use soc_parallel::{Schedule, ThreadPool};
 
-fn short() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(900))
-        .warm_up_time(std::time::Duration::from_millis(200))
-}
-
-fn bench_collatz(c: &mut Criterion) {
+fn main() {
     const LIMIT: u64 = 30_000;
-    let mut group = c.benchmark_group("fig3_collatz");
+    let mut rec = Record::new("fig3_collatz_speedup");
 
-    group.bench_function("sequential", |b| {
-        b.iter(|| validate_sequential(std::hint::black_box(LIMIT)))
-    });
+    // The headline: sequential validation is the speedup baseline, and
+    // the one row whose cost does not depend on the core count.
+    rec.time("sequential", || validate_sequential(black_box(LIMIT))).max(100_000_000.0);
 
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut thread_counts = vec![1usize, 2, 4, host.max(1)];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    for threads in thread_counts {
+    // Fixed thread counts, so every host produces the same rows; on a
+    // host with fewer cores the extra threads share them.
+    for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
-        group.bench_with_input(BenchmarkId::new("parallel_dynamic", threads), &threads, |b, _| {
-            b.iter(|| {
-                validate_parallel(
-                    &pool,
-                    std::hint::black_box(LIMIT),
-                    Schedule::Dynamic { chunk: 512 },
-                )
-            })
+        rec.time(&format!("parallel_dynamic/{threads}"), || {
+            validate_parallel(&pool, black_box(LIMIT), Schedule::Dynamic { chunk: 512 })
         });
     }
 
     // Scheduling ablation: static partitioning suffers on Collatz's
     // irregular trajectory lengths; dynamic chunking balances it.
+    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let pool = ThreadPool::new(host.max(2));
-    group.bench_function("schedule/static", |b| {
-        b.iter(|| validate_parallel(&pool, LIMIT, Schedule::Static))
-    });
+    rec.time("schedule/static", || validate_parallel(&pool, LIMIT, Schedule::Static));
     for chunk in [64usize, 512, 4096] {
-        group.bench_with_input(
-            BenchmarkId::new("schedule/dynamic_chunk", chunk),
-            &chunk,
-            |b, &chunk| b.iter(|| validate_parallel(&pool, LIMIT, Schedule::Dynamic { chunk })),
-        );
+        rec.time(&format!("schedule/dynamic_chunk/{chunk}"), || {
+            validate_parallel(&pool, LIMIT, Schedule::Dynamic { chunk })
+        });
     }
-    group.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = short();
-    targets = bench_collatz
+    rec.finish();
 }
-criterion_main!(benches);

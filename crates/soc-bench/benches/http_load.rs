@@ -15,12 +15,12 @@
 //! 3. **Reactor vs threaded**: the same offered load, equal workers,
 //!    connections >> workers. The threaded transport pins one worker
 //!    per live connection, so most connections starve; the reactor
-//!    multiplexes all of them. The harness asserts the reactor's
-//!    achieved throughput is strictly higher.
+//!    multiplexes all of them. The reactor-over-threaded throughput
+//!    ratio is budgeted above 1.
 //!
-//! Not a Criterion harness: the runs are long, stateful, and assert
-//! budgets — `cargo bench --bench http_load` is an executable
-//! acceptance check whose results are recorded in `BENCH_http.json`.
+//! The runs are long, stateful scenarios rather than timed closures;
+//! `cargo bench --bench http_load` asserts their budgets and records
+//! them in `BENCH_http_load.json`.
 
 #[cfg(target_os = "linux")]
 mod load {
@@ -30,20 +30,9 @@ mod load {
     use std::os::fd::AsRawFd;
     use std::time::{Duration, Instant};
 
+    use soc_bench::{percentile, Record};
     use soc_http::poller::{Interest, Poller};
     use soc_http::{HttpServer, Request, Response, ServerConfig, ServerTransport};
-
-    /// Hard ceiling on p99 request latency with the C10K connections
-    /// parked, in nanoseconds. Generous for CI noise; the point is
-    /// "milliseconds, not seconds".
-    const BUDGET_C10K_P99_NS: f64 = 50_000_000.0;
-
-    /// One recorded result row (grepped by scripts/check_bench.sh, so
-    /// every `row("...")` must appear in BENCH_http.json).
-    pub fn row(name: &str, value: f64, unit: &str) -> f64 {
-        println!("{name:<24} {value:>12.1} {unit}");
-        value
-    }
 
     fn handler(req: Request) -> Response {
         match req.path() {
@@ -145,7 +134,7 @@ mod load {
     // Experiment 1: C10K parked connections
     // ------------------------------------------------------------------
 
-    pub fn c10k() -> (f64, f64) {
+    pub fn c10k(rec: &mut Record) {
         let fd_budget = max_fds();
         // Each connection costs two fds in this single-process harness
         // (client end + server end); keep headroom for the rest of the
@@ -183,21 +172,15 @@ mod load {
             lat.push(start.elapsed().as_nanos() as u64);
         }
         lat.sort_unstable();
-        let p99 = lat[lat.len() * 99 / 100] as f64;
 
-        row("c10k_conns", conns as f64, "connections");
-        row("c10k_request_p50_us", lat[lat.len() / 2] as f64 / 1e3, "us");
-        let p99_us = row("c10k_request_p99_us", p99 / 1e3, "us");
-        assert!(
-            p99 <= BUDGET_C10K_P99_NS,
-            "p99 request latency {p99:.0} ns with {conns} parked connections exceeds budget \
-             {BUDGET_C10K_P99_NS:.0} ns"
-        );
         assert!(
             conns as u64 >= (fd_budget.saturating_sub(1500)) / 2 || conns >= 10_000,
             "only established {conns} connections (fd budget {fd_budget})"
         );
-        (conns as f64, p99_us)
+        rec.value("c10k_conns", conns as f64, "connections");
+        rec.value("c10k_request_p50", percentile(&lat, 0.50) as f64 / 1e3, "us");
+        // Generous for CI noise; the point is "milliseconds, not seconds".
+        rec.value("c10k_request_p99", percentile(&lat, 0.99) as f64 / 1e3, "us").max(50_000.0);
     }
 
     // ------------------------------------------------------------------
@@ -332,20 +315,14 @@ mod load {
 
         let elapsed = started.elapsed().as_secs_f64();
         latencies.sort_unstable();
-        let pct = |p: usize| {
-            if latencies.is_empty() {
-                f64::NAN
-            } else {
-                latencies[(latencies.len() - 1) * p / 100] as f64 / 1e3
-            }
-        };
+        let pct = |q| percentile(&latencies, q) as f64 / 1e3;
         OpenLoopResult {
             offered_rps: rate,
             achieved_rps: completed as f64 / elapsed,
             completed,
             errors,
-            p50_us: pct(50),
-            p99_us: pct(99),
+            p50_us: pct(0.50),
+            p99_us: pct(0.99),
         }
     }
 
@@ -389,7 +366,7 @@ mod load {
     // Drivers
     // ------------------------------------------------------------------
 
-    pub fn latency_vs_offered_load() {
+    pub fn latency_vs_offered_load(rec: &mut Record) {
         let server = bind(ServerTransport::Reactor, 2, 256);
         for (label, rate) in
             [("open_loop_1k", 1_000.0), ("open_loop_4k", 4_000.0), ("open_loop_12k", 12_000.0)]
@@ -400,13 +377,14 @@ mod load {
                  p50 {:.0} us, p99 {:.0} us",
                 r.offered_rps, r.achieved_rps, r.completed, r.errors, r.p50_us, r.p99_us
             );
-            row(label, r.achieved_rps, "rps");
+            rec.value(label, r.achieved_rps, "rps");
+            rec.value(&format!("{label}_p99"), r.p99_us, "us");
         }
     }
 
     /// The tentpole comparison: same offered load, equal workers, 32
-    /// connections against 2 workers. Returns (reactor, threaded) rps.
-    pub fn reactor_vs_threaded() -> (f64, f64) {
+    /// connections against 2 workers.
+    pub fn reactor_vs_threaded(rec: &mut Record) {
         let run = |transport| {
             let server = bind(transport, 2, 256);
             let r = open_loop(server.addr(), 32, 6_000.0, Duration::from_millis(1200));
@@ -418,27 +396,24 @@ mod load {
         };
         let reactor = run(ServerTransport::Reactor);
         let threaded = run(ServerTransport::Threaded);
-        row("peak_reactor_rps", reactor, "rps");
-        row("peak_threaded_rps", threaded, "rps");
-        assert!(
-            reactor > threaded,
-            "reactor ({reactor:.0} rps) must beat threaded ({threaded:.0} rps) at equal \
-             workers once connections outnumber workers"
-        );
-        (reactor, threaded)
+        rec.value("peak_reactor_rps", reactor, "rps");
+        rec.value("peak_threaded_rps", threaded, "rps");
+        // The reactor must beat threaded at equal workers once
+        // connections outnumber workers.
+        rec.value("reactor_over_threaded", reactor / threaded, "ratio").min(1.0);
     }
 }
 
 #[cfg(target_os = "linux")]
 fn main() {
-    println!("http transport load harness");
+    let mut rec = soc_bench::Record::new("http_load");
     println!("== C10K: parked keep-alive connections on the reactor ==");
-    load::c10k();
+    load::c10k(&mut rec);
     println!("== open loop: latency vs offered load (reactor, 32 conns) ==");
-    load::latency_vs_offered_load();
+    load::latency_vs_offered_load(&mut rec);
     println!("== reactor vs threaded at equal workers (32 conns, 2 workers) ==");
-    load::reactor_vs_threaded();
-    println!("all budgets held");
+    load::reactor_vs_threaded(&mut rec);
+    rec.finish();
 }
 
 #[cfg(not(target_os = "linux"))]

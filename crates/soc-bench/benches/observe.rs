@@ -5,80 +5,50 @@
 //! well under a microsecond, or nobody leaves the instrumentation on.
 //! This harness measures each primitive the hot paths call — span
 //! creation (sampled out and recorded), counter increments, histogram
-//! observations, and `traceparent` encode/decode — and **asserts** the
-//! sampled-out span budget, so `cargo bench --bench observe` is an
-//! executable acceptance check, not just a table.
-//!
-//! Not a Criterion harness: the budget assert needs a hard pass/fail
-//! and the loop bodies are nanosecond-scale, where a plain
-//! warm-up + timed-loop measurement is both faster and steadier.
+//! observations, and `traceparent` encode/decode — and budgets the
+//! sampled-out span, so `cargo bench --bench observe` is an executable
+//! acceptance check, not just a table.
 
 use std::hint::black_box;
-use std::time::Instant;
 
+use soc_bench::Record;
 use soc_observe::{SpanId, SpanKind, TraceContext, TraceId};
 
-/// Iterations per row; each body is nanoseconds, so the whole run stays
-/// well under a second.
-const ITERS: u32 = 200_000;
-
-/// Hard ceiling on a sampled-out span (create + context + drop), in
-/// nanoseconds. CI fails if instrumentation-off overhead regresses
-/// past this.
-const BUDGET_SAMPLED_OUT_NS: f64 = 1_000.0;
-
-fn bench(name: &str, mut f: impl FnMut()) -> f64 {
-    for _ in 0..ITERS / 10 {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        f();
-    }
-    let ns = start.elapsed().as_secs_f64() * 1e9 / ITERS as f64;
-    println!("{name:<24} {ns:>10.1} ns/op");
-    ns
-}
-
 fn main() {
-    println!("observability plane overhead ({ITERS} iterations per row)");
-    println!("{:<24} {:>13}", "operation", "cost");
+    let mut rec = Record::new("observe");
 
     // A span that loses the sampling coin toss: carries context for
     // propagation but must never allocate or touch the store.
     soc_observe::set_sample_rate(0.0);
-    let sampled_out = bench("span_sampled_out", || {
+    rec.time("span_sampled_out", || {
         let span = soc_observe::span(black_box("bench.noop"), SpanKind::Internal);
         black_box(span.context());
-    });
+    })
+    .max(1_000.0);
 
     // The full price when sampled: allocate, attribute, record on drop.
     soc_observe::set_sample_rate(1.0);
-    bench("span_recorded", || {
+    rec.time("span_recorded", || {
         let mut span = soc_observe::span(black_box("bench.recorded"), SpanKind::Internal);
         span.set_attr("k", "v");
         drop(span);
     });
 
     let counter = soc_observe::metrics().counter("bench_observe_total", &[]);
-    bench("counter_inc", || counter.inc());
+    rec.time("counter_inc", || counter.inc());
 
     let histogram = soc_observe::metrics().histogram("bench_observe_us", &[]);
-    bench("histogram_observe", || histogram.observe(black_box(17)));
+    rec.time("histogram_observe", || histogram.observe(black_box(17)));
 
     let ctx = TraceContext {
         trace_id: TraceId(0x4bf9_2f35_77b3_4da6_a3ce_929d_0e0e_4736),
         span_id: SpanId(0x00f0_67aa_0ba9_02b7),
         sampled: true,
     };
-    bench("traceparent_roundtrip", || {
+    rec.time("traceparent_roundtrip", || {
         let wire = black_box(&ctx).to_traceparent();
-        black_box(TraceContext::parse_traceparent(&wire));
+        TraceContext::parse_traceparent(&wire)
     });
 
-    assert!(
-        sampled_out < BUDGET_SAMPLED_OUT_NS,
-        "sampled-out span costs {sampled_out:.1} ns/op, over the {BUDGET_SAMPLED_OUT_NS} ns budget"
-    );
-    println!("PASS: sampled-out span {sampled_out:.1} ns/op (budget {BUDGET_SAMPLED_OUT_NS} ns)");
+    rec.finish();
 }

@@ -6,131 +6,93 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use soc_bench::Record;
 use soc_parallel::sync::{AutoResetEvent, BoundedBuffer, Semaphore, SenseBarrier, SpinLock};
 
-fn short() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(700))
-        .warm_up_time(std::time::Duration::from_millis(150))
-}
-
-fn bench_sync(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sync");
+fn main() {
+    let mut rec = Record::new("sync");
 
     // Uncontended primitive costs.
     let sem = Semaphore::new(1);
-    group.bench_function("semaphore/acquire_release", |b| {
-        b.iter(|| {
-            sem.acquire();
-            sem.release();
-        })
+    rec.time("semaphore/acquire_release", || {
+        sem.acquire();
+        sem.release();
     });
     let spin = SpinLock::new(0u64);
-    group.bench_function("spinlock/lock_unlock", |b| {
-        b.iter(|| {
-            *spin.lock() += 1;
-        })
-    });
+    rec.time("spinlock/lock_unlock", || *spin.lock() += 1);
     let mutex = std::sync::Mutex::new(0u64);
-    group.bench_function("os_mutex/lock_unlock", |b| {
-        b.iter(|| {
-            *mutex.lock().unwrap() += 1;
-        })
-    });
+    rec.time("os_mutex/lock_unlock", || *mutex.lock().unwrap() += 1);
     let atomic = AtomicU64::new(0);
-    group.bench_function("atomic/fetch_add", |b| b.iter(|| atomic.fetch_add(1, Ordering::Relaxed)));
+    rec.time("atomic/fetch_add", || atomic.fetch_add(1, Ordering::Relaxed));
     let ev = AutoResetEvent::new(false);
-    group.bench_function("auto_reset_event/set_wait", |b| {
-        b.iter(|| {
-            ev.set();
-            ev.wait();
-        })
+    rec.time("auto_reset_event/set_wait", || {
+        ev.set();
+        ev.wait();
     });
 
     // Contended counter: lock-based vs lock-free ("unbreakable").
     for threads in [2usize, 4] {
-        group.bench_function(format!("contended_counter/spinlock_{threads}t"), |b| {
-            b.iter(|| {
-                let lock = Arc::new(SpinLock::new(0u64));
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let lock = lock.clone();
-                        std::thread::spawn(move || {
-                            for _ in 0..2_000 {
-                                *lock.lock() += 1;
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap();
+        rec.time(&format!("contended_counter/spinlock_{threads}t"), || {
+            let lock = SpinLock::new(0u64);
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        for _ in 0..2_000 {
+                            *lock.lock() += 1;
+                        }
+                    });
                 }
             })
         });
-        group.bench_function(format!("contended_counter/atomic_{threads}t"), |b| {
-            b.iter(|| {
-                let ctr = Arc::new(AtomicU64::new(0));
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let ctr = ctr.clone();
-                        std::thread::spawn(move || {
-                            for _ in 0..2_000 {
-                                ctr.fetch_add(1, Ordering::Relaxed);
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap();
+        rec.time(&format!("contended_counter/atomic_{threads}t"), || {
+            let ctr = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        for _ in 0..2_000 {
+                            ctr.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
                 }
             })
         });
     }
 
-    // Producer/consumer transfer through the bounded buffer.
-    group.bench_function("bounded_buffer/transfer_4k", |b| {
-        b.iter(|| {
-            let buf = Arc::new(BoundedBuffer::new(64));
-            let tx = buf.clone();
-            let producer = std::thread::spawn(move || {
-                for i in 0..4_000u32 {
-                    tx.put(i).unwrap();
-                }
-                tx.close();
-            });
-            let mut sum = 0u64;
-            while let Some(v) = buf.take() {
-                sum += v as u64;
+    // Producer/consumer transfer through the bounded buffer: the
+    // headline row, since it pays a hand-off per item. Its ceiling
+    // catches a lost wake-up stalling the transfer.
+    rec.time("bounded_buffer/transfer_4k", || {
+        let buf = Arc::new(BoundedBuffer::new(64));
+        let tx = buf.clone();
+        let producer = std::thread::spawn(move || {
+            for i in 0..4_000u32 {
+                tx.put(i).unwrap();
             }
-            producer.join().unwrap();
-            sum
-        })
-    });
+            tx.close();
+        });
+        let mut sum = 0u64;
+        while let Some(v) = buf.take() {
+            sum += v as u64;
+        }
+        producer.join().unwrap();
+        sum
+    })
+    .max(25_000_000.0);
 
     // Barrier round cost.
-    group.bench_function("barrier/round_2t", |b| {
-        b.iter(|| {
-            let bar = Arc::new(SenseBarrier::new(2));
-            let b2 = bar.clone();
-            let t = std::thread::spawn(move || {
-                for _ in 0..100 {
-                    b2.wait();
-                }
-            });
+    rec.time("barrier/round_2t", || {
+        let bar = Arc::new(SenseBarrier::new(2));
+        let b2 = bar.clone();
+        let t = std::thread::spawn(move || {
             for _ in 0..100 {
-                bar.wait();
+                b2.wait();
             }
-            t.join().unwrap();
-        })
+        });
+        for _ in 0..100 {
+            bar.wait();
+        }
+        t.join().unwrap();
     });
-    group.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = short();
-    targets = bench_sync
+    rec.finish();
 }
-criterion_main!(benches);

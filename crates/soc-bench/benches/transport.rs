@@ -2,24 +2,18 @@
 //! vs SOAP-XML, over the in-memory network vs real TCP sockets, plus
 //! raw codec costs.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use soc_bench::Record;
 use soc_http::mem::Transport;
 use soc_http::{HttpClient, HttpServer, MemNetwork, Request};
 use soc_json::json;
 use soc_rest::RestClient;
 use soc_soap::client::SoapClient;
 
-fn short() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(700))
-        .warm_up_time(std::time::Duration::from_millis(150))
-}
-
-fn bench_transport(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transport");
+fn main() {
+    let mut rec = Record::new("transport");
 
     // Shared provider on the virtual network.
     let net = MemNetwork::new();
@@ -28,55 +22,42 @@ fn bench_transport(c: &mut Criterion) {
 
     // REST vs SOAP for the same operation (credit score).
     let rest = RestClient::new(mem_transport.clone());
-    group.bench_function("mem/rest_credit_score", |b| {
-        b.iter(|| rest.get("mem://services.asu/credit/score?ssn=123-45-6789").unwrap())
+    rec.time("mem/rest_credit_score", || {
+        rest.get("mem://services.asu/credit/score?ssn=123-45-6789").unwrap()
     });
     let soap = SoapClient::new(mem_transport.clone());
     let contract = soc_services::bindings::credit_score_contract();
-    group.bench_function("mem/soap_credit_score", |b| {
-        b.iter(|| {
-            soap.call("mem://soap.asu/credit", &contract, "GetScore", &[("ssn", "123-45-6789")])
-                .unwrap()
-        })
+    rec.time("mem/soap_credit_score", || {
+        soap.call("mem://soap.asu/credit", &contract, "GetScore", &[("ssn", "123-45-6789")])
+            .unwrap()
     });
 
     // Raw envelope codec costs (the overhead source).
-    group.bench_function("codec/soap_envelope_roundtrip", |b| {
-        b.iter(|| {
-            let xml = soc_soap::envelope::encode(
-                "urn:x",
-                "Op",
-                &[("a".to_string(), "1".to_string()), ("b".to_string(), "two".to_string())],
-            );
-            soc_soap::envelope::decode(std::hint::black_box(&xml)).unwrap()
-        })
+    rec.time("codec/soap_envelope_roundtrip", || {
+        let xml = soc_soap::envelope::encode(
+            "urn:x",
+            "Op",
+            &[("a".to_string(), "1".to_string()), ("b".to_string(), "two".to_string())],
+        );
+        soc_soap::envelope::decode(black_box(&xml)).unwrap()
     });
-    group.bench_function("codec/json_roundtrip", |b| {
-        let v = json!({ "a": 1, "b": "two", "nested": { "xs": [1, 2, 3] } });
-        b.iter(|| soc_json::Value::parse(&std::hint::black_box(&v).to_compact()).unwrap())
+    let v = json!({ "a": 1, "b": "two", "nested": { "xs": [1, 2, 3] } });
+    rec.time("codec/json_roundtrip", || {
+        soc_json::Value::parse(&black_box(&v).to_compact()).unwrap()
     });
 
-    // In-memory vs TCP for the same REST call.
+    // In-memory vs TCP for the same REST call. The pooled client over
+    // loopback is the headline: a 1 ms ceiling catches a lost
+    // keep-alive or a Nagle stall on the wire path.
     let server =
         HttpServer::bind("127.0.0.1:0", 2, soc_services::bindings::ServiceHost::new(3)).unwrap();
     let url = format!("{}/credit/score?ssn=123-45-6789", server.url());
     let tcp = HttpClient::new();
-    group.bench_function("tcp/rest_credit_score", |b| {
-        b.iter(|| tcp.send(Request::get(url.clone())).unwrap())
+    rec.time("tcp/rest_credit_score", || tcp.send(Request::get(url.clone())).unwrap())
+        .max(1_000_000.0);
+    rec.time("mem/raw_request", || {
+        mem_transport.send(Request::get("mem://services.asu/credit/score?ssn=123-45-6789")).unwrap()
     });
-    group.bench_function("mem/raw_request", |b| {
-        b.iter(|| {
-            mem_transport
-                .send(Request::get("mem://services.asu/credit/score?ssn=123-45-6789"))
-                .unwrap()
-        })
-    });
-    group.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = short();
-    targets = bench_transport
+    rec.finish();
 }
-criterion_main!(benches);

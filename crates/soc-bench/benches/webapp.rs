@@ -2,9 +2,10 @@
 //! store operations, view-state round-trips, template rendering, cache
 //! hit vs miss vs read-through, and a whole Figure 4 login round trip.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use soc_bench::Record;
 use soc_http::url::encode_form;
 use soc_http::{MemNetwork, Request};
 use soc_services::cache::CacheService;
@@ -13,53 +14,41 @@ use soc_webapp::session::SessionStore;
 use soc_webapp::templates::{render, vars};
 use soc_webapp::viewstate;
 
-fn short() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(700))
-        .warm_up_time(std::time::Duration::from_millis(150))
-}
-
-fn bench_webapp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("webapp");
+fn main() {
+    let mut rec = Record::new("webapp");
 
     // Session store ops.
     let store = SessionStore::new(10_000, 0xBEEF);
     let sid = store.create(0);
-    group.bench_function("session/set_get", |b| {
-        b.iter(|| {
-            store.set(&sid, "k", "value", 1);
-            store.get(&sid, "k", 1)
-        })
+    rec.time("session/set_get", || {
+        store.set(&sid, "k", "value", 1);
+        store.get(&sid, "k", 1)
     });
 
     // View state encode+decode (server-stateless alternative).
     let fields: Vec<(String, String)> =
         (0..8).map(|i| (format!("field{i}"), format!("value-{i}"))).collect();
-    group.bench_function("viewstate/roundtrip", |b| {
-        b.iter(|| {
-            let token = viewstate::encode(42, std::hint::black_box(&fields));
-            viewstate::decode(42, &token).unwrap()
-        })
+    rec.time("viewstate/roundtrip", || {
+        let token = viewstate::encode(42, black_box(&fields));
+        viewstate::decode(42, &token).unwrap()
     });
 
     // Template rendering.
     let template = "<html>{{#if user}}Hi {{user}}, {{n}} new messages{{else}}log in{{/if}}</html>";
     let v = vars(&[("user", "ann"), ("n", "42")]);
-    group.bench_function("template/render", |b| {
-        b.iter(|| render(std::hint::black_box(template), &v))
-    });
+    rec.time("template/render", || render(black_box(template), &v));
 
     // Cache hit vs miss vs read-through.
     let cache = CacheService::new(1024, 1_000_000);
     cache.put("hot", "cached-value", 0);
-    group.bench_function("cache/hit", |b| b.iter(|| cache.get("hot", 1)));
-    group.bench_function("cache/miss", |b| b.iter(|| cache.get("cold", 1)));
-    group.bench_function("cache/read_through_hit", |b| {
-        b.iter(|| cache.get_or_compute("hot", 1, || "recomputed".to_string()))
+    rec.time("cache/hit", || cache.get("hot", 1));
+    rec.time("cache/miss", || cache.get("cold", 1));
+    rec.time("cache/read_through_hit", || {
+        cache.get_or_compute("hot", 1, || "recomputed".to_string())
     });
 
-    // Whole Figure 4 login round trip over the virtual network.
+    // Whole Figure 4 login round trip over the virtual network: the
+    // headline row, since it crosses every layer the app has.
     let net = MemNetwork::new();
     soc_services::bindings::host_all(&net, 4);
     let app = AccountApp::new(Arc::new(net.clone()), "mem://services.asu/credit/score");
@@ -71,22 +60,15 @@ fn bench_webapp(c: &mut Criterion) {
         ("user".to_string(), user.clone()),
         ("password".to_string(), "Str0ngPass".to_string()),
     ]);
-    group.bench_function("figure4/login_roundtrip", |b| {
-        b.iter(|| {
-            soc_http::mem::Transport::send(
-                &net,
-                Request::post("mem://bank/login", Vec::new())
-                    .with_text("application/x-www-form-urlencoded", &body),
-            )
-            .unwrap()
-        })
-    });
-    group.finish();
-}
+    rec.time("figure4/login_roundtrip", || {
+        soc_http::mem::Transport::send(
+            &net,
+            Request::post("mem://bank/login", Vec::new())
+                .with_text("application/x-www-form-urlencoded", &body),
+        )
+        .unwrap()
+    })
+    .max(250_000.0);
 
-criterion_group! {
-    name = benches;
-    config = short();
-    targets = bench_webapp
+    rec.finish();
 }
-criterion_main!(benches);

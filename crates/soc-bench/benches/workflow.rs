@@ -4,20 +4,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use soc_bench::Record;
 use soc_json::Value;
 use soc_parallel::ThreadPool;
 use soc_workflow::activity::{Compute, Const};
 use soc_workflow::bpel::{Process, Scope, Step};
 use soc_workflow::fsm::FsmBuilder;
 use soc_workflow::graph::WorkflowGraph;
-
-fn short() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(700))
-        .warm_up_time(std::time::Duration::from_millis(150))
-}
 
 /// A diamond-chain graph with `n` independent add pipelines.
 fn wide_graph(n: usize) -> WorkflowGraph {
@@ -37,78 +30,67 @@ fn wide_graph(n: usize) -> WorkflowGraph {
     g
 }
 
-fn bench_workflow(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workflow");
+fn main() {
+    let mut rec = Record::new("workflow");
 
     for n in [8usize, 64] {
         let g = wide_graph(n);
-        group.bench_with_input(BenchmarkId::new("dataflow_sequential", n), &g, |b, g| {
-            b.iter(|| g.run(&HashMap::new()).unwrap())
-        });
+        rec.time(&format!("dataflow_sequential/{n}"), || g.run(&HashMap::new()).unwrap());
         let pool = ThreadPool::new(2);
-        group.bench_with_input(BenchmarkId::new("dataflow_parallel", n), &g, |b, g| {
-            b.iter(|| g.run_parallel(&pool, &HashMap::new()).unwrap())
+        rec.time(&format!("dataflow_parallel/{n}"), || {
+            g.run_parallel(&pool, &HashMap::new()).unwrap()
         });
     }
 
     // BPEL: tight while loop of assigns (pure engine overhead per step).
+    // The headline row: its 2 µs-per-step ceiling catches the
+    // interpreter going quadratic in the scope or the loop length.
     let net = soc_http::MemNetwork::new();
     let transport: Arc<dyn soc_http::mem::Transport> = Arc::new(net);
-    group.bench_function("bpel_1000_steps", |b| {
-        b.iter(|| {
-            let p = Process::new(
-                Step::Sequence(vec![
-                    Step::set("i", 0),
-                    Step::While {
-                        cond: Arc::new(|s: &Scope| s["i"].as_i64().unwrap() < 1000),
-                        body: Box::new(Step::assign("i", |s| {
-                            Ok(Value::from(s["i"].as_i64().unwrap() + 1))
-                        })),
-                    },
-                ]),
-                transport.clone(),
-            );
-            p.run(Scope::new()).unwrap()
-        })
-    });
+    rec.time("bpel_1000_steps", || {
+        let p = Process::new(
+            Step::Sequence(vec![
+                Step::set("i", 0),
+                Step::While {
+                    cond: Arc::new(|s: &Scope| s["i"].as_i64().unwrap() < 1000),
+                    body: Box::new(Step::assign("i", |s| {
+                        Ok(Value::from(s["i"].as_i64().unwrap() + 1))
+                    })),
+                },
+            ]),
+            transport.clone(),
+        );
+        p.run(Scope::new()).unwrap()
+    })
+    .max(2_000_000.0);
 
     // TBB-style pipeline throughput (unit 2's stage model).
-    group.bench_function("pipeline_3_stages_1000_items", |b| {
-        b.iter(|| {
-            soc_parallel::pipeline::Pipeline::new(16)
-                .stage(soc_parallel::pipeline::StageKind::Serial, |x: i64| Some(x + 1))
-                .stage(soc_parallel::pipeline::StageKind::Parallel(2), |x| Some(x * 2))
-                .stage(soc_parallel::pipeline::StageKind::Serial, |x| {
-                    if x % 3 == 0 {
-                        None
-                    } else {
-                        Some(x)
-                    }
-                })
-                .run((0..1000).collect())
-        })
+    rec.time("pipeline_3_stages_1000_items", || {
+        soc_parallel::pipeline::Pipeline::new(16)
+            .stage(soc_parallel::pipeline::StageKind::Serial, |x: i64| Some(x + 1))
+            .stage(soc_parallel::pipeline::StageKind::Parallel(2), |x| Some(x * 2))
+            .stage(soc_parallel::pipeline::StageKind::Serial, |x| {
+                if x % 3 == 0 {
+                    None
+                } else {
+                    Some(x)
+                }
+            })
+            .run((0..1000).collect())
     });
 
     // FSM dispatch rate.
-    group.bench_function("fsm_dispatch_1000", |b| {
-        let mut fsm = FsmBuilder::<u64>::new("a")
-            .on_do("a", "go", "b", |c| *c += 1)
-            .on_do("b", "go", "a", |c| *c += 1)
-            .build();
-        b.iter(|| {
-            let mut ctx = 0u64;
-            for _ in 0..1000 {
-                fsm.dispatch("go", &mut ctx);
-            }
-            ctx
-        })
+    let mut fsm = FsmBuilder::<u64>::new("a")
+        .on_do("a", "go", "b", |c| *c += 1)
+        .on_do("b", "go", "a", |c| *c += 1)
+        .build();
+    rec.time("fsm_dispatch_1000", || {
+        let mut ctx = 0u64;
+        for _ in 0..1000 {
+            fsm.dispatch("go", &mut ctx);
+        }
+        ctx
     });
-    group.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = short();
-    targets = bench_workflow
+    rec.finish();
 }
-criterion_main!(benches);

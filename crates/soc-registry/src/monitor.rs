@@ -49,8 +49,12 @@ const SAMPLE_CAP: usize = 8_192;
 /// replica that just turned slow or flaky.
 pub const RECENT_WINDOW: usize = 256;
 
-#[derive(Debug, Default)]
 struct Track {
+    /// This service's `soc_qos_observations_total{outcome="ok"}` and
+    /// `{outcome="error"}` series, resolved once when the track is
+    /// created so recording an observation never touches the registry.
+    ok_total: soc_observe::Counter,
+    error_total: soc_observe::Counter,
     probes: u64,
     successes: u64,
     total_latency: Duration,
@@ -64,6 +68,24 @@ struct Track {
 }
 
 impl Track {
+    fn new(id: &str) -> Track {
+        let series = |outcome| {
+            soc_observe::metrics()
+                .counter("soc_qos_observations_total", &[("service", id), ("outcome", outcome)])
+        };
+        Track {
+            ok_total: series("ok"),
+            error_total: series("error"),
+            probes: 0,
+            successes: 0,
+            total_latency: Duration::ZERO,
+            max_latency: Duration::ZERO,
+            samples: Vec::new(),
+            next_slot: 0,
+            recent_outcomes: std::collections::VecDeque::new(),
+        }
+    }
+
     fn push_sample(&mut self, latency: Duration) {
         let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
         if self.samples.len() < SAMPLE_CAP {
@@ -143,17 +165,16 @@ impl QosMonitor {
     /// the result. Lets a gateway or client feed live traffic into the
     /// same QoS statistics the monitor's own probes populate.
     pub fn record(&self, id: &str, ok: bool, latency: Duration) {
+        let mut tracks = self.tracks.lock();
+        if !tracks.contains_key(id) {
+            tracks.insert(id.to_string(), Track::new(id));
+        }
+        let t = tracks.get_mut(id).expect("track inserted above");
         // Mirror every observation into the process-wide metrics plane
         // so `/observe/metrics` reports availability next to the
         // gateway's latency histograms.
-        soc_observe::metrics()
-            .counter(
-                "soc_qos_observations_total",
-                &[("service", id), ("outcome", if ok { "ok" } else { "error" })],
-            )
-            .inc();
-        let mut tracks = self.tracks.lock();
-        let t = tracks.entry(id.to_string()).or_default();
+        let series = if ok { &t.ok_total } else { &t.error_total };
+        series.inc();
         t.probes += 1;
         t.push_outcome(ok);
         if ok {
@@ -391,6 +412,27 @@ mod tests {
         net.host("flaky", |_r: Rq| Response::text("ok"));
         net.set_fault("flaky", FaultConfig { fail_every: 2, ..Default::default() });
         net
+    }
+
+    #[test]
+    fn record_moves_each_outcome_series_exactly() {
+        // The registry is process-global: a service id no other test
+        // uses keeps the two series this test's alone.
+        let id = "qos-series-exact";
+        let series = |outcome| {
+            soc_observe::metrics()
+                .counter("soc_qos_observations_total", &[("service", id), ("outcome", outcome)])
+        };
+        let (ok_before, error_before) = (series("ok").get(), series("error").get());
+        let monitor = QosMonitor::new(Arc::new(net()));
+        for i in 0..7 {
+            monitor.record(id, true, Duration::from_micros(i));
+        }
+        for _ in 0..3 {
+            monitor.record(id, false, Duration::ZERO);
+        }
+        assert_eq!(series("ok").get() - ok_before, 7);
+        assert_eq!(series("error").get() - error_before, 3);
     }
 
     #[test]
