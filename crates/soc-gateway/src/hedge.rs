@@ -8,14 +8,21 @@
 //! answer, a second, breaker-admitted replica gets the same request
 //! and the first success wins.
 //!
+//! The primary runs inline on the caller's thread, inside
+//! [`soc_http::send_until`] with the hedge point as its yield point. A
+//! primary that answers by then never leaves the caller's thread and
+//! never touches the hedge [`ThreadPool`]. Only one still waiting at
+//! the hedge point parks, and [`hedged_race`] then races the parked
+//! rest of it against a backup, both on the pool.
+//!
 //! Cancellation is cooperative-by-neglect: the blocking transports
 //! here cannot abort an in-flight send, so the losing arm simply runs
-//! to completion on the gateway's hedge [`ThreadPool`] and its result
-//! is dropped. Each arm therefore carries its *own* accounting
-//! (breaker, monitor, stats) inside its closure — a loser still
-//! reports its outcome, it just doesn't answer the caller.
+//! to completion on the pool and its result is dropped. Each arm
+//! therefore carries its *own* accounting (breaker, monitor, stats)
+//! inside its closure — a loser still reports its outcome, it just
+//! doesn't answer the caller.
 
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use soc_parallel::ThreadPool;
@@ -25,11 +32,12 @@ use soc_parallel::ThreadPool;
 pub struct HedgeConfig {
     /// Master switch; `false` never hedges.
     pub enabled: bool,
-    /// Worker threads in the gateway's hedge pool. Arms *block* on
-    /// their sends, so this is sized for concurrent in-flight arms
-    /// (including losers sleeping out a stall), not for CPU cores —
-    /// on a 1-core host a cores-sized pool could never run a backup
-    /// while its primary blocks.
+    /// Worker threads in the gateway's hedge pool, which runs backups
+    /// and the rests of parked primaries. Those *block* on their sends,
+    /// so this is sized for concurrent parked or backup arms (including
+    /// losers sleeping out a stall), not for CPU cores — on a 1-core
+    /// host a cores-sized pool could never run a backup while a parked
+    /// primary blocks.
     pub threads: usize,
     /// Observed-latency samples a replica needs before its p95 is
     /// trusted as a hedge trigger. Below this, no hedge arms.
@@ -77,16 +85,16 @@ pub enum HedgeOutcome<R> {
     DeadlineExpired { hedged: bool },
 }
 
-/// Run `primary` on `pool`; if it hasn't answered within
-/// `hedge_after`, obtain a backup arm from `backup` (which returns
-/// `None` when no second replica can be admitted) and race both,
-/// returning the first result `is_success` likes. A failing arm is
-/// held until the other arm answers — a fast failure never beats a
-/// slow success unless both fail. Past `deadline`, gives up.
+/// Race `primary` — the parked rest of an arm that outlived its hedge
+/// point — against a backup arm from `backup` (which returns `None`
+/// when no second replica can be admitted), both on `pool`, returning
+/// the first result `is_success` likes. A failing arm is held until the
+/// other arm answers — a fast failure never beats a slow success unless
+/// both fail. Past `deadline`, gives up; a primary parked at or after
+/// the deadline is detached without spending a backup.
 pub fn hedged_race<R, P, B>(
     pool: &ThreadPool,
     primary: P,
-    hedge_after: Duration,
     deadline: Instant,
     backup: impl FnOnce() -> Option<B>,
     is_success: impl Fn(&R) -> bool,
@@ -97,29 +105,11 @@ where
     B: FnOnce() -> R + Send + 'static,
 {
     let (tx, rx) = mpsc::channel::<(bool, R)>();
-
-    let primary_tx = tx.clone();
-    pool.spawn_detached(move || {
-        let _ = primary_tx.send((false, primary()));
-    });
-
-    let first_wait = hedge_after.min(deadline.saturating_duration_since(Instant::now()));
-    match rx.recv_timeout(first_wait) {
-        // Fast answer — success or failure — before the hedge point:
-        // return it; failures are the retry loop's business, not a
-        // reason to spend a backup request.
-        Ok((_, result)) => {
-            return HedgeOutcome::Finished { result, hedged: false, backup_won: false }
-        }
-        Err(RecvTimeoutError::Timeout) => {}
-        Err(RecvTimeoutError::Disconnected) => unreachable!("race holds a sender"),
-    }
-    if Instant::now() >= deadline {
-        return HedgeOutcome::DeadlineExpired { hedged: false };
-    }
-
-    // Hedge point: the primary is officially slow.
-    let hedged = match backup() {
+    let expired = Instant::now() >= deadline;
+    // Hedge point: the primary is officially slow. The backup is queued
+    // ahead of the rest: a pool worker that takes both jobs in one
+    // batch then runs the backup before the rest blocks it.
+    let hedged = match (!expired).then(backup).flatten() {
         Some(arm) => {
             let backup_tx = tx.clone();
             pool.spawn_detached(move || {
@@ -129,7 +119,12 @@ where
         }
         None => false,
     };
-    drop(tx);
+    pool.spawn_detached(move || {
+        let _ = tx.send((false, primary()));
+    });
+    if expired {
+        return HedgeOutcome::DeadlineExpired { hedged: false };
+    }
 
     let mut pending = if hedged { 2u8 } else { 1 };
     let mut last_failure: Option<(bool, R)> = None;
@@ -163,6 +158,9 @@ mod tests {
         Instant::now() + Duration::from_secs(10)
     }
 
+    // Each race starts at the hedge point, with `primary` standing for
+    // the parked rest of the primary arm.
+    //
     // A private pool per test: arms block (sleep) in these tests, and
     // sharing the fixed-size global pool with other tests would let an
     // unrelated sleeping arm delay this race's backup.
@@ -175,27 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_primary_never_hedges() {
-        let p = pool();
-        let out = hedged_race(
-            &p,
-            || ok(1),
-            Duration::from_millis(50),
-            far(),
-            || Some(|| ok(2)),
-            |r| r.is_ok(),
-        );
-        match out {
-            HedgeOutcome::Finished { result, hedged, backup_won } => {
-                assert_eq!(result, Ok(1));
-                assert!(!hedged);
-                assert!(!backup_won);
-            }
-            _ => panic!("expected a finish"),
-        }
-    }
-
-    #[test]
     fn slow_primary_loses_to_the_backup() {
         let p = pool();
         let out = hedged_race(
@@ -204,7 +181,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(100));
                 ok(1)
             },
-            Duration::from_millis(5),
             far(),
             || Some(|| ok(2)),
             |r| r.is_ok(),
@@ -228,7 +204,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(40));
                 ok(1)
             },
-            Duration::from_millis(5),
             far(),
             || Some(|| Err(9)),
             |r: &Result<i32, i32>| r.is_ok(),
@@ -252,7 +227,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(20));
                 Err::<i32, i32>(1)
             },
-            Duration::from_millis(5),
             far(),
             || Some(|| Err(2)),
             |r| r.is_ok(),
@@ -275,7 +249,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(30));
                 ok(7)
             },
-            Duration::from_millis(5),
             far(),
             || None::<fn() -> Result<i32, i32>>,
             |r| r.is_ok(),
@@ -299,7 +272,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(200));
                 ok(1)
             },
-            Duration::from_millis(5),
             Instant::now() + Duration::from_millis(30),
             || {
                 Some(|| {
@@ -310,6 +282,19 @@ mod tests {
             |r| r.is_ok(),
         );
         assert!(matches!(out, HedgeOutcome::DeadlineExpired { hedged: true }));
+    }
+
+    #[test]
+    fn a_primary_parked_past_the_deadline_spends_no_backup() {
+        let p = pool();
+        let out = hedged_race(
+            &p,
+            || ok(1),
+            Instant::now() - Duration::from_millis(1),
+            || -> Option<fn() -> Result<i32, i32>> { panic!("no backup past the deadline") },
+            |r| r.is_ok(),
+        );
+        assert!(matches!(out, HedgeOutcome::DeadlineExpired { hedged: false }));
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use soc_http::mem::Transport;
-use soc_http::{Handler, Request, Response, Status};
+use soc_http::{Handler, Request, Response, Sent, Status};
 use soc_json::Value;
 use soc_observe::{SpanKind, TraceContext};
 use soc_registry::monitor::QosMonitor;
@@ -189,10 +189,11 @@ struct Inner {
     /// pick. See [`Gateway::set_shard_map`].
     shard_maps: RwLock<HashMap<String, Arc<ShardMap>>>,
     rng: Mutex<XorShift64>,
-    /// Lazily built on the first armed hedge: most gateways (and most
-    /// requests) never pay for it. Sized by `config.hedge.threads`,
+    /// Lazily built on the first parked primary: most gateways (and
+    /// most requests) never pay for it. Sized by `config.hedge.threads`,
     /// NOT by cores — arms block in sends, and on a small host a
-    /// cores-sized pool could never run a backup beside its primary.
+    /// cores-sized pool could never run a backup beside a parked
+    /// primary's rest.
     hedge_pool: std::sync::OnceLock<soc_parallel::ThreadPool>,
 }
 
@@ -483,8 +484,11 @@ impl Gateway {
             gw_span.set_error("shed: service quota");
             return self.shed("service quota");
         }
-        let _permit = match inner.limit.try_acquire() {
-            Some(p) => p,
+        // Shared with every arm of this request: an arm still running
+        // after the caller gave up (a parked primary's rest, a hedge
+        // loser) keeps counting against the cap until it finishes.
+        let permit = match inner.limit.try_acquire() {
+            Some(p) => Arc::new(p),
             None => {
                 inner.stats.shed_load.fetch_add(1, Ordering::Relaxed);
                 inner.obs.shed_load.inc();
@@ -600,15 +604,8 @@ impl Gateway {
                 }
             }
             let (endpoint, breaker, pass) = admitted.swap_remove(idx);
-            let ustats = inner.stats.upstream(&endpoint);
-
             let mut upstream_req = req.clone();
             upstream_req.target = join_target(&endpoint, rest);
-
-            ustats.requests.fetch_add(1, Ordering::Relaxed);
-            if attempt > 0 {
-                ustats.retries.fetch_add(1, Ordering::Relaxed);
-            }
 
             // Hedge only when the request can be replayed safely, the
             // picked replica has earned a p95, and a second replica
@@ -622,34 +619,27 @@ impl Gateway {
                     inner.monitor.success_samples(&endpoint),
                 )
             };
-
-            let (used_endpoint, result) = match hedge_delay {
-                None => send_arm(
-                    inner.clone(),
-                    attempt_parent,
-                    attempt,
-                    false,
-                    endpoint,
-                    breaker,
-                    pass,
-                    upstream_req,
-                ),
-                Some(delay) => {
-                    let primary = {
-                        let inner = inner.clone();
-                        move || {
-                            send_arm(
-                                inner,
-                                attempt_parent,
-                                attempt,
-                                false,
-                                endpoint,
-                                breaker,
-                                pass,
-                                upstream_req,
-                            )
-                        }
-                    };
+            // The primary runs on this thread and yields at the hedge
+            // point, or at the deadline when no hedge can arm; then no
+            // backup is admitted and a parked primary is abandoned.
+            let at = match hedge_delay {
+                Some(delay) => (Instant::now() + delay).min(deadline),
+                None => {
+                    backup_pool.clear();
+                    deadline
+                }
+            };
+            let arm =
+                Arm::start(inner, &permit, attempt_parent, attempt, false, endpoint, breaker, pass);
+            let sent = {
+                // Active while the transport runs, so the client
+                // injects the arm's span id as the outgoing traceparent.
+                let _active = arm.span.activate();
+                soc_http::send_until(at, || inner.transport.send(upstream_req))
+            };
+            let (used_endpoint, result) = match sent {
+                Sent::Done(result) => arm.finish(result),
+                Sent::Parked(parked) => {
                     // Runs on this thread at the hedge point: admit a
                     // backup replica through its breaker *then*, when
                     // the primary is known to be slow.
@@ -659,21 +649,29 @@ impl Gateway {
                             let Some(bpass) = b.try_pass() else { continue };
                             inner.stats.hedges_launched.fetch_add(1, Ordering::Relaxed);
                             inner.obs.hedges_launched.inc();
-                            let bstats = inner.stats.upstream(&ep);
-                            bstats.requests.fetch_add(1, Ordering::Relaxed);
                             let mut breq = req.clone();
                             breq.target = join_target(&ep, rest);
                             let inner = inner.clone();
+                            let permit = permit.clone();
                             return Some(move || {
-                                send_arm(inner, attempt_parent, attempt, true, ep, b, bpass, breq)
+                                Arm::start(
+                                    &inner,
+                                    &permit,
+                                    attempt_parent,
+                                    attempt,
+                                    true,
+                                    ep,
+                                    b,
+                                    bpass,
+                                )
+                                .run(|| inner.transport.send(breq))
                             });
                         }
                         None
                     };
                     match hedge::hedged_race(
                         inner.hedge_pool(),
-                        primary,
-                        delay,
+                        move || arm.run(|| parked.finish()),
                         deadline,
                         backup_factory,
                         |(_, r)| matches!(r, Ok(resp) if resp.status.0 < 500),
@@ -734,62 +732,104 @@ impl Gateway {
     }
 }
 
-/// One attempt arm: send `req` to `endpoint` and do every piece of
+/// What one attempt arm produced: the endpoint it went to and the
+/// transport's result.
+type ArmResult = (String, soc_http::HttpResult<Response>);
+
+/// One attempt arm, from its start to its accounting. Every piece of
 /// per-attempt accounting — in-flight gauge, histogram, breaker
-/// verdict, QoS record, success/failure tally — *inside* the arm.
-/// A hedge loser nobody is waiting on still reports its outcome; it
-/// just doesn't answer the caller.
+/// verdict, QoS record, success/failure tally — happens in the arm, so
+/// a hedge loser nobody is waiting on still reports its outcome; it
+/// just doesn't answer the caller. It holds the request's concurrency
+/// permit until it finishes, so upstream work nobody waits on still
+/// counts against `max_concurrent`.
 ///
 /// Each arm is its own client span under `parent` (passed explicitly:
-/// hedge arms run on pool threads where no thread-local context is
-/// active), so a hedged request shows up as sibling attempts with
-/// `hedge=false` / `hedge=true` under one `gateway.request`.
-#[allow(clippy::too_many_arguments)]
-fn send_arm(
-    inner: Arc<Inner>,
-    parent: TraceContext,
-    attempt: u32,
-    hedge: bool,
+/// backups and parked primaries finish on pool threads where no
+/// thread-local context is active), so a hedged request shows up as
+/// sibling attempts with `hedge=false` / `hedge=true` under one
+/// `gateway.request`.
+struct Arm {
+    span: soc_observe::Span,
     endpoint: String,
     breaker: Arc<CircuitBreaker>,
     pass: Pass,
-    req: Request,
-) -> (String, soc_http::HttpResult<Response>) {
-    let mut span = soc_observe::child_span(parent, "gateway.attempt", SpanKind::Client);
-    span.set_attr("upstream", endpoint.as_str());
-    span.set_attr("attempt", attempt.to_string());
-    span.set_attr("hedge", if hedge { "true" } else { "false" });
-    let ustats = inner.stats.upstream(&endpoint);
-    ustats.in_flight.fetch_add(1, Ordering::Relaxed);
-    let start = Instant::now();
-    let result = {
-        // Active while the transport runs, so the client injects this
-        // span's id as the outgoing traceparent.
-        let _active = span.activate();
-        inner.transport.send(req)
-    };
-    let elapsed = start.elapsed();
-    ustats.in_flight.fetch_sub(1, Ordering::Relaxed);
-    ustats.histogram.record(elapsed);
+    ustats: Arc<UpstreamStats>,
+    start: Instant,
+    inner: Arc<Inner>,
+    _permit: Arc<ConcurrencyPermit>,
+}
 
-    let ok = matches!(&result, Ok(r) if r.status.0 < 500);
-    match &result {
-        Ok(r) => {
-            span.set_attr("http.status", r.status.0.to_string());
-            if !ok {
-                span.set_error(format!("upstream answered {}", r.status));
-            }
+impl Arm {
+    /// Open the arm's span, count its request and start its clock.
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        inner: &Arc<Inner>,
+        permit: &Arc<ConcurrencyPermit>,
+        parent: TraceContext,
+        attempt: u32,
+        hedge: bool,
+        endpoint: String,
+        breaker: Arc<CircuitBreaker>,
+        pass: Pass,
+    ) -> Arm {
+        let mut span = soc_observe::child_span(parent, "gateway.attempt", SpanKind::Client);
+        span.set_attr("upstream", endpoint.as_str());
+        span.set_attr("attempt", attempt.to_string());
+        span.set_attr("hedge", if hedge { "true" } else { "false" });
+        let ustats = inner.stats.upstream(&endpoint);
+        ustats.requests.fetch_add(1, Ordering::Relaxed);
+        if attempt > 0 && !hedge {
+            ustats.retries.fetch_add(1, Ordering::Relaxed);
         }
-        Err(e) => span.set_error(e.to_string()),
+        ustats.in_flight.fetch_add(1, Ordering::Relaxed);
+        Arm {
+            span,
+            endpoint,
+            breaker,
+            pass,
+            ustats,
+            start: Instant::now(),
+            inner: inner.clone(),
+            _permit: permit.clone(),
+        }
     }
-    breaker.on_result(pass, ok);
-    inner.monitor.record(&endpoint, ok, elapsed);
-    if ok {
-        ustats.successes.fetch_add(1, Ordering::Relaxed);
-    } else {
-        ustats.failures.fetch_add(1, Ordering::Relaxed);
+
+    /// Run the rest of the arm's exchange — a whole blocking send, or a
+    /// parked one's rest — on this thread, then account for it.
+    fn run(self, exchange: impl FnOnce() -> soc_http::HttpResult<Response>) -> ArmResult {
+        let result = {
+            let _active = self.span.activate();
+            exchange()
+        };
+        self.finish(result)
     }
-    (endpoint, result)
+
+    /// Stop the clock and record the outcome everywhere it is counted.
+    fn finish(mut self, result: soc_http::HttpResult<Response>) -> ArmResult {
+        let elapsed = self.start.elapsed();
+        self.ustats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.ustats.histogram.record(elapsed);
+
+        let ok = matches!(&result, Ok(r) if r.status.0 < 500);
+        match &result {
+            Ok(r) => {
+                self.span.set_attr("http.status", r.status.0.to_string());
+                if !ok {
+                    self.span.set_error(format!("upstream answered {}", r.status));
+                }
+            }
+            Err(e) => self.span.set_error(e.to_string()),
+        }
+        self.breaker.on_result(self.pass, ok);
+        self.inner.monitor.record(&self.endpoint, ok, elapsed);
+        if ok {
+            self.ustats.successes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.ustats.failures.fetch_add(1, Ordering::Relaxed);
+        }
+        (self.endpoint, result)
+    }
 }
 
 /// The primary endpoint hinted by a store node's 409 `not_primary`
@@ -1117,6 +1157,132 @@ mod tests {
         assert!(won >= 3, "backups must win against a 250 ms stall (won {won})");
         let v = gw.stats_json();
         assert_eq!(v.pointer("/hedges/launched").and_then(Value::as_i64), Some(launched as i64));
+    }
+
+    #[test]
+    fn a_hedge_armed_pick_answers_on_the_callers_thread() {
+        let net = MemNetwork::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for name in ["r0", "r1"] {
+            let seen = seen.clone();
+            net.host(name, move |_req: Request| {
+                seen.lock().push(std::thread::current().id());
+                Response::text("ok")
+            });
+        }
+        let gw = Gateway::new(Arc::new(net.clone()), fast_config());
+        gw.register("svc", &["mem://r0", "mem://r1"]);
+        // Past min_samples on both replicas: every GET from here on
+        // arms a hedge.
+        for _ in 0..20 {
+            assert!(gw.call("svc", Request::get("/warm")).status.is_success());
+        }
+        let min = HedgeConfig::default().min_samples;
+        assert!(gw.monitor().success_samples("mem://r0") >= min);
+        assert!(gw.monitor().success_samples("mem://r1") >= min);
+        seen.lock().clear();
+        for _ in 0..4 {
+            assert!(gw.call("svc", Request::get("/x")).status.is_success());
+        }
+        let me = std::thread::current().id();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 4);
+        assert!(seen.iter().all(|id| *id == me), "a fast primary must run on the caller's thread");
+        assert_eq!(gw.stats().hedges_launched.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn unhedged_attempts_answer_504_at_the_request_deadline() {
+        let net = MemNetwork::new();
+        for name in ["slow0", "slow1"] {
+            net.host(name, |_req: Request| {
+                Response::error(Status::INTERNAL_SERVER_ERROR, "late and failing")
+            });
+            net.set_fault(
+                name,
+                FaultConfig { latency: Duration::from_millis(800), ..Default::default() },
+            );
+        }
+        let gw = Gateway::new(
+            Arc::new(net.clone()),
+            GatewayConfig {
+                request_deadline: Duration::from_millis(100),
+                // One late failure is enough evidence to open.
+                breaker: BreakerConfig { min_samples: 1, ..BreakerConfig::default() },
+                ..fast_config()
+            },
+        );
+        gw.register("svc", &["mem://slow0", "mem://slow1"]);
+        // A keyless POST never hedges, and a GET on replicas with no
+        // samples yet cannot: both attempts run unhedged.
+        for req in [Request::post("/orders", b"{}".to_vec()), Request::get("/quote")] {
+            let start = Instant::now();
+            let resp = gw.call("svc", req);
+            assert_eq!(resp.status, Status::GATEWAY_TIMEOUT);
+            assert!(
+                start.elapsed() < Duration::from_millis(150),
+                "the deadline must bound an unhedged attempt ({:?})",
+                start.elapsed()
+            );
+        }
+        assert_eq!(gw.stats().deadline_exceeded.load(Ordering::Relaxed), 2);
+        // The abandoned attempts finish detached and still report.
+        let landed = |ep: &str| gw.monitor().report(ep).is_some_and(|r| r.probes == 1);
+        let until = Instant::now() + Duration::from_secs(5);
+        while !(landed("mem://slow0") && landed("mem://slow1")) && Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        for ep in ["mem://slow0", "mem://slow1"] {
+            let report = gw.monitor().report(ep).expect("the late outcome landed");
+            assert_eq!((report.probes, report.successes), (1, 0), "{ep}");
+            assert_eq!(gw.breaker_state(ep), Some(BreakerState::Open), "{ep}");
+        }
+        assert_eq!(net.hits("slow0") + net.hits("slow1"), 2, "each attempt was sent once");
+    }
+
+    #[test]
+    fn a_parked_attempt_holds_its_permit_so_the_cap_sheds_past_it() {
+        let net = MemNetwork::new();
+        net.host("hung", |_req: Request| Response::text("late"));
+        net.set_fault(
+            "hung",
+            FaultConfig { latency: Duration::from_millis(400), ..Default::default() },
+        );
+        let gw = Gateway::new(
+            Arc::new(net.clone()),
+            GatewayConfig {
+                max_concurrent: 2,
+                request_deadline: Duration::from_millis(50),
+                ..fast_config()
+            },
+        );
+        gw.register("svc", &["mem://hung"]);
+        let order = || Request::post("/orders", b"{}".to_vec());
+        for _ in 0..2 {
+            assert_eq!(gw.call("svc", order()).status, Status::GATEWAY_TIMEOUT);
+        }
+        // Both abandoned attempts are still upstream, each holding its
+        // request's permit: request 3 is shed, not queued behind them.
+        let start = Instant::now();
+        let shed = gw.call("svc", order());
+        assert_eq!(shed.status, Status::SERVICE_UNAVAILABLE);
+        assert!(
+            start.elapsed() < Duration::from_millis(50),
+            "shed at once ({:?})",
+            start.elapsed()
+        );
+        assert_eq!(gw.stats().shed_load.load(Ordering::Relaxed), 1);
+        assert_eq!(net.hits("hung"), 0, "neither abandoned attempt has landed yet");
+        // Once they land, their permits come back and requests are
+        // admitted again.
+        let until = Instant::now() + Duration::from_secs(5);
+        while gw.inner.limit.in_flight() > 0 && Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(net.hits("hung"), 2);
+        assert_eq!(gw.inner.limit.in_flight(), 0, "the landed attempts released their permits");
+        assert_eq!(gw.call("svc", order()).status, Status::GATEWAY_TIMEOUT);
+        assert_eq!(gw.stats().shed_load.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! burst melt every replica at once: a token bucket bounds the
 //! sustained request rate (with a configurable burst), and a
 //! concurrency cap bounds how many requests are in flight through the
-//! gateway at any instant.
+//! gateway at any instant. A request stays in flight until its last
+//! upstream attempt finishes, even one still running after the caller
+//! got its answer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

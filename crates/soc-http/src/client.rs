@@ -17,9 +17,20 @@
 //! send without a deadline never re-arms. The request goes out in one
 //! write through `&TcpStream`, with no cloned descriptor. A parked
 //! connection's liveness probe is one nonblocking `recv(MSG_PEEK)`.
+//!
+//! Inside [`send_until`](crate::send_until) no step of the send blocks
+//! past the yield point. A fresh connection's connect is bounded by it;
+//! the request goes out with nonblocking sends and `poll`s for buffer
+//! space bounded by it; and the wait for the first response byte is
+//! one `poll` bounded by it. Whichever step the yield point cuts short,
+//! the parked [`Rest`](crate::Rest) takes over from there. A connect
+//! not done by then is started over, since nothing was sent. Otherwise
+//! the rest owns the connection: it writes what is left of the request,
+//! reads the response, parks or retires the connection, and makes the
+//! stale-reuse retry, exactly as an uninterrupted send.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,6 +198,105 @@ fn peek_idle(stream: &TcpStream) -> std::io::Result<usize> {
     peeked
 }
 
+/// Whether a response to the request just written on `conn` has begun
+/// — bytes, EOF or an error waiting — by `at`. A failed wait counts as
+/// begun: the read that follows reports the error.
+fn response_started(conn: &Conn, at: Instant) -> bool {
+    !conn.reader.buffer().is_empty()
+        || wait_readable(conn.reader.get_ref(), at.saturating_duration_since(Instant::now()))
+            .unwrap_or(true)
+}
+
+/// One `poll` for readability, bounded by `timeout`.
+#[cfg(target_os = "linux")]
+fn wait_readable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
+    crate::poller::wait_readable(std::os::unix::io::AsRawFd::as_raw_fd(stream), timeout)
+}
+
+/// Portable fallback: a peek under a temporary read timeout (a zero
+/// timeout, which sockets reject, peeks nonblocking instead).
+#[cfg(not(target_os = "linux"))]
+fn wait_readable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
+    let peeked = if timeout.is_zero() {
+        peek_idle(stream)
+    } else {
+        let armed = stream.read_timeout()?;
+        stream.set_read_timeout(Some(timeout))?;
+        let peeked = stream.peek(&mut [0u8; 1]);
+        stream.set_read_timeout(armed)?;
+        peeked
+    };
+    match peeked {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(false)
+        }
+        _ => Ok(true),
+    }
+}
+
+/// Write as much of `bytes` as `stream` takes by `at`, never blocking
+/// past it: nonblocking sends, with a `poll` for space bounded by `at`
+/// whenever the send buffer is full. Returns how many bytes went out —
+/// all of them unless the peer stopped reading.
+#[cfg(target_os = "linux")]
+fn write_until(stream: &TcpStream, bytes: &[u8], at: Instant) -> std::io::Result<usize> {
+    let fd = std::os::unix::io::AsRawFd::as_raw_fd(stream);
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match crate::poller::send_nonblocking(fd, &bytes[sent..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if !crate::poller::wait_writable(fd, at.saturating_duration_since(Instant::now()))?
+                {
+                    break;
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(sent)
+}
+
+/// Portable fallback: blocking writes under a temporary write timeout
+/// that ends at `at`.
+#[cfg(not(target_os = "linux"))]
+fn write_until(stream: &TcpStream, bytes: &[u8], at: Instant) -> std::io::Result<usize> {
+    let armed = stream.write_timeout()?;
+    let mut writer = stream;
+    let mut sent = 0;
+    let written = loop {
+        let left = at.saturating_duration_since(Instant::now());
+        if sent == bytes.len() || left.is_zero() {
+            break Ok(sent);
+        }
+        if let Err(e) = stream.set_write_timeout(Some(left)) {
+            break Err(e);
+        }
+        match writer.write(&bytes[sent..]) {
+            Ok(0) => break Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break Ok(sent)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    stream.set_write_timeout(armed)?;
+    written
+}
+
 /// A blocking client with per-authority keep-alive pooling. The
 /// request's `target` must be an absolute `http://` URL; the client
 /// rewrites it to origin-form on the wire. Clones share the pool.
@@ -282,6 +392,20 @@ impl HttpClient {
     }
 
     fn dispatch(&self, req: Request, deadline: Option<Instant>) -> HttpResult<Response> {
+        // Claimed on entry (see `send_until`), so a parked rest that
+        // starts a round over never sees it again.
+        self.round_trip(req, deadline, crate::yield_point::take())
+    }
+
+    /// Send `req` and read its response, retrying a stale reused
+    /// connection. With a yield point, no step of any round blocks past
+    /// it: the step it cuts short parks the rest of the exchange.
+    fn round_trip(
+        &self,
+        req: Request,
+        deadline: Option<Instant>,
+        yield_at: Option<Instant>,
+    ) -> HttpResult<Response> {
         let url = Url::parse(&req.target)?;
         if url.scheme != "http" {
             return Err(HttpError::BadUrl(format!(
@@ -294,44 +418,88 @@ impl HttpClient {
             // Fail fast once the budget is gone, including between
             // retry rounds.
             self.op_timeout(deadline)?;
-            let (conn, reused) = match self.pool.cfg.enabled.then(|| self.pool.checkout(&key)) {
+            let (mut conn, reused) = match self.pool.cfg.enabled.then(|| self.pool.checkout(&key)) {
                 Some(Some(conn)) => (conn, true),
                 _ => {
-                    let stream = self.connect(&url, deadline)?;
+                    let Some(stream) = self.connect(&url, deadline, yield_at)? else {
+                        // Not connected by the yield point, and nothing
+                        // sent: the rest starts the send over.
+                        let client = self.clone();
+                        return Err(crate::yield_point::park(move || {
+                            client.round_trip(req, deadline, None)
+                        }));
+                    };
                     self.pool.opened.fetch_add(1, Ordering::Relaxed);
                     (Conn::new(stream), false)
                 }
             };
-            match self.exchange(conn, &req, &url, deadline) {
-                Ok((resp, keep)) => {
-                    if reused {
-                        self.pool.reused.fetch_add(1, Ordering::Relaxed);
+            let outcome = match self.write_request(&mut conn, &req, &url, deadline, yield_at) {
+                Err(e) => Err(e),
+                Ok((req_closes, unwritten)) => {
+                    if yield_at
+                        .is_some_and(|at| !unwritten.is_empty() || !response_started(&conn, at))
+                    {
+                        // Not all written, or nothing back, by the yield
+                        // point: whoever finishes the rest does this
+                        // round's bookkeeping and, if need be, the
+                        // stale-reuse retry.
+                        let client = self.clone();
+                        return Err(crate::yield_point::park(move || {
+                            let outcome = client
+                                .write_rest(&mut conn, &unwritten, deadline)
+                                .and_then(|()| client.read_reply(conn, req_closes));
+                            client
+                                .settle(&key, reused, outcome, deadline)
+                                .unwrap_or_else(|| client.round_trip(req, deadline, None))
+                        }));
                     }
-                    if let Some(conn) = keep {
-                        self.pool.park(&key, conn);
-                    }
-                    return Ok(resp);
+                    self.read_reply(conn, req_closes)
                 }
-                Err((e, before_response)) => {
-                    if reused {
-                        self.pool.retired.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Safe retry: only on a *reused* connection that
-                    // failed before the server said anything — the
-                    // idle socket raced the server's reaper, and the
-                    // request provably never reached a handler's
-                    // response path. Deadline errors are terminal.
-                    let retryable = reused && before_response && e != HttpError::DeadlineExceeded;
-                    if retryable {
-                        continue;
-                    }
-                    // A read failure after the budget ran out is the
-                    // deadline's fault, not the peer's.
-                    return match deadline {
-                        Some(d) if Instant::now() >= d => Err(HttpError::DeadlineExceeded),
-                        _ => Err(e),
-                    };
+            };
+            if let Some(result) = self.settle(&key, reused, outcome, deadline) {
+                return result;
+            }
+        }
+    }
+
+    /// Pool bookkeeping for one exchange: count a reuse and park a
+    /// reusable connection, or retire a failed pooled one. `None` asks
+    /// for another round on a different connection.
+    fn settle(
+        &self,
+        key: &str,
+        reused: bool,
+        outcome: Result<ExchangeOk, (HttpError, bool)>,
+        deadline: Option<Instant>,
+    ) -> Option<HttpResult<Response>> {
+        match outcome {
+            Ok((resp, keep)) => {
+                if reused {
+                    self.pool.reused.fetch_add(1, Ordering::Relaxed);
                 }
+                if let Some(conn) = keep {
+                    self.pool.park(key, conn);
+                }
+                Some(Ok(resp))
+            }
+            Err((e, before_response)) => {
+                if reused {
+                    self.pool.retired.fetch_add(1, Ordering::Relaxed);
+                }
+                // Safe retry: only on a *reused* connection that failed
+                // before the server said anything — the idle socket
+                // raced the server's reaper, and the request provably
+                // never reached a handler's response path. Deadline
+                // errors are terminal.
+                if reused && before_response && e != HttpError::DeadlineExceeded {
+                    return None;
+                }
+                // A read failure after the budget ran out is the
+                // deadline's fault, not the peer's.
+                Some(match deadline {
+                    Some(d) if Instant::now() >= d => Err(HttpError::DeadlineExceeded),
+                    _ => Err(e),
+                })
             }
         }
     }
@@ -341,8 +509,14 @@ impl HttpClient {
     /// `connect_timeout` needs explicit addresses — and must try each
     /// of them within the remaining budget, not just the first: a host
     /// resolving IPv6-first would otherwise never reach an IPv4-only
-    /// listener.
-    fn connect(&self, url: &Url, deadline: Option<Instant>) -> HttpResult<TcpStream> {
+    /// listener. A yield point bounds the attempts the same way; `None`
+    /// means it came before a connection did.
+    fn connect(
+        &self,
+        url: &Url,
+        deadline: Option<Instant>,
+        yield_at: Option<Instant>,
+    ) -> HttpResult<Option<TcpStream>> {
         let addr = (url.host.as_str(), url.port);
         let map_connect_err = |e: std::io::Error| {
             if matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock) {
@@ -351,8 +525,8 @@ impl HttpClient {
                 HttpError::Io(e.to_string())
             }
         };
-        if deadline.is_none() {
-            return TcpStream::connect(addr).map_err(|e| HttpError::Io(e.to_string()));
+        if deadline.is_none() && yield_at.is_none() {
+            return TcpStream::connect(addr).map(Some).map_err(|e| HttpError::Io(e.to_string()));
         }
         let addrs: Vec<std::net::SocketAddr> = std::net::ToSocketAddrs::to_socket_addrs(&addr)
             .map_err(|e| HttpError::Io(e.to_string()))?
@@ -366,26 +540,46 @@ impl HttpClient {
                 Ok(b) => b,
                 Err(e) => return Err(last.unwrap_or(e)),
             };
+            let budget = match yield_at {
+                Some(at) => budget.min(at.saturating_duration_since(Instant::now())),
+                None => budget,
+            };
+            if budget.is_zero() {
+                return Ok(None);
+            }
             match TcpStream::connect_timeout(a, budget) {
-                Ok(stream) => return Ok(stream),
+                Ok(stream) => return Ok(Some(stream)),
                 Err(e) => last = Some(map_connect_err(e)),
             }
+        }
+        // A timeout past the yield point but inside the deadline was
+        // the yield point's doing.
+        let now = Instant::now();
+        if last == Some(HttpError::DeadlineExceeded)
+            && yield_at.is_some_and(|at| now >= at)
+            && deadline.is_none_or(|d| now < d)
+        {
+            return Ok(None);
         }
         Err(last.expect("at least one address was tried"))
     }
 
-    /// One request/response over an established connection. Errors
-    /// carry whether they happened before any response byte arrived
-    /// (the precondition for a safe retry on a reused connection).
-    fn exchange(
+    /// Write `req` over an established connection in one write, then
+    /// arm the read timeout with what the budget has left. With a yield
+    /// point, writes only what the socket takes by then. Returns
+    /// whether the request asked to close the connection, and the bytes
+    /// still to write (none, unless the yield point cut the write
+    /// short). Every error here precedes the response, the precondition
+    /// for a safe retry on a reused connection.
+    fn write_request(
         &self,
-        mut conn: Conn,
+        conn: &mut Conn,
         req: &Request,
         url: &Url,
         deadline: Option<Instant>,
-    ) -> Result<ExchangeOk, (HttpError, bool)> {
+        yield_at: Option<Instant>,
+    ) -> Result<(bool, Vec<u8>), (HttpError, bool)> {
         let pre = |e: HttpError| (e, true);
-        let post = |e: HttpError| (e, false);
 
         let budget = self.op_timeout(deadline).map_err(pre)?;
         conn.arm_read(budget);
@@ -401,29 +595,65 @@ impl HttpClient {
         if !self.pool.cfg.enabled && !wire_req.headers.contains("Connection") {
             wire_req.headers.set("Connection", "close");
         }
+        let mut bytes = codec::encode_request(&wire_req, Some(&url.authority())).map_err(pre)?;
         let mut writer = conn.reader.get_ref();
-        codec::write_request(&mut writer, &wire_req, Some(&url.authority())).map_err(pre)?;
+        let sent = match yield_at {
+            Some(at) => write_until(writer, &bytes, at).map_err(|e| pre(e.into()))?,
+            None => {
+                writer.write_all(&bytes).map_err(|e| pre(e.into()))?;
+                bytes.len()
+            }
+        };
         // Re-arm the read timeout with whatever budget the write left
         // (a no-op without a deadline: the wanted value is unchanged).
         conn.arm_read(self.op_timeout(deadline).map_err(pre)?);
+        Ok((wire_req.headers.has_token("Connection", "close"), bytes.split_off(sent)))
+    }
+
+    /// Write what a yield point left of a request, blocking as an
+    /// uninterrupted send would.
+    fn write_rest(
+        &self,
+        conn: &mut Conn,
+        unwritten: &[u8],
+        deadline: Option<Instant>,
+    ) -> Result<(), (HttpError, bool)> {
+        if unwritten.is_empty() {
+            return Ok(());
+        }
+        let pre = |e: HttpError| (e, true);
+        conn.arm_write(self.op_timeout(deadline).map_err(pre)?);
+        conn.reader.get_ref().write_all(unwritten).map_err(|e| pre(e.into()))?;
+        conn.arm_read(self.op_timeout(deadline).map_err(pre)?);
+        Ok(())
+    }
+
+    /// Read the response to a request written on `conn`, returning the
+    /// connection too if it may be reused. Errors carry whether they
+    /// happened before any response byte arrived (the precondition for
+    /// a safe retry on a reused connection).
+    fn read_reply(
+        &self,
+        mut conn: Conn,
+        req_closes: bool,
+    ) -> Result<ExchangeOk, (HttpError, bool)> {
         // Peek before parsing: an EOF or error *here* means the server
         // never started a response (stale pooled connection, reaped
         // idle socket) — retry-safe. Once bytes exist, failures are
         // real protocol or transfer errors.
         match conn.reader.fill_buf() {
-            Ok([]) => return Err(pre(HttpError::UnexpectedEof)),
+            Ok([]) => return Err((HttpError::UnexpectedEof, true)),
             Ok(_) => {}
-            Err(e) => return Err(pre(HttpError::Io(e.to_string()))),
+            Err(e) => return Err((HttpError::Io(e.to_string()), true)),
         }
-        let (resp, version) =
-            codec::read_response_versioned(&mut conn.reader, self.body_limit).map_err(post)?;
+        let (resp, version) = codec::read_response_versioned(&mut conn.reader, self.body_limit)
+            .map_err(|e| (e, false))?;
 
         // Reuse only when both sides allow it and the response framing
         // was explicit (a length-less EOF-delimited body can't share a
         // connection).
         let resp_closes = resp.headers.has_token("Connection", "close")
             || (version == Version::Http10 && !resp.headers.has_token("Connection", "keep-alive"));
-        let req_closes = wire_req.headers.has_token("Connection", "close");
         let self_delimited = resp.headers.contains("Content-Length")
             || resp
                 .headers
@@ -518,7 +748,8 @@ mod tests {
         // Whatever order the resolver yields, the connect must land on
         // the one family that is actually listening.
         let deadline = Some(Instant::now() + Duration::from_secs(2));
-        let stream = c.connect(&url, deadline).expect("must try every resolved address");
+        let stream =
+            c.connect(&url, deadline, None).expect("must try every resolved address").unwrap();
         drop(stream);
     }
 

@@ -363,6 +363,15 @@ pub(crate) fn encode_response(resp: &Response) -> HttpResult<Vec<u8>> {
 /// `TCP_NODELAY` socket each write is its own segment, so a write per
 /// header line would cost a syscall and a packet apiece.
 pub fn write_request<W: Write>(w: &mut W, req: &Request, host: Option<&str>) -> HttpResult<()> {
+    w.write_all(&encode_request(req, host)?)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Serialize a request into one buffer (see [`write_request`]). The
+/// pooled client writes these bytes itself when a yield point may cut
+/// the write short.
+pub(crate) fn encode_request(req: &Request, host: Option<&str>) -> HttpResult<Vec<u8>> {
     let framing = outgoing_framing(&req.headers)?;
     let mut out = Vec::with_capacity(
         message_capacity(&req.headers, framing, req.body.len())
@@ -379,9 +388,7 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request, host: Option<&str>) -> 
         }
     }
     encode_rest(&mut out, &req.headers, framing, &req.body);
-    w.write_all(&out)?;
-    w.flush()?;
-    Ok(())
+    Ok(out)
 }
 
 /// Serialize a response for the wire, in one `write_all`. Framing

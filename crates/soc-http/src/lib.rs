@@ -29,6 +29,19 @@
 //!   failures, lost responses, corruption/truncation, burst windows)
 //!   applied by [`mem::MemNetwork`]; host-pair partitions live on the
 //!   network itself.
+//! - [`yield_point`] — [`send_until`]`(at, || transport.send(req))`
+//!   runs a blocking send on the caller's thread but stops waiting at
+//!   `at`: a response begun by then is [`Sent::Done`], otherwise the
+//!   exchange parks and [`Sent::Parked`] hands back its [`Rest`] for
+//!   another thread to finish. Blocking transports take the yield point
+//!   when `send` is entered, and no step of the send blocks past it:
+//!   [`HttpClient`] bounds a fresh connect, the request write and the
+//!   wait for the first response byte by `at`; [`MemNetwork`] sleeps
+//!   its injected latency until `at`. A mem handler runs on the
+//!   caller's thread, so over the virtual network only injected
+//!   latency can park; the handler itself never yields. The gateway
+//!   hedges with this: its primary attempt runs inline and only a
+//!   parked one touches the hedge pool.
 //!
 //! ```
 //! use soc_http::{Handler, Request, Response, Status};
@@ -55,6 +68,7 @@ mod reactor;
 pub mod server;
 pub mod types;
 pub mod url;
+pub mod yield_point;
 
 pub use client::{ClientPoolStats, HttpClient, PoolConfig};
 pub use fault::{FaultConfig, FaultRng, FaultVerdict, FaultWindow};
@@ -66,3 +80,4 @@ pub use types::{
     Version, IDEMPOTENCY_KEY,
 };
 pub use url::Url;
+pub use yield_point::{send_until, Rest, Sent};

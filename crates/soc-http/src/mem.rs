@@ -13,6 +13,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -160,7 +161,11 @@ impl MemNetwork {
 }
 
 impl Transport for MemNetwork {
+    /// Deliver `req` to its host. The handler runs on the caller's
+    /// thread, so within [`send_until`](crate::send_until) only injected
+    /// latency can park the exchange: the handler itself never yields.
     fn send(&self, req: Request) -> HttpResult<Response> {
+        let at = crate::yield_point::take();
         let url = Url::parse(&req.target)?;
         if url.scheme != "mem" {
             return Err(HttpError::BadUrl(format!(
@@ -186,28 +191,55 @@ impl Transport for MemNetwork {
         if entry.fault.offline {
             return Err(HttpError::Io(format!("host {} is offline", url.host)));
         }
-        if !entry.fault.latency.is_zero() {
-            std::thread::sleep(entry.fault.latency);
-        }
-        let n = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;
-        if entry.fault.fail_every > 0 && n % entry.fault.fail_every == 0 {
-            return Ok(Response::error(Status::SERVICE_UNAVAILABLE, "injected fault"));
-        }
-        let verdict = entry.fault.verdict(n, &mut entry.rng.lock());
-        if verdict == FaultVerdict::FailEarly {
-            return Ok(Response::error(Status::SERVICE_UNAVAILABLE, "injected fault"));
-        }
-
         // The handler sees origin-form targets, exactly like over TCP.
         let mut inner = req;
         inner.target = url.path_and_query();
         // Same trace plumbing as the TCP path: inject the caller's
-        // context, then serve inside a server span on the "remote" side.
+        // context now, while it is active on this thread.
         crate::observe::inject_traceparent(&mut inner.headers);
+        if !entry.fault.latency.is_zero() {
+            let due = Instant::now() + entry.fault.latency;
+            match at {
+                // The injected latency outlasts the yield point: wait
+                // until it, and leave the rest of the wait, and the
+                // delivery, to the parked rest.
+                Some(at) if at < due => {
+                    sleep_until(at);
+                    return Err(crate::yield_point::park(move || {
+                        sleep_until(due);
+                        entry.deliver(&url.host, inner)
+                    }));
+                }
+                _ => sleep_until(due),
+            }
+        }
+        entry.deliver(&url.host, inner)
+    }
+}
+
+fn sleep_until(at: Instant) {
+    let left = at.saturating_duration_since(Instant::now());
+    if !left.is_zero() {
+        std::thread::sleep(left);
+    }
+}
+
+impl HostEntry {
+    /// The request arriving at the host: count the hit, draw the fault
+    /// verdict, and serve it inside a server span on the "remote" side.
+    fn deliver(&self, host: &str, req: Request) -> HttpResult<Response> {
+        let n = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.fault.fail_every > 0 && n.is_multiple_of(self.fault.fail_every) {
+            return Ok(Response::error(Status::SERVICE_UNAVAILABLE, "injected fault"));
+        }
+        let verdict = self.fault.verdict(n, &mut self.rng.lock());
+        if verdict == FaultVerdict::FailEarly {
+            return Ok(Response::error(Status::SERVICE_UNAVAILABLE, "injected fault"));
+        }
         // Nested sends from inside the handler originate at this host.
-        let _origin = push_origin(&url.host);
-        let mut resp = crate::observe::serve_with_span(inner, "mem.server", |req| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry.handler.handle(req)))
+        let _origin = push_origin(host);
+        let mut resp = crate::observe::serve_with_span(req, "mem.server", |req| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handler.handle(req)))
                 .unwrap_or_else(|_| {
                     Response::error(Status::INTERNAL_SERVER_ERROR, "handler panicked")
                 })
@@ -216,7 +248,7 @@ impl Transport for MemNetwork {
         // host; only the response suffers.
         match verdict {
             FaultVerdict::Reset => {
-                Err(HttpError::Io(format!("connection reset by {} (injected)", url.host)))
+                Err(HttpError::Io(format!("connection reset by {host} (injected)")))
             }
             FaultVerdict::Truncate => Err(HttpError::UnexpectedEof),
             FaultVerdict::Corrupt => {

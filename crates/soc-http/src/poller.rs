@@ -8,7 +8,9 @@
 //! FFI crates, so the handful of syscalls are declared directly against
 //! the system libc that `std` already links. Its `sys` block is the
 //! crate's only FFI site, which is why the pooled client's one-syscall
-//! liveness probe, `peek_nonblocking`, lives here too.
+//! liveness probe, `peek_nonblocking`, its wait for a response's
+//! first byte, `wait_readable`, and its bounded request write,
+//! `send_nonblocking` with `wait_writable`, live here too.
 //!
 //! Level-triggered mode throughout: a readiness bit stays set until the
 //! state machine drains it, which keeps the connection logic re-entrant
@@ -27,7 +29,15 @@ mod sys {
         pub data: u64,
     }
 
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
     extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -35,6 +45,7 @@ mod sys {
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         pub fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+        pub fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
         pub fn close(fd: i32) -> i32;
     }
 
@@ -52,8 +63,12 @@ mod sys {
     pub const EFD_NONBLOCK: i32 = 0o4000;
     pub const EFD_CLOEXEC: i32 = 0o2000000;
 
+    pub const POLLIN: i16 = 0x001;
+    pub const POLLOUT: i16 = 0x004;
+
     pub const MSG_PEEK: i32 = 0x02;
     pub const MSG_DONTWAIT: i32 = 0x40;
+    pub const MSG_NOSIGNAL: i32 = 0x4000;
 }
 
 /// Peek at most one byte of `fd`'s receive queue without blocking and
@@ -68,6 +83,58 @@ pub(crate) fn peek_nonblocking(fd: RawFd) -> io::Result<usize> {
         let rc = unsafe { sys::recv(fd, &mut byte, 1, sys::MSG_PEEK | sys::MSG_DONTWAIT) };
         if rc >= 0 {
             return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Send what of `buf` fits in `fd`'s send buffer without blocking: one
+/// `send(MSG_DONTWAIT)`, whatever the socket's blocking mode. A full
+/// buffer is `WouldBlock`.
+pub(crate) fn send_nonblocking(fd: RawFd, buf: &[u8]) -> io::Result<usize> {
+    loop {
+        // SAFETY: `buf` is a live buffer of `buf.len()` bytes for the
+        // whole call; an invalid `fd` is reported as an error.
+        let rc = unsafe {
+            sys::send(fd, buf.as_ptr(), buf.len(), sys::MSG_DONTWAIT | sys::MSG_NOSIGNAL)
+        };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Wait until `fd` is readable — bytes, EOF or an error pending — or
+/// `timeout` lapses: one `poll`. Returns whether it became readable.
+/// The wait rounds up to whole milliseconds, so it never ends early.
+pub(crate) fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+    wait_ready(fd, sys::POLLIN, timeout)
+}
+
+/// [`wait_readable`]'s twin for send-buffer space (or an error pending).
+pub(crate) fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+    wait_ready(fd, sys::POLLOUT, timeout)
+}
+
+fn wait_ready(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
+    let until = std::time::Instant::now() + timeout;
+    loop {
+        let left = until.saturating_duration_since(std::time::Instant::now());
+        let ms = left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+        let mut pfd = sys::PollFd { fd, events, revents: 0 };
+        // SAFETY: `pfd` is one live, initialised pollfd for the call.
+        let rc = unsafe { sys::poll(&mut pfd, 1, ms) };
+        if rc >= 0 {
+            // Any revents — the asked-for bit, POLLHUP, POLLERR — means
+            // the next read or write will not block.
+            return Ok(rc > 0);
         }
         let err = io::Error::last_os_error();
         if err.kind() != io::ErrorKind::Interrupted {

@@ -22,6 +22,11 @@ pub enum HttpError {
     },
     /// A per-request deadline expired before the response arrived.
     DeadlineExceeded,
+    /// Placeholder a transport returns when it parked the exchange at
+    /// its [`send_until`](crate::send_until) yield point; the exchange
+    /// itself is still in flight and finishes through the parked
+    /// [`Rest`](crate::Rest). Never an I/O failure.
+    Parked,
 }
 
 impl fmt::Display for HttpError {
@@ -34,6 +39,7 @@ impl fmt::Display for HttpError {
             HttpError::UnexpectedEof => write!(f, "connection closed mid-message"),
             HttpError::BodyTooLarge { limit } => write!(f, "body exceeds {limit} bytes"),
             HttpError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            HttpError::Parked => write!(f, "exchange parked at its yield point"),
         }
     }
 }

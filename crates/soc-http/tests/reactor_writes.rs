@@ -11,7 +11,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use soc_http::codec;
 use soc_http::{HttpServer, Request, Response, ServerConfig, ServerTransport, Status};
@@ -22,6 +22,20 @@ fn counts() -> (u64, u64) {
     let metrics = soc_observe::metrics();
     let count = |write| metrics.counter("soc_http_responses_total", &[("write", write)]).get();
     (count("worker"), count("reactor"))
+}
+
+/// The counters once they reach `want`, or as they stand after 2 s. A
+/// writer counts its write only after making it, so the client can
+/// read a response before the count that goes with it lands.
+fn counts_reaching(want: (u64, u64)) -> (u64, u64) {
+    let until = Instant::now() + Duration::from_secs(2);
+    loop {
+        let now = counts();
+        if now == want || Instant::now() >= until {
+            return now;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -49,13 +63,13 @@ fn small_responses_are_written_by_workers_and_a_large_one_by_the_loop() {
     for _ in 0..3 {
         post(b"small", Duration::ZERO);
     }
-    let after_small = counts();
+    let after_small = counts_reaching((before.0 + 3, before.1));
     assert_eq!(after_small.0 - before.0, 3, "keep-alive responses are written by the worker");
     assert_eq!(after_small.1, before.1, "no small response fell back to the loop");
 
     let big: Vec<u8> = (0..BIG_BODY).map(|i| (i % 251) as u8).collect();
     post(&big, Duration::from_millis(200));
-    let after_big = counts();
+    let after_big = counts_reaching((after_small.0, after_small.1 + 1));
     assert_eq!(after_big.1 - after_small.1, 1, "the loop finished the 4 MiB response");
     assert_eq!(after_big.0, after_small.0, "the worker could not write 4 MiB at once");
 
