@@ -68,7 +68,7 @@ impl QosFeed for NoQos {
 }
 
 /// Live QoS from a [`Gateway`]: recent p95 and error rate from its
-/// [`QosMonitor`](soc_registry::QosMonitor) (keyed per replica
+/// [`QosMonitor`](soc_registry::monitor::QosMonitor) (keyed per replica
 /// endpoint, exactly as the gateway records them) plus the outlier
 /// ejector's verdict.
 pub struct GatewayQos {

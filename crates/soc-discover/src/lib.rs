@@ -7,7 +7,7 @@
 //! triangle) as three cooperating subsystems:
 //!
 //! - **[`crawler`]** — walks federated [`soc_registry`] directories
-//!   through a [`Gateway`](soc_gateway::Gateway), following
+//!   through a [`Gateway`], following
 //!   `/directory/peers` referrals (cycles included), fetching each
 //!   service's WSDL and parsing it into typed operation signatures.
 //!   Lease versions make re-crawls incremental; the gateway makes
@@ -16,7 +16,7 @@
 //!   by `relevance × live QoS`: recent p95 and error rate from the
 //!   gateway's monitor, and outlier-ejection state, demote services
 //!   that look good on paper but are bad on the wire.
-//! - **[`planner`] / [`check`] / [`execute`]** — goal-directed
+//! - **[`planner`] / [`check`](mod@check) / [`execute`]** — goal-directed
 //!   composition: `have {ssn, amount, income} → want {approved}`
 //!   backward-chains through discovered signatures into a [`Plan`],
 //!   which an independent static checker verifies (typed wiring, goal

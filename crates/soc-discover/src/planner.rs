@@ -11,7 +11,7 @@
 //!
 //! The output is a declarative [`Plan`] — nodes plus typed wires — that
 //! says nothing about *how* to run it. The static checker
-//! ([`crate::check`]) verifies a plan independently, and
+//! ([`crate::check`](mod@crate::check)) verifies a plan independently, and
 //! [`crate::execute`] lowers accepted plans onto a workflow graph.
 //! The planner is deterministic: one catalog, one goal, one feed ⇒ one
 //! plan.

@@ -7,8 +7,7 @@
 //!   less loaded one. The "power of two choices" gets most of the
 //!   benefit of full load tracking at a fraction of the coordination.
 //! * **Least-latency** — send to the replica with the lowest observed
-//!   mean latency, as measured by the shared
-//!   [`QosMonitor`](soc_registry::monitor::QosMonitor) that the
+//!   mean latency, as measured by the shared [`QosMonitor`] that the
 //!   gateway feeds with every proxied request.
 //!
 //! Orthogonal to the policy, the [`OutlierEjector`] removes replicas
@@ -21,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use soc_http::FaultRng;
 use soc_registry::monitor::QosMonitor;
 
 /// Which balancing policy a gateway runs.
@@ -57,48 +57,12 @@ pub struct UpstreamView {
     pub mean_latency: Option<Duration>,
 }
 
-/// A small, fast, seedable PRNG (xorshift64*). The gateway avoids a
-/// heavyweight RNG dependency; statistical quality well beyond what
-/// jitter and two-choice sampling need.
-pub(crate) struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        // splitmix64 step so that small seeds still start well mixed.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        XorShift64 { state: (z ^ (z >> 31)) | 1 }
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform-ish draw in `0..n`. `n` must be non-zero.
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// Backoff jitter factor in `[0.5, 1.5)`.
-    pub(crate) fn jitter(&mut self) -> f64 {
-        0.5 + (self.next() % 1_000) as f64 / 1_000.0
-    }
-}
-
 /// The policy engine: holds per-service round-robin cursors and the
 /// RNG for two-choice sampling.
 pub struct Balancer {
     policy: Policy,
     cursors: Mutex<HashMap<String, usize>>,
-    rng: Mutex<XorShift64>,
+    rng: Mutex<FaultRng>,
 }
 
 impl Balancer {
@@ -108,7 +72,7 @@ impl Balancer {
         Balancer {
             policy,
             cursors: Mutex::new(HashMap::new()),
-            rng: Mutex::new(XorShift64::new(seed)),
+            rng: Mutex::new(FaultRng::new(seed)),
         }
     }
 
@@ -611,20 +575,5 @@ mod tests {
         assert!(out.is_empty(), "lapsed ejection must re-admit");
         assert_eq!(kept.len(), 3);
         assert!(ej.ejected_endpoints("svc").is_empty());
-    }
-
-    #[test]
-    fn xorshift_is_deterministic_and_varied() {
-        let mut a = XorShift64::new(99);
-        let mut b = XorShift64::new(99);
-        let xs: Vec<u64> = (0..8).map(|_| a.next()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next()).collect();
-        assert_eq!(xs, ys);
-        let distinct: std::collections::HashSet<&u64> = xs.iter().collect();
-        assert!(distinct.len() >= 7);
-        for _ in 0..100 {
-            let j = a.jitter();
-            assert!((0.5..1.5).contains(&j));
-        }
     }
 }

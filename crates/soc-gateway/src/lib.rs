@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use soc_http::mem::Transport;
-use soc_http::{Handler, Request, Response, Sent, Status};
+use soc_http::{FaultRng, Handler, Request, Response, Sent, Status};
 use soc_json::Value;
 use soc_observe::{SpanKind, TraceContext};
 use soc_registry::monitor::QosMonitor;
@@ -75,8 +75,6 @@ pub use hedge::{HedgeConfig, HedgeOutcome};
 pub use limit::{ConcurrencyLimit, ConcurrencyPermit, KeyedBuckets, TokenBucket};
 pub use resolver::{RegistryResolver, Resolve, StaticResolver};
 pub use stats::{GatewayStats, LatencyHistogram, UpstreamStats};
-
-use balance::XorShift64;
 
 /// Everything tunable about a gateway.
 #[derive(Debug, Clone)]
@@ -188,7 +186,7 @@ struct Inner {
     /// key's owners (writes: primary only) instead of the balancer's
     /// pick. See [`Gateway::set_shard_map`].
     shard_maps: RwLock<HashMap<String, Arc<ShardMap>>>,
-    rng: Mutex<XorShift64>,
+    rng: Mutex<FaultRng>,
     /// Lazily built on the first parked primary: most gateways (and
     /// most requests) never pay for it. Sized by `config.hedge.threads`,
     /// NOT by cores — arms block in sends, and on a small host a
@@ -273,7 +271,7 @@ impl Gateway {
                 obs: ObsMetrics::new(),
                 monitor,
                 shard_maps: RwLock::new(HashMap::new()),
-                rng: Mutex::new(XorShift64::new(config.seed ^ 0xBACC_0FF5)),
+                rng: Mutex::new(FaultRng::new(config.seed ^ 0xBACC_0FF5)),
                 breakers: RwLock::new(HashMap::new()),
                 hedge_pool: std::sync::OnceLock::new(),
                 config,
@@ -452,7 +450,8 @@ impl Gateway {
     fn backoff(&self, attempt: u32, deadline: Instant) {
         let cfg = &self.inner.config;
         let exp = cfg.base_backoff.saturating_mul(1u32 << attempt.min(16));
-        let jitter = self.inner.rng.lock().jitter();
+        // Jitter factor in `[0.5, 1.5)`.
+        let jitter = 0.5 + (self.inner.rng.lock().next_u64() % 1_000) as f64 / 1_000.0;
         let pause = exp.min(cfg.max_backoff).mul_f64(jitter);
         let pause = pause.min(deadline.saturating_duration_since(Instant::now()));
         if !pause.is_zero() {

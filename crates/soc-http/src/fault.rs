@@ -255,6 +255,8 @@ mod tests {
         let vc: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+        let distinct: std::collections::HashSet<&u64> = va.iter().collect();
+        assert!(distinct.len() >= 15);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! An HTTP/1.1 server over TCP, with two interchangeable transports.
 //!
 //! The default **reactor** transport (Linux) multiplexes every
-//! connection over an epoll event loop — see [`crate::reactor`] — so
-//! tens of thousands of idle keep-alive connections cost file
-//! descriptors, not threads. The original **threaded** transport
-//! (blocking accept, one pool task per connection) is kept both as the
-//! portable fallback and as a differential-testing baseline: the two
-//! share the `Handler` trait, the codec, the connection-cap shedding
-//! semantics, and the stats surface, so every suite can run against
-//! either via [`ServerTransport`] or `SOC_HTTP_TRANSPORT`.
+//! connection over an epoll event loop — see
+//! [`ServerTransport::Reactor`] — so tens of thousands of idle
+//! keep-alive connections cost file descriptors, not threads. The
+//! original **threaded** transport (blocking accept, one pool task per
+//! connection) is kept both as the portable fallback and as a
+//! differential-testing baseline: the two share the `Handler` trait,
+//! the codec, the connection-cap shedding semantics, and the stats
+//! surface, so every suite can run against either via
+//! [`ServerTransport`] or `SOC_HTTP_TRANSPORT`.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -130,7 +130,7 @@ thread_local! {
 }
 
 /// The context active on this thread, if any. Transports call this to
-/// inject outbound `traceparent` headers; [`crate::span`] calls it to
+/// inject outbound `traceparent` headers; [`crate::span()`] calls it to
 /// parent new spans.
 pub fn current() -> Option<TraceContext> {
     CURRENT.with(|c| c.get())

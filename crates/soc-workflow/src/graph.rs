@@ -1,12 +1,18 @@
-//! The dataflow workflow graph and its event-driven executor.
+//! The dataflow workflow graph: nodes, ports, edges and firing rules.
+//!
+//! [`WorkflowGraph::run`] and [`WorkflowGraph::run_parallel`] execute
+//! it on the one engine in [`crate::saga`], so a node's policy,
+//! fallback and compensator apply whichever entry point runs it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use soc_json::Value;
 use soc_parallel::ThreadPool;
 
 use crate::activity::{Activity, ActivityError, Ports};
+use crate::saga::{SagaConfig, WorkflowOutcome};
 
 /// Node identifier within a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +93,10 @@ pub(crate) struct Edge {
 /// A dataflow graph of activities — the VPL program model.
 ///
 /// Besides the activity itself, each node may carry resilience
-/// metadata used by the saga executor ([`WorkflowGraph::run_saga`]):
-/// a [`crate::saga::ResiliencePolicy`], a compensator, and a fallback
-/// activity. The plain [`WorkflowGraph::run`] path ignores all three.
+/// metadata: a [`crate::saga::ResiliencePolicy`], a compensator, and a
+/// fallback activity. Every entry point honours all three;
+/// [`WorkflowGraph::run`] reports a failure as an error and
+/// [`WorkflowGraph::run_saga`] as a structured outcome.
 #[derive(Default)]
 pub struct WorkflowGraph {
     pub(crate) nodes: Vec<Node>,
@@ -126,8 +133,8 @@ impl WorkflowGraph {
         id
     }
 
-    /// Attach a [`crate::saga::ResiliencePolicy`] to a node. Only the
-    /// saga executor ([`WorkflowGraph::run_saga`]) consults it.
+    /// Attach a [`crate::saga::ResiliencePolicy`] to a node. Every run
+    /// consults it.
     pub fn set_policy(
         &mut self,
         node: NodeId,
@@ -138,7 +145,7 @@ impl WorkflowGraph {
         Ok(())
     }
 
-    /// Register a compensator for a node. When a saga run fails after
+    /// Register a compensator for a node. When a run fails after
     /// this node completed, the compensator executes with the node's
     /// recorded *output* ports as its inputs.
     pub fn set_compensation(
@@ -245,11 +252,15 @@ impl WorkflowGraph {
     /// conditional branches simply never fire. If the graph makes no
     /// progress and no outputs were produced at all, that is reported as
     /// a stall.
+    ///
+    /// This is [`WorkflowGraph::run_saga`] without a run deadline: node
+    /// policies, fallbacks and compensators apply, and a compensated
+    /// run reports the error that triggered it.
     pub fn run(
         &self,
         inputs: &HashMap<String, Value>,
     ) -> Result<HashMap<String, Value>, WorkflowError> {
-        self.run_inner(inputs, None)
+        self.run_unbounded(inputs, None)
     }
 
     /// Like [`WorkflowGraph::run`], but fires independent ready nodes in
@@ -259,132 +270,19 @@ impl WorkflowGraph {
         pool: &ThreadPool,
         inputs: &HashMap<String, Value>,
     ) -> Result<HashMap<String, Value>, WorkflowError> {
-        self.run_inner(inputs, Some(pool))
+        self.run_unbounded(inputs, Some(pool))
     }
 
-    fn run_inner(
+    fn run_unbounded(
         &self,
         inputs: &HashMap<String, Value>,
         pool: Option<&ThreadPool>,
     ) -> Result<HashMap<String, Value>, WorkflowError> {
-        self.validate()?;
-        // The whole run is one span; every node that fires becomes a
-        // child, including nodes fired on pool threads (which inherit
-        // `run_ctx` explicitly — thread-locals don't cross the pool).
-        let mut run_span = soc_observe::span("workflow.run", soc_observe::SpanKind::Internal);
-        run_span.set_attr("nodes", self.nodes.len().to_string());
-        let _active = run_span.activate();
-        let run_ctx = run_span.context();
-        let n = self.nodes.len();
-        // Values pending on each node's input ports.
-        let mut pending = self.seed_pending(inputs)?;
-        let mut fired = vec![false; n];
-        let mut results: HashMap<String, Value> = HashMap::new();
-
-        // Which input ports are connected (need a producer) per node.
-        let connected_inputs = self.connected_inputs();
-
-        loop {
-            // Collect the ready wave.
-            let ready: Vec<usize> = (0..n)
-                .filter(|&i| !fired[i] && self.is_ready(i, &pending[i], &connected_inputs[i]))
-                .collect();
-            if ready.is_empty() {
-                break;
-            }
-            // Fire the wave (parallel when a pool is given). Each node
-            // fires inside its own activity span.
-            let fire =
-                |i: usize, act: &dyn Activity, ports: &Ports| -> Result<Ports, ActivityError> {
-                    let mut span = soc_observe::child_span(
-                        run_ctx,
-                        "workflow.activity",
-                        soc_observe::SpanKind::Internal,
-                    );
-                    span.set_attr("node", self.nodes[i].name.as_str());
-                    let out = {
-                        let _in_span = span.activate();
-                        act.execute(ports)
-                    };
-                    if let Err(e) = &out {
-                        span.set_error(e.to_string());
-                    }
-                    out
-                };
-            let mut outputs: Vec<(usize, Result<Ports, ActivityError>)> = match pool {
-                Some(pool) if ready.len() > 1 => {
-                    let jobs: Vec<(usize, Arc<dyn Activity>, Ports)> = ready
-                        .iter()
-                        .map(|&i| (i, self.nodes[i].activity.clone(), pending[i].clone()))
-                        .collect();
-                    let results = parking_lot::Mutex::new(Vec::new());
-                    pool.scope(|s| {
-                        for (i, act, ports) in &jobs {
-                            let results = &results;
-                            let fire = &fire;
-                            s.spawn(move || {
-                                let out = fire(*i, &**act, ports);
-                                results.lock().push((*i, out));
-                            });
-                        }
-                    });
-                    results.into_inner()
-                }
-                _ => ready
-                    .iter()
-                    .map(|&i| (i, fire(i, &*self.nodes[i].activity, &pending[i])))
-                    .collect(),
-            };
-
-            // The whole wave has been joined by now (`pool.scope` blocks
-            // until every spawned node returns). Record every member of
-            // the wave — marking fired and routing successful outputs —
-            // *before* surfacing any error, so the completed-set stays
-            // consistent; the saga executor relies on the same shape.
-            outputs.sort_by_key(|(i, _)| *i);
-            let mut wave_error: Option<WorkflowError> = None;
-            for (i, out) in outputs {
-                fired[i] = true;
-                let out = match out {
-                    Ok(out) => out,
-                    Err(error) => {
-                        if wave_error.is_none() {
-                            wave_error = Some(WorkflowError::Activity {
-                                node: self.nodes[i].name.clone(),
-                                error,
-                            });
-                        }
-                        continue;
-                    }
-                };
-                for (port, value) in out {
-                    // Propagate along edges; unconnected outputs become
-                    // workflow results.
-                    let mut routed = false;
-                    for e in &self.edges {
-                        if e.from == (i, port.clone()) {
-                            pending[e.to.0].insert(e.to.1.clone(), value.clone());
-                            routed = true;
-                        }
-                    }
-                    if !routed {
-                        results.insert(format!("{}.{}", self.nodes[i].name, port), value);
-                    }
-                }
-            }
-            if let Some(err) = wave_error {
-                run_span.set_error(err.to_string());
-                return Err(err);
-            }
+        let config = SagaConfig { deadline: Duration::MAX, ..SagaConfig::default() };
+        match self.run_saga_inner(inputs, pool, &config, None)? {
+            WorkflowOutcome::Completed(out) => Ok(out),
+            WorkflowOutcome::Compensated { error, .. } => Err(error),
         }
-
-        if results.is_empty() && fired.iter().any(|f| !f) {
-            let stalled: Vec<String> =
-                (0..n).filter(|&i| !fired[i]).map(|i| self.nodes[i].name.clone()).collect();
-            run_span.set_error(format!("stalled: {stalled:?}"));
-            return Err(WorkflowError::Stalled(stalled));
-        }
-        Ok(results)
     }
 
     /// Input ports with a producer edge, per node.
@@ -424,7 +322,7 @@ impl WorkflowGraph {
     }
 
     /// A deterministic topological order (lowest node index first among
-    /// the ready set) — the saga executor compensates completed nodes
+    /// the ready set) — the executor compensates completed nodes
     /// in the reverse of this order.
     pub(crate) fn topo_order(&self) -> Vec<usize> {
         let n = self.nodes.len();
@@ -473,7 +371,9 @@ impl WorkflowGraph {
 mod tests {
     use super::*;
     use crate::activity::{Compute, Const, If, Merge};
+    use crate::saga::ResiliencePolicy;
     use soc_json::json;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn add_activity() -> Compute {
         Compute::new(&["a", "b"], |p| {
@@ -607,5 +507,51 @@ mod tests {
         let par = g.run_parallel(&pool, &HashMap::new()).unwrap();
         assert_eq!(seq, par);
         assert_eq!(par["s5.out"].as_i64(), Some(105));
+    }
+
+    #[test]
+    fn run_honours_a_node_retry_policy() {
+        let mut g = WorkflowGraph::new();
+        let c = g.add("c", Const::new(5));
+        let calls = Arc::new(AtomicU32::new(0));
+        let calls2 = calls.clone();
+        let flaky = g.add(
+            "flaky",
+            Compute::new(&["x"], move |p| {
+                if calls2.fetch_add(1, Ordering::SeqCst) < 2 {
+                    Err("transient".into())
+                } else {
+                    Ok(p["x"].clone())
+                }
+            }),
+        );
+        g.connect(c, "out", flaky, "x").unwrap();
+        g.set_policy(flaky, ResiliencePolicy::retries(2)).unwrap();
+        let out = g.run(&HashMap::new()).unwrap();
+        assert_eq!(out["flaky.out"].as_i64(), Some(5));
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn run_compensates_completed_nodes_before_reporting_the_failure() {
+        let mut g = WorkflowGraph::new();
+        let c = g.add("c", Const::new(1));
+        let bad = g.add("bad", Compute::new(&["x"], |_| Err("broken".into())));
+        g.connect(c, "out", bad, "x").unwrap();
+        let undone = Arc::new(AtomicU32::new(0));
+        let undone2 = undone.clone();
+        g.set_compensation(
+            c,
+            Compute::new(&[], move |_| {
+                undone2.fetch_add(1, Ordering::SeqCst);
+                Ok(Value::Null)
+            }),
+        )
+        .unwrap();
+        match g.run(&HashMap::new()) {
+            Err(WorkflowError::Activity { node, .. }) => assert_eq!(node, "bad"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(undone.load(Ordering::SeqCst), 1);
     }
 }

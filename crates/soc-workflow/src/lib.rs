@@ -21,11 +21,12 @@
 //! - [`bpel`] — BPEL-style structured composition (sequence / flow /
 //!   while / if / invoke / assign) over a shared variable scope — the
 //!   "BPEL-based integration" project of CSE446.
-//! - [`saga`] — fault-tolerant execution of the same graphs: per-node
+//! - [`saga`] — the one executor every graph runs on: per-node
 //!   [`saga::ResiliencePolicy`] (retries, backoff+jitter, timeouts,
-//!   fallbacks) and saga compensation with a structured
-//!   [`saga::WorkflowOutcome`] — the dependability unit (CSE445
-//!   unit 6) applied to the composition layer.
+//!   fallbacks) and saga compensation, reported as a structured
+//!   [`saga::WorkflowOutcome`] by `run_saga` and as an error by `run`
+//!   — the dependability unit (CSE445 unit 6) applied to the
+//!   composition layer.
 
 pub mod activity;
 pub mod bpel;

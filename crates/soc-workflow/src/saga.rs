@@ -1,10 +1,13 @@
-//! Saga execution: per-activity resilience policies and compensation.
+//! The workflow executor: per-activity resilience policies and
+//! compensation.
 //!
-//! The plain executor in [`crate::graph`] aborts on the first activity
-//! error — acceptable for pure dataflow, wrong for compositions with
-//! side effects (the paper's dependability unit). This module adds a
-//! second executor, [`WorkflowGraph::run_saga`], that layers three
-//! mechanisms on top of the same graph:
+//! Every entry point runs a graph here. [`WorkflowGraph::run_saga`]
+//! returns the structured [`WorkflowOutcome`];
+//! [`WorkflowGraph::run`] is the same engine without a run deadline,
+//! reporting a compensated run as the error that triggered it. A
+//! composition with side effects (the paper's dependability unit)
+//! needs more than abort-on-first-error, so the engine layers three
+//! mechanisms on top of the dataflow graph:
 //!
 //! - **[`ResiliencePolicy`]** — bounded retries with exponential
 //!   backoff and seeded jitter under a whole-run deadline budget, plus
@@ -32,14 +35,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use soc_http::FaultRng;
 use soc_json::Value;
 use soc_parallel::ThreadPool;
 
 use crate::activity::{Activity, ActivityError, Ports};
 use crate::graph::{WorkflowError, WorkflowGraph};
 
-/// Retry/timeout policy for one node, consulted only by
-/// [`WorkflowGraph::run_saga`].
+/// Retry/timeout policy for one node, honoured by every entry point
+/// ([`WorkflowGraph::run`] and [`WorkflowGraph::run_saga`] alike).
 #[derive(Debug, Clone)]
 pub struct ResiliencePolicy {
     /// Extra attempts after the first (0 = try once).
@@ -88,7 +92,9 @@ impl ResiliencePolicy {
 #[derive(Debug, Clone)]
 pub struct SagaConfig {
     /// Budget for the forward path (activities, retries, backoffs).
-    /// Compensation runs after the deadline if need be — it must.
+    /// Compensation runs after the deadline if need be — it must. A
+    /// budget too large to represent as an [`Instant`] (such as
+    /// [`Duration::MAX`]) means no deadline.
     pub deadline: Duration,
     /// Seeds backoff jitter; same seed + same graph = same schedule.
     pub seed: u64,
@@ -136,33 +142,9 @@ impl WorkflowOutcome {
     }
 }
 
-/// xorshift64* seeded through a splitmix64 step (same generator the
-/// gateway uses; duplicated to keep the crates decoupled).
-struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        XorShift64 { state: (z ^ (z >> 31)) | 1 }
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Jitter factor in `[0.5, 1.5)`.
-    fn jitter(&mut self) -> f64 {
-        0.5 + (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// Backoff jitter factor in `[0.5, 1.5)`.
+fn jitter(rng: &mut FaultRng) -> f64 {
+    0.5 + rng.uniform()
 }
 
 /// Durable-execution hooks, used by [`crate::journal`]: nodes already
@@ -223,22 +205,24 @@ impl WorkflowGraph {
         hook: Option<&SagaHook<'_>>,
     ) -> Result<WorkflowOutcome, WorkflowError> {
         self.validate()?;
-        // Same span name as the plain executor: a trace reads
-        // `workflow.run` regardless of which engine ran the graph; the
-        // `saga` attribute tells them apart.
+        // The whole run is one span; every node that fires becomes a
+        // child, including nodes fired on pool threads (which inherit
+        // `run_ctx` explicitly — thread-locals don't cross the pool).
+        // Every run has saga semantics, so every run span says so.
         let mut run_span = soc_observe::span("workflow.run", soc_observe::SpanKind::Internal);
         run_span.set_attr("saga", "true");
         run_span.set_attr("nodes", self.nodes.len().to_string());
         let _active = run_span.activate();
         let run_ctx = run_span.context();
-        let deadline = Instant::now() + config.deadline;
+        let deadline = Instant::now().checked_add(config.deadline);
 
         let n = self.nodes.len();
         let mut pending = self.seed_pending(inputs)?;
         let mut fired = vec![false; n];
         let mut results: HashMap<String, Value> = HashMap::new();
         let connected_inputs = self.connected_inputs();
-        // Outputs of every node that completed, kept for compensation.
+        // Every node that completed, with its outputs kept only when a
+        // compensator will read them.
         let mut completed: Vec<(usize, Ports)> = Vec::new();
         let stragglers: Mutex<Vec<Straggler>> = Mutex::new(Vec::new());
 
@@ -294,7 +278,12 @@ impl WorkflowGraph {
                         if let Some(hook) = hook {
                             (hook.on_complete)(&self.nodes[i].name, &ports);
                         }
-                        completed.push((i, ports.clone()));
+                        let kept = if self.compensators.contains_key(&i) {
+                            ports.clone()
+                        } else {
+                            Ports::new()
+                        };
+                        completed.push((i, kept));
                         self.route(i, ports, &mut pending, &mut results);
                     }
                     Err(error) => {
@@ -383,7 +372,7 @@ impl WorkflowGraph {
         i: usize,
         ports: &Ports,
         run_ctx: soc_observe::TraceContext,
-        deadline: Instant,
+        deadline: Option<Instant>,
         config: &SagaConfig,
         stragglers: &Mutex<Vec<Straggler>>,
     ) -> Result<Ports, ActivityError> {
@@ -391,11 +380,12 @@ impl WorkflowGraph {
         // Per-node RNG derived from the run seed: deterministic no
         // matter how pool threads interleave.
         let mut rng =
-            XorShift64::new(config.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            FaultRng::new(config.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let name = self.nodes[i].name.as_str();
         let mut attempt = 0u32;
         let primary = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             if remaining.is_zero() {
                 break Err(ActivityError::Failed("saga deadline exhausted".into()));
             }
@@ -437,7 +427,7 @@ impl WorkflowGraph {
                         .base_backoff
                         .saturating_mul(1u32 << (attempt - 1).min(16))
                         .min(policy.max_backoff);
-                    let backoff = exp.mul_f64(rng.jitter()).min(remaining);
+                    let backoff = exp.mul_f64(jitter(&mut rng)).min(remaining);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
@@ -717,15 +707,26 @@ mod tests {
 
     #[test]
     fn deterministic_backoff_schedule_per_seed() {
-        let mut a = XorShift64::new(42);
-        let mut b = XorShift64::new(42);
-        let mut c = XorShift64::new(43);
-        let ja: Vec<u64> = (0..8).map(|_| a.next()).collect();
-        let jb: Vec<u64> = (0..8).map(|_| b.next()).collect();
-        let jc: Vec<u64> = (0..8).map(|_| c.next()).collect();
+        let mut a = FaultRng::new(42);
+        let mut b = FaultRng::new(42);
+        let mut c = FaultRng::new(43);
+        let ja: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
+        let jb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
+        let jc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(ja, jb);
         assert_ne!(ja, jc);
-        let j = XorShift64::new(1).jitter();
+        let j = jitter(&mut FaultRng::new(1));
         assert!((0.5..1.5).contains(&j));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let mut g = WorkflowGraph::new();
+        let c = g.add("c", Const::new(3));
+        let id = g.add("id", Compute::new(&["x"], |p| Ok(p["x"].clone())));
+        g.connect(c, "out", id, "x").unwrap();
+        let config = SagaConfig { deadline: Duration::MAX, ..SagaConfig::default() };
+        let out = g.run_saga(&HashMap::new(), &config).unwrap();
+        assert_eq!(out.outputs().unwrap()["id.out"].as_i64(), Some(3));
     }
 }

@@ -3,7 +3,7 @@
 //! Nodes live in a flat `Vec` owned by the [`Document`]; [`NodeId`]s are
 //! indices into that arena. The tree is threaded with first/last-child
 //! and next-sibling links (no per-node `Vec` of children), every text
-//! payload is a [`Span`] into one shared byte arena, and element and
+//! payload is a `Span` into one shared byte arena, and element and
 //! attribute names are interned [`Atom`]s — so a parsed document makes
 //! O(distinct names) allocations for names, one arena `String` for all
 //! character data, and one `Vec` each for nodes and attributes.

@@ -13,7 +13,7 @@
 //! - Words are loaded with [`u64::from_le_bytes`], so lane *k* of the
 //!   word is byte *i + k* of the haystack and `trailing_zeros() / 8`
 //!   is the first matching index on any host endianness.
-//! - [`zero_lanes`] is the *exact* per-lane formula (mask to 7 bits
+//! - `zero_lanes` is the *exact* per-lane formula (mask to 7 bits
 //!   before adding so carries cannot cross lanes), not the classic
 //!   `haszero` approximation that admits false positives above a true
 //!   match. Exactness is what lets [`skip_whitespace`] test "all 8
