@@ -13,7 +13,9 @@
 //! (on a single-core container that caps well below the pipelined
 //! ratio). The ratios, the replay rate floor, and the failover
 //! ceilings are budgeted, so `cargo bench --bench store` is an
-//! executable acceptance check.
+//! executable acceptance check. So is the log-shipping row: a replica
+//! a few records behind must be served from the log's in-memory tail,
+//! not by re-reading every segment.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,6 +99,29 @@ fn recovery_replay_rate(rec: &Record, n: usize) -> f64 {
         assert_eq!(recovery.records.len(), n, "replay must see every record");
     });
     n as f64 * 1e9 / open_ns
+}
+
+/// Records in the log the shipping row reads from.
+const SHIP_LOG: usize = 20_000;
+
+/// Per-call cost of shipping the four newest records of a
+/// [`SHIP_LOG`]-record log — what a primary pays to catch up a replica
+/// that is a few records behind. They come from the log's in-memory
+/// tail; a scan of the whole log's segments costs milliseconds.
+fn ship_recent(rec: &mut Record) {
+    let tmp = TempDir::new("bench-ship");
+    let (wal, _) = Wal::open_with(tmp.path(), wal_config(FsyncPolicy::Never)).unwrap();
+    let mut last = 0;
+    for _ in 0..SHIP_LOG {
+        last = wal.submit(&PAYLOAD).unwrap();
+    }
+    wal.wait_durable(last).unwrap();
+    rec.time("ship_recent", || {
+        let shipped = wal.records_after(last - 4).unwrap();
+        assert_eq!(shipped.len(), 4, "ship exactly the missing suffix");
+        shipped
+    })
+    .max(50_000.0);
 }
 
 /// A three-node in-memory fleet for the failover row.
@@ -300,6 +325,7 @@ fn main() {
     // A cold restart of a ledger with a day of submissions must be
     // milliseconds, not minutes.
     rec.value("recovery_replay", recovery_replay_rate(&rec, 20_000), "records/s").min(500_000.0);
+    ship_recent(&mut rec);
 
     // Kill-to-first-acked-write for an in-process failover: the map
     // republish plus one redirected write.

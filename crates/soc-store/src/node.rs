@@ -14,6 +14,17 @@
 //! authoritative stream has caught up to the reader's floor or refuses
 //! with `behind`.
 //!
+//! Shipping is in order. The primary keeps a *shipped cursor* per
+//! replica — the highest LSN of its log that replica has acknowledged —
+//! and each push carries everything past it, read from the WAL's
+//! in-memory tail. A replica stream needs every record of its source's
+//! log, including those for keys another replica owns, and a put whose
+//! predecessor's push has not landed yet carries that record along, so
+//! the replica's gap check does not fire in steady state. A replica
+//! that does answer `behind` (it lost state) is caught up from
+//! [`crate::Wal::records_after`] and counted in
+//! `soc_store_replication_catchups_total{node}`.
+//!
 //! A [`StoreClient`] routes by the same map: writes go to the primary
 //! (retrying once on a stale-map `not_primary` hint), reads prefer the
 //! furthest replica and fall back owner-by-owner toward the primary —
@@ -92,7 +103,13 @@ struct NodeInner {
     /// Newest fencing epoch accepted per replication source — the
     /// replica-side half of the fence: older epochs are refused.
     source_epochs: Mutex<HashMap<String, u64>>,
+    /// Shipped cursor per replica node id: the highest LSN of our log
+    /// that replica has acknowledged. A hint for where the next push
+    /// starts, never a correctness input — the replica's own gap check
+    /// and duplicate skip decide what it applies.
+    shipped: Mutex<HashMap<String, Lsn>>,
     pushes: soc_observe::Counter,
+    catchups: soc_observe::Counter,
     push_failures: soc_observe::Counter,
     map_rejects: soc_observe::Counter,
     fenced_writes: soc_observe::Counter,
@@ -132,7 +149,7 @@ impl StoreNode {
         let metrics = soc_observe::metrics();
         Ok(StoreNode {
             inner: Arc::new(NodeInner {
-                id: cfg.id,
+                id: cfg.id.clone(),
                 dir,
                 wal_cfg: cfg.wal,
                 store,
@@ -141,7 +158,10 @@ impl StoreNode {
                 peers: RestClient::new(transport),
                 fence: Fence::new(),
                 source_epochs: Mutex::new(HashMap::new()),
+                shipped: Mutex::new(HashMap::new()),
                 pushes: metrics.counter("soc_store_replication_pushes_total", &[]),
+                catchups: metrics
+                    .counter("soc_store_replication_catchups_total", &[("node", cfg.id.as_str())]),
                 push_failures: metrics.counter("soc_store_replication_failures_total", &[]),
                 map_rejects: metrics.counter("soc_store_map_rejects_total", &[]),
                 fenced_writes: metrics.counter("soc_store_fenced_writes_total", &[]),
@@ -238,11 +258,12 @@ impl StoreNode {
         self.check_primary(key)?;
         self.check_fence()?;
         let cmd = KvMachine::put_command(key, value);
-        self.inner.store.execute(&cmd)?;
+        let lsn = self.inner.store.execute(&cmd)?;
         // The stored version can exceed the LSN after a promotion
-        // re-log (versions never regress per key), so read it back.
-        let version = self.inner.store.query(|m| m.get(key).map(|(_, l)| l)).unwrap_or_default();
-        self.replicate(key, version.max(1), &cmd);
+        // re-log (versions never regress per key), so read it back —
+        // but the record ships at its LSN.
+        let version = self.inner.store.query(|m| m.get(key).map(|(_, l)| l)).unwrap_or(lsn);
+        self.replicate(key, lsn, &cmd);
         Ok(version)
     }
 
@@ -294,38 +315,52 @@ impl StoreNode {
         }
     }
 
-    /// Push `lsn` to every replica owner of `key`. Best-effort: an
-    /// unreachable replica is counted and skipped (it catches up later
-    /// via [`StoreNode::sync_from`] or the next push's `behind` dance);
-    /// a *behind* replica is caught up inline from this node's log.
     /// The fencing epoch this node ships under: the newest epoch it has
     /// held a lease at or seen in an installed map.
     fn ship_epoch(&self) -> u64 {
         self.inner.fence.epoch().max(self.map().version())
     }
 
+    /// Ship our log through `lsn` (the record `cmd`) to every replica
+    /// owner of `key`, in order: one push per replica carrying every
+    /// record past its shipped cursor, from the WAL's in-memory tail.
+    /// When the tail no longer reaches back to the cursor, only `cmd`
+    /// ships. A cursor at or past `lsn` means a later put's push
+    /// already carried this record, so nothing ships. A low cursor
+    /// ships duplicates the replica skips; a replica that answers
+    /// `behind` (it lost state, or the tail could not bridge its gap)
+    /// is caught up inline from [`crate::Wal::records_after`] and
+    /// counted. Best-effort: an unreachable replica is counted and
+    /// skipped; a later push or [`StoreNode::sync_from`] catches it up.
     fn replicate(&self, key: &str, lsn: Lsn, cmd: &[u8]) {
         let map = self.map();
         let epoch = self.ship_epoch();
+        let wal = self.inner.store.wal();
         for owner in map.owners(key).iter().skip(1) {
             if owner.id == self.inner.id {
                 continue;
             }
-            let records = vec![(lsn, cmd.to_vec())];
-            match self.push_records(&owner.endpoint, epoch, &records) {
-                Ok(()) => self.inner.pushes.inc(),
+            let cursor = self.inner.shipped.lock().get(&owner.id).copied().unwrap_or(0);
+            if cursor >= lsn {
+                continue;
+            }
+            let records = wal.recent(cursor, lsn).unwrap_or_else(|| vec![(lsn, cmd.to_vec())]);
+            let shipped = match self.push_records(&owner.endpoint, epoch, &records) {
                 Err(StoreError::Behind { have, .. }) => {
                     // Ship everything the replica is missing.
-                    match self
-                        .inner
-                        .store
-                        .wal()
-                        .records_after(have)
+                    self.inner.catchups.inc();
+                    self.inner.shipped.lock().insert(owner.id.clone(), have);
+                    wal.records_after(have)
                         .and_then(|recs| self.push_records(&owner.endpoint, epoch, &recs))
-                    {
-                        Ok(()) => self.inner.pushes.inc(),
-                        Err(_) => self.inner.push_failures.inc(),
-                    }
+                }
+                other => other,
+            };
+            match shipped {
+                Ok(applied) => {
+                    self.inner.pushes.inc();
+                    let mut cursors = self.inner.shipped.lock();
+                    let cursor = cursors.entry(owner.id.clone()).or_default();
+                    *cursor = (*cursor).max(applied);
                 }
                 Err(_) => self.inner.push_failures.inc(),
             }
@@ -333,17 +368,20 @@ impl StoreNode {
     }
 
     /// POST a batch of our records to a peer's `/store/replicate`.
+    /// Returns the LSN the peer's stream of us has applied.
     fn push_records(
         &self,
         endpoint: &str,
         epoch: u64,
         records: &[(Lsn, Vec<u8>)],
-    ) -> StoreResult<()> {
+    ) -> StoreResult<Lsn> {
         let body = records_to_json(&self.inner.id, epoch, records);
-        match self.inner.peers.post(&format!("{endpoint}/store/replicate"), &body) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(rest_to_store(e)),
-        }
+        let reply = self
+            .inner
+            .peers
+            .post(&format!("{endpoint}/store/replicate"), &body)
+            .map_err(rest_to_store)?;
+        Ok(reply.get("applied").and_then(Value::as_i64).unwrap_or(0) as Lsn)
     }
 
     /// Apply records shipped from primary `source` under fencing
@@ -1110,11 +1148,18 @@ mod tests {
 
     /// `n` nodes hosted as `mem://s{i}` sharing one map.
     fn cluster(n: usize, replication: usize) -> Cluster {
+        cluster_named("s", n, replication)
+    }
+
+    /// `n` nodes with ids `{prefix}{i}`, hosted as `mem://{prefix}{i}`.
+    /// Tests that read a node-labelled counter pick a prefix no other
+    /// test uses, since the metrics registry is process-wide.
+    fn cluster_named(prefix: &str, n: usize, replication: usize) -> Cluster {
         let net = Arc::new(MemNetwork::new());
         let shard_nodes: Vec<crate::shard::ShardNode> = (0..n)
             .map(|i| crate::shard::ShardNode {
-                id: format!("s{i}"),
-                endpoint: format!("mem://s{i}"),
+                id: format!("{prefix}{i}"),
+                endpoint: format!("mem://{prefix}{i}"),
             })
             .collect();
         let map = Arc::new(ShardMap::build(1, shard_nodes, replication));
@@ -1123,13 +1168,13 @@ mod tests {
         for i in 0..n {
             let dir = TempDir::new(&format!("node-{i}"));
             let node = StoreNode::open(
-                StoreNodeConfig::new(&format!("s{i}")),
+                StoreNodeConfig::new(&format!("{prefix}{i}")),
                 dir.path(),
                 net.clone() as Arc<dyn Transport>,
             )
             .unwrap();
             node.set_map(map.clone());
-            net.host(&format!("s{i}"), node.router());
+            net.host(&format!("{prefix}{i}"), node.router());
             nodes.push(node);
             dirs.push(dir);
         }
@@ -1140,6 +1185,19 @@ mod tests {
         let client = StoreClient::new(c.net.clone() as Arc<dyn Transport>);
         client.set_map(c.nodes[0].map());
         client
+    }
+
+    impl Cluster {
+        fn node(&self, id: &str) -> &StoreNode {
+            self.nodes.iter().find(|n| n.id() == id).expect("node in cluster")
+        }
+    }
+
+    /// Pushes `node` answered with `behind` and then caught up.
+    fn catchups(node: &StoreNode) -> u64 {
+        soc_observe::metrics()
+            .counter("soc_store_replication_catchups_total", &[("node", node.id())])
+            .get()
     }
 
     #[test]
@@ -1315,5 +1373,159 @@ mod tests {
         // The replica stream reopened too (percent-encoded dir name).
         assert_eq!(node.replica_applied("peer#1"), 1);
         assert_eq!(node.get("shipped", 0).unwrap().unwrap().0, json!(9));
+    }
+
+    #[test]
+    fn in_order_puts_never_bounce() {
+        let c = cluster_named("inorder-", 3, 2);
+        let cl = client(&c);
+        for i in 0..60 {
+            cl.put(&format!("key-{}", i % 25), &json!({ "n": i })).unwrap();
+        }
+        for node in &c.nodes {
+            assert_eq!(catchups(node), 0, "{} bounced", node.id());
+        }
+        // Every replica owner holds every key at the version its
+        // primary acknowledged.
+        let map = c.nodes[0].map();
+        for i in 0..25 {
+            let key = format!("key-{i}");
+            let owners = map.owners(&key);
+            let (_, version) = c.node(&owners[0].id).get(&key, 0).unwrap().unwrap();
+            let (_, got) = c.node(&owners[1].id).get(&key, version).unwrap().unwrap();
+            assert_eq!(got, version, "{key} on {}", owners[1].id);
+        }
+    }
+
+    #[test]
+    fn lost_pushes_are_shipped_in_order_and_a_reset_replica_is_caught_up_once() {
+        let c = cluster_named("lost-", 3, 2);
+        let cl = client(&c);
+        cl.put("wanted", &json!("fresh")).unwrap();
+        let map = c.nodes[0].map();
+        let owners = map.owners("wanted");
+        let (primary, replica) = (c.node(&owners[0].id), owners[1].id.clone());
+        // A record the replica never got (the read-your-writes test's
+        // lost push) rides along with the next put's push: no bounce.
+        primary.store().execute(&KvMachine::put_command("wanted", &json!("fresher"))).unwrap();
+        let lost = primary.store().applied_lsn();
+        let v = cl.put("wanted", &json!("freshest")).unwrap();
+        assert!(v > lost);
+        assert_eq!(catchups(primary), 0);
+        assert_eq!(c.node(&replica).replica_applied(primary.id()), v);
+        assert_eq!(c.node(&replica).get("wanted", v).unwrap().unwrap().0, json!("freshest"));
+
+        // The replica restarts empty: the primary's cursor is now high,
+        // the next push answers `behind`, and one catch-up repairs it.
+        let dir = TempDir::new("lost-reset");
+        let fresh = StoreNode::open(
+            StoreNodeConfig::new(&replica),
+            dir.path(),
+            c.net.clone() as Arc<dyn Transport>,
+        )
+        .unwrap();
+        fresh.set_map(map.clone());
+        c.net.unhost(&replica);
+        c.net.host(&replica, fresh.router());
+        let v = cl.put("wanted", &json!("after-reset")).unwrap();
+        assert_eq!(catchups(primary), 1);
+        assert_eq!(fresh.replica_applied(primary.id()), v);
+        assert_eq!(fresh.get("wanted", v).unwrap().unwrap().0, json!("after-reset"));
+        // Shipping is back in order.
+        cl.put("wanted", &json!("steady")).unwrap();
+        assert_eq!(catchups(primary), 1);
+    }
+
+    #[test]
+    fn concurrent_puts_through_one_primary_never_bounce() {
+        let c = cluster_named("conc-", 3, 2);
+        let map = c.nodes[0].map();
+        let primary = c.nodes[0].clone();
+        let keys: Vec<String> = (0..400)
+            .map(|i| format!("cart-{i}"))
+            .filter(|k| map.primary(k).unwrap().id == primary.id())
+            .collect();
+        // Each replica's first acknowledged push.
+        for replica in &c.nodes[1..] {
+            let key = keys
+                .iter()
+                .find(|k| map.owners(k)[1].id == replica.id())
+                .expect("a key on each replica");
+            primary.put(key, &json!("first")).unwrap();
+        }
+        let before = catchups(&primary);
+        std::thread::scope(|scope| {
+            for seed in [11u64, 12] {
+                let (primary, keys) = (&primary, &keys);
+                scope.spawn(move || {
+                    let mut rng = seed;
+                    for i in 0..150 {
+                        rng =
+                            rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let key = &keys[(rng >> 33) as usize % keys.len()];
+                        primary.put(key, &json!({ "seed": (seed as i64), "i": i })).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(catchups(&primary), before, "concurrent puts bounced off `behind`");
+        // Every replica holds every key at the primary's version.
+        for key in &keys {
+            let Some((value, version)) = primary.get(key, 0).unwrap() else { continue };
+            let replica = c.node(&map.owners(key)[1].id);
+            assert_eq!(replica.get(key, version).unwrap(), Some((value, version)), "{key}");
+        }
+    }
+
+    #[test]
+    fn put_after_promotion_ships_at_its_lsn_not_the_adopted_version() {
+        let c = cluster_named("promo-", 3, 2);
+        let cl = client(&c);
+        let map = c.nodes[0].map();
+        let (dead, heir, third) = (&c.nodes[0], &c.nodes[1], &c.nodes[2]);
+        // Give the dead primary a long log, so the keys the heir adopts
+        // carry versions far past the heir's own LSNs.
+        let theirs: Vec<String> = (0..200)
+            .map(|i| format!("item-{i}"))
+            .filter(|k| map.primary(k).unwrap().id == dead.id())
+            .filter(|k| map.owners(k)[1].id == heir.id())
+            .take(8)
+            .collect();
+        for round in 0..20 {
+            for key in &theirs {
+                cl.put(key, &json!(round)).unwrap();
+            }
+        }
+        assert!(heir.promote(dead.id()).unwrap() > 0);
+        let survivors: Vec<crate::shard::ShardNode> = [heir, third]
+            .iter()
+            .map(|n| crate::shard::ShardNode {
+                id: n.id().to_string(),
+                endpoint: format!("mem://{}", n.id()),
+            })
+            .collect();
+        let next = Arc::new(ShardMap::build(2, survivors, 2));
+        for node in [heir, third] {
+            node.set_map(next.clone());
+        }
+        cl.set_map(next.clone());
+        let key = theirs
+            .iter()
+            .find(|k| next.primary(k).unwrap().id == heir.id())
+            .expect("an adopted key the heir now primaries");
+        // The hand-off pulls the heir's log onto the third node, and the
+        // heir compacts: its tail no longer reaches back to the cursor
+        // it holds for the third node, so the next push ships the put's
+        // own record alone — at the LSN the replica's gap check expects.
+        third.sync_from(&format!("mem://{}", heir.id())).unwrap();
+        heir.store().compact().unwrap();
+        let version = cl.put(key, &json!("after-promotion")).unwrap();
+        assert!(
+            version > heir.store().applied_lsn(),
+            "the adopted version {version} must outrun the heir's log"
+        );
+        assert_eq!(catchups(heir), 0, "the put shipped under the wrong LSN");
+        let (value, got) = third.get(key, version).unwrap().expect("replicated");
+        assert_eq!((value, got), (json!("after-promotion"), version));
     }
 }

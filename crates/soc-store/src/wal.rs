@@ -40,7 +40,24 @@
 //! segment, a base-LSN gap between segments, a snapshot whose history
 //! has been compacted away — fails [`Wal::open`] with
 //! [`StoreError::Corrupt`] instead of silently skipping records.
+//!
+//! ## Log shipping
+//!
+//! A primary ships its log to replicas in order, so the records a
+//! replica still needs are almost always the newest few. The log keeps
+//! those in memory: a bounded *tail* (256 KiB) of the most recent
+//! records written to disk. The flush leader moves each batch into it
+//! under the file lock right after the batch's write (and fsync)
+//! succeeds, so the tail only ever holds durable records, in LSN order
+//! with no gaps; the oldest fall out once it passes the bound, and a
+//! snapshot (taken here or installed from a peer) empties it. The tail
+//! has its own lock, so a reader never waits out a leader's fsync.
+//! [`Wal::records_after`] answers from the tail whenever the tail still
+//! reaches back to `from + 1`, and otherwise reads the segment files —
+//! which is also what refuses a `from` below the compaction horizon. A
+//! freshly opened log starts with an empty tail.
 
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -67,6 +84,12 @@ const SEG_MAGIC: &[u8; 8] = b"SOCWAL1\n";
 const SNAP_MAGIC: &[u8; 8] = b"SOCSNP1\n";
 const SEG_HEADER: u64 = 16;
 const FRAME_HEADER: usize = 8;
+
+/// Memory bound of a log's in-memory tail: payload bytes plus one
+/// `(Lsn, Vec<u8>)` entry per record. A replica a few hundred small
+/// records behind is still served from memory; one further behind is
+/// caught up from disk.
+const TAIL_BYTES: usize = 256 * 1024;
 
 /// When (and whether) appends are fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,12 +166,70 @@ struct FileState {
     buf: Vec<u8>,
 }
 
+/// The newest records written to disk, contiguous and in LSN order,
+/// within [`TAIL_BYTES`].
+struct Tail {
+    recs: VecDeque<(Lsn, Vec<u8>)>,
+    /// Footprint of `recs`, as counted against [`TAIL_BYTES`].
+    bytes: usize,
+    /// The newest LSN on disk (or the snapshot the log starts from):
+    /// the tail ends here even when `recs` is empty.
+    end: Lsn,
+}
+
+impl Tail {
+    fn new(end: Lsn) -> Tail {
+        Tail { recs: VecDeque::new(), bytes: 0, end }
+    }
+
+    fn footprint(payload: &[u8]) -> usize {
+        payload.len() + std::mem::size_of::<(Lsn, Vec<u8>)>()
+    }
+
+    /// Take a batch that just reached disk, dropping the oldest records
+    /// past the bound.
+    fn push(&mut self, batch: Vec<(Lsn, Vec<u8>)>) {
+        for rec in batch {
+            self.end = rec.0;
+            self.bytes += Tail::footprint(&rec.1);
+            self.recs.push_back(rec);
+        }
+        while self.bytes > TAIL_BYTES {
+            let Some((_, payload)) = self.recs.pop_front() else { break };
+            self.bytes -= Tail::footprint(&payload);
+        }
+    }
+
+    /// Forget every record: the log now continues after a snapshot at
+    /// `lsn`.
+    fn reset(&mut self, lsn: Lsn) {
+        self.recs.clear();
+        self.bytes = 0;
+        self.end = lsn;
+    }
+
+    /// The records in `(from, to]`, or `None` when the tail no longer
+    /// reaches back to `from + 1`.
+    fn range(&self, from: Lsn, to: Lsn) -> Option<Vec<(Lsn, Vec<u8>)>> {
+        let start = self.recs.front().map_or(self.end + 1, |(lsn, _)| *lsn);
+        let first = from.saturating_add(1);
+        if first < start {
+            return None;
+        }
+        let skip = usize::try_from(first - start).unwrap_or(usize::MAX);
+        Some(self.recs.iter().skip(skip).take_while(|(lsn, _)| *lsn <= to).cloned().collect())
+    }
+}
+
 struct WalShared {
     dir: PathBuf,
     cfg: WalConfig,
     log: Mutex<LogState>,
     flushed: Condvar,
     file: Mutex<FileState>,
+    /// The newest records on disk, for log shipping. Changed only under
+    /// the file lock (taken first), so it always matches the files.
+    tail: Mutex<Tail>,
     appends: soc_observe::Counter,
     fsyncs: soc_observe::Counter,
     batch_hist: Arc<soc_observe::Histogram>,
@@ -300,6 +381,7 @@ impl Wal {
             }),
             flushed: Condvar::new(),
             file: Mutex::new(FileState { file, seg_base, seg_len, buf: Vec::new() }),
+            tail: Mutex::new(Tail::new(last_lsn)),
             appends: metrics.counter("soc_store_wal_appends_total", &[]),
             fsyncs: metrics.counter("soc_store_wal_fsyncs_total", &[]),
             batch_hist: metrics.histogram_with_bounds(
@@ -355,12 +437,13 @@ impl Wal {
             log.flushing = true;
             let batch = std::mem::take(&mut log.pending);
             drop(log);
-            let result = if batch.is_empty() { Ok(()) } else { self.write_batch(&batch) };
+            let last = batch.last().map(|&(lsn, _)| lsn);
+            let result = if batch.is_empty() { Ok(()) } else { self.write_batch(batch) };
             log = self.inner.log.lock();
             log.flushing = false;
             match result {
                 Ok(()) => {
-                    if let Some(&(last, _)) = batch.last() {
+                    if let Some(last) = last {
                         log.durable_lsn = log.durable_lsn.max(last);
                     }
                     self.inner.flushed.notify_all();
@@ -429,12 +512,12 @@ impl Wal {
             return Err(StoreError::Corrupt(why.clone()));
         }
         let batch = std::mem::take(&mut log.pending);
-        if !batch.is_empty() {
-            if let Err(e) = self.write_batch(&batch) {
+        if let Some(&(last, _)) = batch.last() {
+            if let Err(e) = self.write_batch(batch) {
                 log.poisoned = Some(e.to_string());
                 return Err(e);
             }
-            log.durable_lsn = log.durable_lsn.max(batch.last().unwrap().0);
+            log.durable_lsn = log.durable_lsn.max(last);
         }
         let snap_lsn = log.next_lsn - 1;
         self.write_snapshot_and_rotate(snap_lsn, state)?;
@@ -474,8 +557,9 @@ impl Wal {
     }
 
     /// Persist `state` as the snapshot at `snap_lsn`, rotate the active
-    /// segment past it, and delete covered segments and superseded
-    /// snapshots. Callers hold the log lock with no leader in flight.
+    /// segment past it, empty the in-memory tail, and delete covered
+    /// segments and superseded snapshots. Callers hold the log lock
+    /// with no leader in flight.
     fn write_snapshot_and_rotate(&self, snap_lsn: Lsn, state: &[u8]) -> StoreResult<()> {
         // Write the snapshot via a temp file + rename so a crash never
         // leaves a half-written snapshot with a valid name.
@@ -502,6 +586,7 @@ impl Wal {
             fs_state.file = file;
             fs_state.seg_base = base;
             fs_state.seg_len = len;
+            self.inner.tail.lock().reset(snap_lsn);
         }
         let mut kept_segments = 0i64;
         for entry in fs::read_dir(&self.inner.dir)? {
@@ -528,15 +613,20 @@ impl Wal {
         Ok(())
     }
 
-    /// Durable records with `lsn > from`, read back from the segment
-    /// files — the log-shipping feed for replica catch-up. Fails with
-    /// [`StoreError::Corrupt`] when `from` predates the compaction
-    /// horizon (the caller should bootstrap from a snapshot instead).
+    /// Durable records with `lsn > from` — the log-shipping feed for
+    /// replica catch-up. Answered from the in-memory tail when it still
+    /// reaches back to `from + 1`, else read back from the segment
+    /// files. Fails with [`StoreError::Corrupt`] when `from` predates
+    /// the compaction horizon (the caller should bootstrap from a
+    /// snapshot instead).
     pub fn records_after(&self, from: Lsn) -> StoreResult<Vec<(Lsn, Vec<u8>)>> {
         self.flush()?;
         // Hold the file lock so rotation/compaction can't swap files
         // out from under the scan.
         let _fs_guard = self.inner.file.lock();
+        if let Some(recs) = self.inner.tail.lock().range(from, Lsn::MAX) {
+            return Ok(recs);
+        }
         let mut seg_bases: Vec<Lsn> = Vec::new();
         for entry in fs::read_dir(&self.inner.dir)? {
             let name = entry?.file_name();
@@ -548,15 +638,21 @@ impl Wal {
             }
         }
         seg_bases.sort_unstable();
-        if let Some(&first) = seg_bases.first() {
-            if from + 1 < first {
+        let first = from.saturating_add(1);
+        if let Some(&oldest) = seg_bases.first() {
+            if first < oldest {
                 return Err(StoreError::Corrupt(format!(
-                    "records after {from} start before the compaction horizon {first}"
+                    "records after {from} start before the compaction horizon {oldest}"
                 )));
             }
         }
         let mut out = Vec::new();
-        for &base in &seg_bases {
+        for (i, &base) in seg_bases.iter().enumerate() {
+            // A segment whose successor starts at or below `from + 1`
+            // holds nothing past `from`: skip it unread.
+            if seg_bases.get(i + 1).is_some_and(|&next| next <= first) {
+                continue;
+            }
             match scan_segment(
                 &self.inner.dir.join(seg_name(base)),
                 base,
@@ -581,13 +677,23 @@ impl Wal {
         Ok(out)
     }
 
-    /// Serialize and persist one batch. Called only by the flush leader
-    /// (or by [`Wal::snapshot`], which excludes leaders first).
-    fn write_batch(&self, batch: &[(Lsn, Vec<u8>)]) -> StoreResult<()> {
+    /// Durable records in `(from, to]` straight from the in-memory
+    /// tail: no disk read, no flush and no file lock, so a writer
+    /// shipping its own just-acknowledged record never waits on anyone
+    /// else's. `None` when the tail no longer reaches back to
+    /// `from + 1` (a snapshot emptied it, or the records aged out).
+    pub(crate) fn recent(&self, from: Lsn, to: Lsn) -> Option<Vec<(Lsn, Vec<u8>)>> {
+        self.inner.tail.lock().range(from, to)
+    }
+
+    /// Serialize and persist one batch, then move it into the tail.
+    /// Called only by the flush leader (or by [`Wal::snapshot`], which
+    /// excludes leaders first) with a non-empty batch.
+    fn write_batch(&self, batch: Vec<(Lsn, Vec<u8>)>) -> StoreResult<()> {
         let mut fs_state = self.inner.file.lock();
         let fsync_each = self.inner.cfg.fsync == FsyncPolicy::Always;
         if fsync_each {
-            for (_, payload) in batch {
+            for (_, payload) in &batch {
                 let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
                 frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 frame.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -600,7 +706,7 @@ impl Wal {
         } else {
             let mut buf = std::mem::take(&mut fs_state.buf);
             buf.clear();
-            for (_, payload) in batch {
+            for (_, payload) in &batch {
                 buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 buf.extend_from_slice(&crc32(payload).to_le_bytes());
                 buf.extend_from_slice(payload);
@@ -617,9 +723,13 @@ impl Wal {
         }
         self.inner.appends.add(batch.len() as u64);
         self.inner.batch_hist.observe(batch.len() as u64);
+        let next_base = {
+            let mut tail = self.inner.tail.lock();
+            tail.push(batch);
+            tail.end + 1
+        };
 
         if fs_state.seg_len >= SEG_HEADER + self.inner.cfg.segment_bytes {
-            let next_base = batch.last().unwrap().0 + 1;
             let (file, base, len) = create_segment(&self.inner.dir, next_base)?;
             fs_state.file = file;
             fs_state.seg_base = base;
@@ -631,9 +741,12 @@ impl Wal {
 }
 
 /// Create `seg-{base}.wal` with its header, fsynced, plus the dirent.
+/// A file already at that name is replaced: it can only hold a header
+/// (a snapshot at `base - 1` right after a rotation to `base`), and
+/// appending a second header would make every later frame unreadable.
 fn create_segment(dir: &Path, base: Lsn) -> StoreResult<(File, Lsn, u64)> {
     let path = dir.join(seg_name(base));
-    let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+    let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
     file.write_all(SEG_MAGIC)?;
     file.write_all(&base.to_le_bytes())?;
     file.sync_all()?;
@@ -849,6 +962,27 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_right_after_a_rotation_keeps_later_records() {
+        let tmp = TempDir::new("wal-snaprot");
+        let cfg = WalConfig { segment_bytes: 1, ..WalConfig::default() };
+        {
+            // segment_bytes = 1 rotates after every batch, so seg-3
+            // already exists (header only) when the snapshot at 2
+            // rotates to base 3 again.
+            let (wal, _) = Wal::open_with(tmp.path(), cfg.clone()).unwrap();
+            wal.append(b"a").unwrap();
+            wal.append(b"b").unwrap();
+            assert_eq!(wal.snapshot(b"s2").unwrap(), 2);
+            wal.append(b"c").unwrap();
+            wal.append(b"d").unwrap();
+        }
+        let (_, rec) = Wal::open_with(tmp.path(), cfg).unwrap();
+        assert_eq!(rec.truncated_bytes, 0);
+        let got: Vec<(Lsn, &[u8])> = rec.records.iter().map(|(l, p)| (*l, p.as_slice())).collect();
+        assert_eq!(got, vec![(3, b"c".as_slice()), (4, b"d".as_slice())]);
+    }
+
+    #[test]
     fn corrupt_snapshot_falls_back_to_older_one() {
         let tmp = TempDir::new("wal-snapfall");
         {
@@ -921,6 +1055,45 @@ mod tests {
         // Below the compaction horizon → loud error.
         wal.snapshot(b"s").unwrap();
         assert!(matches!(wal.records_after(0), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn tail_keeps_the_newest_records_within_its_bound() {
+        let tmp = TempDir::new("wal-tail");
+        let (wal, _) = Wal::open_with(
+            tmp.path(),
+            WalConfig {
+                segment_bytes: 64 * 1024,
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::default()
+            },
+        )
+        .unwrap();
+        let payload = [7u8; 1000];
+        let n = 2 * TAIL_BYTES / payload.len();
+        for _ in 0..n {
+            wal.append(&payload).unwrap();
+        }
+        let last = n as Lsn;
+        let recent = wal.recent(last - 4, last).expect("the newest records are in memory");
+        assert_eq!(
+            recent.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
+            vec![last - 3, last - 2, last - 1, last]
+        );
+        assert_eq!(wal.recent(last - 4, last - 2).unwrap().len(), 2);
+        // The oldest records aged out of memory; disk still serves them.
+        assert!(wal.recent(0, last).is_none());
+        let all = wal.records_after(0).unwrap();
+        assert_eq!(all.len(), n);
+        assert!(all.iter().enumerate().all(|(i, (l, p))| *l == i as Lsn + 1 && p == &payload));
+        let footprint = wal.inner.tail.lock().bytes;
+        assert!(footprint <= TAIL_BYTES, "tail holds {footprint} bytes");
+        // A snapshot empties the tail; the log continues after it.
+        wal.snapshot(b"state").unwrap();
+        assert!(wal.recent(last - 1, last).is_none());
+        assert_eq!(wal.recent(last, last).unwrap(), vec![]);
+        wal.append(b"next").unwrap();
+        assert_eq!(wal.recent(last, last + 1).unwrap(), vec![(last + 1, b"next".to_vec())]);
     }
 
     #[test]
