@@ -39,7 +39,7 @@ use soc_store::{
     TempDir,
 };
 
-use crate::process::Victim;
+use crate::process::{put_with_retry, Victim};
 
 fn elastic_key(seed: u64, k: usize) -> String {
     format!("ek{seed:x}-{k}")
@@ -57,20 +57,6 @@ fn wait_until(budget: Duration, mut f: impl FnMut() -> bool) -> bool {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-fn put_with_retry(client: &StoreClient, key: &str, value: &Value) -> io::Result<Lsn> {
-    let mut last = String::new();
-    for _ in 0..40 {
-        match client.put(key, value) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                last = format!("{e:?}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    }
-    Err(io::Error::other(format!("write of {key} never succeeded: {last}")))
 }
 
 /// Read back every acked `(value, version)` pair through `client`,
@@ -263,7 +249,7 @@ pub fn run_mem_fencing(cfg: &FencingConfig) -> io::Result<FencingReport> {
         for k in 0..cfg.keys {
             let key = elastic_key(cfg.seed, k);
             let value = json!({ "seed": (cfg.seed as i64), "k": (k as i64), "round": round });
-            let ver = put_with_retry(client, &key, &value)?;
+            let ver = put_with_retry(client, &key, &value, 40)?;
             expected.insert(key, (value, ver));
             acked += 1;
         }
@@ -579,7 +565,7 @@ fn drive_rebalance(
             let key = elastic_key(cfg.seed, k);
             let value =
                 json!({ "seed": (cfg.seed as i64), "k": (k as i64), "round": (round as i64) });
-            let ver = put_with_retry(&client, &key, &value)?;
+            let ver = put_with_retry(&client, &key, &value, 40)?;
             expected.insert(key, (value, ver));
             report.acked += 1;
         }

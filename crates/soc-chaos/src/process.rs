@@ -416,9 +416,16 @@ fn publish_map(
     Ok(map)
 }
 
-fn put_with_retry(client: &StoreClient, key: &str, value: &Value) -> io::Result<Lsn> {
+/// Put through `client`, retrying every 25 ms for up to `attempts`
+/// tries while the fleet fails over or rebalances.
+pub(crate) fn put_with_retry(
+    client: &StoreClient,
+    key: &str,
+    value: &Value,
+    attempts: u32,
+) -> io::Result<Lsn> {
     let mut last = String::new();
-    for _ in 0..20 {
+    for _ in 0..attempts {
         match client.put(key, value) {
             Ok(v) => return Ok(v),
             Err(e) => {
@@ -469,7 +476,7 @@ fn drive_store_kill(
                 "key": (k as i64),
                 "round": (round as i64)
             });
-            let ver = put_with_retry(&client, &key, &value)?;
+            let ver = put_with_retry(&client, &key, &value, 20)?;
             expected.insert(key, (value, ver));
             report.acked += 1;
         }

@@ -125,9 +125,9 @@ impl BufferMachine {
 }
 
 impl StateMachine for BufferMachine {
-    fn apply(&mut self, _lsn: Lsn, command: &[u8]) {
-        let Ok(text) = std::str::from_utf8(command) else { return };
-        let Ok(ev) = Value::parse(text) else { return };
+    fn apply(&mut self, _lsn: Lsn, command: &[u8]) -> Result<(), String> {
+        let Ok(text) = std::str::from_utf8(command) else { return Ok(()) };
+        let Ok(ev) = Value::parse(text) else { return Ok(()) };
         let queue = ev.get("queue").and_then(Value::as_str).unwrap_or_default().to_string();
         match ev.get("ev").and_then(Value::as_str) {
             Some("send") => {
@@ -144,6 +144,7 @@ impl StateMachine for BufferMachine {
             }
             _ => {}
         }
+        Ok(())
     }
 
     fn snapshot(&self) -> Vec<u8> {

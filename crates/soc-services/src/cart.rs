@@ -1,18 +1,20 @@
 //! The shopping-cart service: carts, line items, quantity math, and a
 //! small promotion engine — the commerce staple of the repository.
 //!
-//! [`CartService::durable`] journals every successful mutation
-//! (create/add/remove/destroy) to a write-ahead log and replays it on
-//! reopen, so carts survive a crash of the host process. Checkout is a
-//! pure read and is never journalled. [`CartService::new`] keeps the
-//! in-memory behavior.
+//! The cart state is a [`StateMachine`] run by a [`Durable`]: every
+//! mutation (create/add/remove/destroy) is a logged command, checked by
+//! one validator before it is logged and again when `apply` replays
+//! it. [`CartService::durable`] journals the commands to a write-ahead
+//! log and replays it on reopen, so carts survive a crash of the host
+//! process. [`CartService::new`] runs the same commands on a
+//! [`Durable::in_memory`] machine. Checkout is a pure read and is never
+//! journalled.
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
-use soc_json::Value;
-use soc_store::wal::{Lsn, Wal, WalConfig};
-use soc_store::{StoreError, StoreResult};
+use soc_json::{json, Value};
+use soc_store::wal::{Lsn, WalConfig};
+use soc_store::{Durable, StateMachine, StoreResult};
 
 /// Money in integer cents (floats and money don't mix — a unit-5 aside
 /// the course makes too).
@@ -69,74 +71,138 @@ pub struct Receipt {
     pub total: Cents,
 }
 
-#[derive(Default)]
+/// One cart mutation, as journalled.
+enum CartOp {
+    Create(u64),
+    Add(u64, LineItem),
+    /// Remove up to this many units of a SKU.
+    Remove(u64, String, u32),
+    Destroy(u64),
+}
+
+impl CartOp {
+    fn encode(&self) -> Vec<u8> {
+        let ev = match self {
+            CartOp::Create(cart) => json!({ "ev": "create", "cart": (*cart as i64) }),
+            CartOp::Add(cart, item) => json!({
+                "ev": "add",
+                "cart": (*cart as i64),
+                "sku": (item.sku.as_str()),
+                "name": (item.name.as_str()),
+                "price": (item.unit_price),
+                "qty": (item.quantity as i64)
+            }),
+            CartOp::Remove(cart, sku, quantity) => json!({
+                "ev": "remove",
+                "cart": (*cart as i64),
+                "sku": (sku.as_str()),
+                "qty": (*quantity as i64)
+            }),
+            CartOp::Destroy(cart) => json!({ "ev": "destroy", "cart": (*cart as i64) }),
+        };
+        ev.to_compact().into_bytes()
+    }
+
+    fn decode(payload: &[u8]) -> Result<CartOp, String> {
+        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+        let ev = Value::parse(text).map_err(|e| e.to_string())?;
+        let text_field =
+            |name| ev.get(name).and_then(Value::as_str).unwrap_or_default().to_string();
+        let int_field = |name| ev.get(name).and_then(Value::as_i64).unwrap_or(0);
+        let cart = int_field("cart") as u64;
+        match ev.get("ev").and_then(Value::as_str) {
+            Some("create") => Ok(CartOp::Create(cart)),
+            Some("add") => Ok(CartOp::Add(
+                cart,
+                LineItem {
+                    sku: text_field("sku"),
+                    name: text_field("name"),
+                    unit_price: int_field("price"),
+                    quantity: int_field("qty") as u32,
+                },
+            )),
+            Some("remove") => Ok(CartOp::Remove(cart, text_field("sku"), int_field("qty") as u32)),
+            Some("destroy") => Ok(CartOp::Destroy(cart)),
+            other => Err(format!("unknown cart event {other:?}")),
+        }
+    }
+}
+
 struct CartState {
     carts: HashMap<u64, Vec<LineItem>>,
     next_id: u64,
 }
 
+impl Default for CartState {
+    fn default() -> Self {
+        CartState { carts: HashMap::new(), next_id: 1 }
+    }
+}
+
 impl CartState {
-    fn add(&mut self, cart: u64, item: LineItem) -> Result<(), String> {
-        if item.quantity == 0 {
-            return Err("quantity must be at least 1".into());
-        }
-        if item.unit_price < 0 {
-            return Err("price cannot be negative".into());
-        }
-        let lines = self.carts.get_mut(&cart).ok_or("no such cart")?;
-        if let Some(line) = lines.iter_mut().find(|l| l.sku == item.sku) {
-            line.quantity += item.quantity;
-        } else {
-            lines.push(item);
-        }
-        Ok(())
+    fn lines(&self, cart: u64) -> Result<&Vec<LineItem>, String> {
+        self.carts.get(&cart).ok_or_else(|| "no such cart".into())
     }
 
-    fn remove(&mut self, cart: u64, sku: &str, quantity: u32) -> Result<(), String> {
-        let lines = self.carts.get_mut(&cart).ok_or("no such cart")?;
-        let Some(pos) = lines.iter().position(|l| l.sku == sku) else {
-            return Err(format!("sku {sku:?} not in cart"));
-        };
-        if lines[pos].quantity <= quantity {
-            lines.remove(pos);
-        } else {
-            lines[pos].quantity -= quantity;
+    /// Whether `op` applies to the current state. The live path calls
+    /// this before logging (so only valid mutations are journalled) and
+    /// `apply` calls it again, so a journal holding an invalid command
+    /// fails to replay.
+    fn check(&self, op: &CartOp) -> Result<(), String> {
+        match op {
+            CartOp::Create(_) => Ok(()),
+            CartOp::Add(cart, item) => {
+                if item.quantity == 0 {
+                    return Err("quantity must be at least 1".into());
+                }
+                if item.unit_price < 0 {
+                    return Err("price cannot be negative".into());
+                }
+                self.lines(*cart).map(drop)
+            }
+            CartOp::Remove(cart, sku, _) => {
+                if self.lines(*cart)?.iter().any(|l| l.sku == *sku) {
+                    Ok(())
+                } else {
+                    Err(format!("sku {sku:?} not in cart"))
+                }
+            }
+            CartOp::Destroy(cart) => self.lines(*cart).map(drop),
         }
-        Ok(())
     }
+}
 
-    /// Replay one journalled event (all events were validated before
-    /// being journalled, so failures here mean a corrupt journal).
-    fn apply_event(&mut self, payload: &[u8]) -> Result<(), String> {
-        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-        let ev = Value::parse(text).map_err(|e| e.to_string())?;
-        let cart = ev.get("cart").and_then(Value::as_i64).unwrap_or(0) as u64;
-        match ev.get("ev").and_then(Value::as_str) {
-            Some("create") => {
+impl StateMachine for CartState {
+    fn apply(&mut self, _lsn: Lsn, command: &[u8]) -> Result<(), String> {
+        let op = CartOp::decode(command)?;
+        self.check(&op)?;
+        match op {
+            CartOp::Create(cart) => {
                 self.carts.insert(cart, Vec::new());
                 self.next_id = self.next_id.max(cart + 1);
-                Ok(())
             }
-            Some("add") => self.add(
-                cart,
-                LineItem {
-                    sku: ev.get("sku").and_then(Value::as_str).unwrap_or_default().to_string(),
-                    name: ev.get("name").and_then(Value::as_str).unwrap_or_default().to_string(),
-                    unit_price: ev.get("price").and_then(Value::as_i64).unwrap_or(0),
-                    quantity: ev.get("qty").and_then(Value::as_i64).unwrap_or(0) as u32,
-                },
-            ),
-            Some("remove") => self.remove(
-                cart,
-                ev.get("sku").and_then(Value::as_str).unwrap_or_default(),
-                ev.get("qty").and_then(Value::as_i64).unwrap_or(0) as u32,
-            ),
-            Some("destroy") => {
+            CartOp::Add(cart, item) => {
+                let lines = self.carts.entry(cart).or_default();
+                match lines.iter_mut().find(|l| l.sku == item.sku) {
+                    Some(line) => line.quantity += item.quantity,
+                    None => lines.push(item),
+                }
+            }
+            CartOp::Remove(cart, sku, quantity) => {
+                let lines = self.carts.entry(cart).or_default();
+                if let Some(pos) = lines.iter().position(|l| l.sku == sku) {
+                    if lines[pos].quantity <= quantity {
+                        lines.remove(pos);
+                    } else {
+                        lines[pos].quantity -= quantity;
+                    }
+                }
+            }
+            CartOp::Destroy(cart) => {
                 self.carts.remove(&cart);
-                Ok(())
             }
-            other => Err(format!("unknown cart event {other:?}")),
         }
+        Ok(())
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -192,8 +258,7 @@ impl CartState {
 
 /// The cart service: many carts by id.
 pub struct CartService {
-    state: Mutex<CartState>,
-    wal: Option<Wal>,
+    store: Durable<CartState>,
 }
 
 impl Default for CartService {
@@ -205,100 +270,60 @@ impl Default for CartService {
 impl CartService {
     /// Empty in-memory service.
     pub fn new() -> Self {
-        CartService {
-            state: Mutex::new(CartState { carts: HashMap::new(), next_id: 1 }),
-            wal: None,
-        }
+        CartService { store: Durable::in_memory(CartState::default()) }
     }
 
     /// A cart service journalled to a write-ahead log in `dir`,
     /// recovered to its pre-crash state if a journal already exists.
     pub fn durable(dir: impl AsRef<std::path::Path>, cfg: WalConfig) -> StoreResult<Self> {
-        let (wal, recovery) = Wal::open_with(dir, cfg)?;
-        let mut state = CartState { carts: HashMap::new(), next_id: 1 };
-        if let Some((_, snap)) = &recovery.snapshot {
-            state.restore(snap).map_err(StoreError::Corrupt)?;
-        }
-        for (_, payload) in &recovery.records {
-            state.apply_event(payload).map_err(StoreError::Corrupt)?;
-        }
-        Ok(CartService { state: Mutex::new(state), wal: Some(wal) })
+        Ok(CartService { store: Durable::open(dir, cfg, CartState::default())? })
     }
 
     /// Snapshot-then-truncate the journal (durable services only).
     pub fn compact(&self) -> StoreResult<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let state = self.state.lock();
-        wal.snapshot(&state.snapshot())?;
-        Ok(())
+        self.store.compact().map(drop)
     }
 
-    fn journal(&self, ev: &Value) -> Option<Lsn> {
-        self.wal
-            .as_ref()
-            .map(|w| w.submit(ev.to_compact().as_bytes()).expect("cart journal refused an event"))
-    }
-
-    fn wait(&self, lsn: Option<Lsn>) {
-        if let (Some(wal), Some(lsn)) = (&self.wal, lsn) {
-            if let Err(e) = wal.wait_durable(lsn) {
-                panic!("cart service lost durability: {e}");
-            }
-        }
+    /// Build the mutation from the current state, validate it, and log
+    /// and apply it if valid — one atomic step. Refused mutations are
+    /// never journalled.
+    fn execute(&self, op: impl FnOnce(&CartState) -> CartOp) -> Result<(), String> {
+        let mut verdict = Ok(());
+        self.store
+            .execute_when(|state| {
+                let op = op(state);
+                verdict = state.check(&op);
+                verdict.is_ok().then(|| (op.encode(), ()))
+            })
+            .unwrap_or_else(|e| panic!("cart service lost durability: {e}"));
+        verdict
     }
 
     /// Create an empty cart, returning its id.
     pub fn create(&self) -> u64 {
-        let mut state = self.state.lock();
-        let id = state.next_id;
-        state.next_id += 1;
-        state.carts.insert(id, Vec::new());
-        let mut ev = Value::object();
-        ev.set("ev", "create");
-        ev.set("cart", id as i64);
-        let lsn = self.journal(&ev);
-        drop(state);
-        self.wait(lsn);
+        let mut id = 0;
+        self.execute(|state| {
+            id = state.next_id;
+            CartOp::Create(id)
+        })
+        .expect("a create always validates");
         id
     }
 
     /// Add quantity of an item (merges with an existing line of the same
     /// SKU; the price of the existing line wins on conflict).
     pub fn add(&self, cart: u64, item: LineItem) -> Result<(), String> {
-        let mut state = self.state.lock();
-        let mut ev = Value::object();
-        ev.set("ev", "add");
-        ev.set("cart", cart as i64);
-        ev.set("sku", item.sku.as_str());
-        ev.set("name", item.name.as_str());
-        ev.set("price", item.unit_price);
-        ev.set("qty", item.quantity as i64);
-        state.add(cart, item)?;
-        // Only successful mutations are journalled.
-        let lsn = self.journal(&ev);
-        drop(state);
-        self.wait(lsn);
-        Ok(())
+        self.execute(|_| CartOp::Add(cart, item))
     }
 
     /// Remove up to `quantity` units of a SKU; the line disappears at 0.
     pub fn remove(&self, cart: u64, sku: &str, quantity: u32) -> Result<(), String> {
-        let mut state = self.state.lock();
-        state.remove(cart, sku, quantity)?;
-        let mut ev = Value::object();
-        ev.set("ev", "remove");
-        ev.set("cart", cart as i64);
-        ev.set("sku", sku);
-        ev.set("qty", quantity as i64);
-        let lsn = self.journal(&ev);
-        drop(state);
-        self.wait(lsn);
-        Ok(())
+        self.execute(|_| CartOp::Remove(cart, sku.to_string(), quantity))
     }
 
     /// Current lines.
     pub fn items(&self, cart: u64) -> Result<Vec<LineItem>, String> {
-        self.state.lock().carts.get(&cart).cloned().ok_or_else(|| "no such cart".into())
+        self.store.query(|state| state.lines(cart).cloned())
     }
 
     /// Price the cart with promotions; does not consume it.
@@ -335,19 +360,7 @@ impl CartService {
 
     /// Drop a cart; `true` if it existed.
     pub fn destroy(&self, cart: u64) -> bool {
-        let mut state = self.state.lock();
-        let existed = state.carts.remove(&cart).is_some();
-        let lsn = if existed {
-            let mut ev = Value::object();
-            ev.set("ev", "destroy");
-            ev.set("cart", cart as i64);
-            self.journal(&ev)
-        } else {
-            None
-        };
-        drop(state);
-        self.wait(lsn);
-        existed
+        self.execute(|_| CartOp::Destroy(cart)).is_ok()
     }
 }
 
@@ -501,5 +514,28 @@ mod tests {
         let svc = CartService::durable(tmp.path(), WalConfig::default()).unwrap();
         assert_eq!(svc.items(id).unwrap().len(), 2);
         assert!(svc.create() > id);
+    }
+
+    #[test]
+    fn journal_with_invalid_command_fails_to_open() {
+        let unknown: &[&[u8]] = &[br#"{"ev":"create","cart":1}"#, br#"{"ev":"empty","cart":1}"#];
+        let no_cart: &[&[u8]] = &[
+            br#"{"ev":"create","cart":1}"#,
+            br#"{"ev":"add","cart":7,"sku":"bk-1","name":"SOC text","price":4999,"qty":1}"#,
+        ];
+        for (journal, reason) in [(unknown, "unknown cart event"), (no_cart, "no such cart")] {
+            let tmp = soc_store::TempDir::new("cart-corrupt");
+            {
+                let (wal, _) = soc_store::Wal::open(tmp.path()).unwrap();
+                for event in journal {
+                    wal.append(event).unwrap();
+                }
+            }
+            match CartService::durable(tmp.path(), WalConfig::default()) {
+                Err(soc_store::StoreError::Corrupt(msg)) => assert!(msg.contains(reason), "{msg}"),
+                Err(e) => panic!("expected Corrupt, got {e:?}"),
+                Ok(_) => panic!("a journal holding {reason:?} must not open"),
+            }
+        }
     }
 }

@@ -27,23 +27,25 @@
 //!
 //! ## Durability
 //!
-//! [`SubmissionLedger::durable`] binds the ledger to a write-ahead log:
-//! every mutation is journalled as a *decided event* — the decision
-//! closure runs first and its response is what gets logged, never
-//! re-run — and acknowledged only once durable. Reopening the same
+//! The ledger state is a [`StateMachine`] run by a [`Durable`]: every
+//! mutation is a *decided event* — the decision closure runs first and
+//! its response is what gets logged, never re-run — and the same
+//! `apply` builds the live state and replays the journal.
+//! [`SubmissionLedger::durable`] logs the events to a write-ahead log
+//! and acknowledges each only once durable. Reopening the same
 //! directory replays the journal (and the newest snapshot, after
 //! [`SubmissionLedger::compact`]) to the exact pre-crash state, which
 //! is what lets the chaos harness `kill -9` the host mid-campaign and
 //! still assert no application executed twice and no cancel orphaned.
-//! A ledger built with [`SubmissionLedger::new`] keeps the old
-//! in-memory behavior.
+//! A ledger built with [`SubmissionLedger::new`] runs the same events
+//! on a [`Durable::in_memory`] machine, so its state dies with the
+//! process.
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use soc_json::Value;
-use soc_store::wal::{Lsn, Wal, WalConfig};
-use soc_store::{StoreError, StoreResult};
+use soc_store::wal::{Lsn, WalConfig};
+use soc_store::{Durable, StateMachine, StoreResult};
 
 /// Audit record for one application id (idempotency key).
 #[derive(Debug, Clone)]
@@ -72,78 +74,65 @@ struct Inner {
     orphan_cancels: u64,
 }
 
+/// A journal event: `ev` names it, the other pairs are its fields.
+fn event(fields: &[(&str, &str)]) -> Vec<u8> {
+    let mut ev = Value::object();
+    for (name, value) in fields {
+        ev.set(*name, *value);
+    }
+    ev.to_compact().into_bytes()
+}
+
+/// The response a submission under a tombstoned key gets.
+fn cancelled_response(key: &str) -> String {
+    format!("{{\"application_id\":{:?},\"cancelled\":true}}", key)
+}
+
 impl Inner {
-    /// The deterministic core of [`SubmissionLedger::apply`], shared by
-    /// the live path (where `response` was just decided) and journal
-    /// replay (where it was decided before the crash).
-    fn apply_submission(&mut self, key: &str, content: &str, response: &str) -> (String, bool) {
+    /// The response a submission under `key` gets without running the
+    /// decision: the cached one, or a cancellation when a reservation
+    /// cancel tombstoned the key. `None` for a fresh key.
+    fn settled(&self, key: &str) -> Option<String> {
+        match self.entries.get(key) {
+            Some(entry) => Some(entry.response.clone()),
+            None => self.tombstones.contains(key).then(|| cancelled_response(key)),
+        }
+    }
+
+    fn apply_submission(&mut self, key: &str, content: &str, response: &str) {
         if let Some(entry) = self.entries.get_mut(key) {
             entry.deduped += 1;
-            return (entry.response.clone(), true);
+            return;
         }
         // A reservation cancel got here first (the original caller gave
         // up on a lost response and compensated): refuse to open the
         // application, recording an already-cancelled entry so the
         // audit shows what happened.
-        if self.tombstones.remove(key) {
-            let response = format!("{{\"application_id\":{:?},\"cancelled\":true}}", key);
-            self.entries.insert(
-                key.to_string(),
-                LedgerEntry {
-                    executions: 0,
-                    deduped: 0,
-                    cancellations: 1,
-                    response: response.clone(),
-                },
-            );
-            return (response, true);
-        }
-        self.entries.insert(
-            key.to_string(),
-            LedgerEntry {
-                executions: 1,
-                deduped: 0,
-                cancellations: 0,
-                response: response.to_string(),
-            },
-        );
-        *self.by_content.entry(content.to_string()).or_insert(0) += 1;
-        (response.to_string(), false)
+        let (executions, cancellations, response) = if self.tombstones.remove(key) {
+            (0, 1, cancelled_response(key))
+        } else {
+            *self.by_content.entry(content.to_string()).or_insert(0) += 1;
+            (1, 0, response.to_string())
+        };
+        let entry = LedgerEntry { executions, deduped: 0, cancellations, response };
+        self.entries.insert(key.to_string(), entry);
     }
 
-    fn apply_keyless(&mut self, content: &str) {
-        self.keyless += 1;
-        *self.by_content.entry(content.to_string()).or_insert(0) += 1;
-    }
-
-    fn apply_cancel_reservation(&mut self, key: &str) -> bool {
+    /// Count a cancel against `key`'s entry; a key with no entry gets a
+    /// tombstone (`reservation`) or an orphan-cancel mark.
+    fn apply_cancel(&mut self, key: &str, reservation: bool) {
         match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.cancellations += 1;
-                true
-            }
-            None => {
+            Some(entry) => entry.cancellations += 1,
+            None if reservation => {
                 self.tombstones.insert(key.to_string());
-                false
             }
+            None => self.orphan_cancels += 1,
         }
     }
+}
 
-    fn apply_cancel(&mut self, key: &str) -> bool {
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.cancellations += 1;
-                true
-            }
-            None => {
-                self.orphan_cancels += 1;
-                false
-            }
-        }
-    }
-
-    /// Replay one journalled event.
-    fn apply_event(&mut self, payload: &[u8]) -> Result<(), String> {
+impl StateMachine for Inner {
+    fn apply(&mut self, _lsn: Lsn, payload: &[u8]) -> Result<(), String> {
         let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
         let ev = Value::parse(text).map_err(|e| e.to_string())?;
         let key = ev.get("key").and_then(Value::as_str).unwrap_or_default();
@@ -153,13 +142,12 @@ impl Inner {
                 let response = ev.get("response").and_then(Value::as_str).unwrap_or_default();
                 self.apply_submission(key, content, response);
             }
-            Some("keyless") => self.apply_keyless(content),
-            Some("cancel_reservation") => {
-                self.apply_cancel_reservation(key);
+            Some("keyless") => {
+                self.keyless += 1;
+                *self.by_content.entry(content.to_string()).or_insert(0) += 1;
             }
-            Some("cancel") => {
-                self.apply_cancel(key);
-            }
+            Some("cancel_reservation") => self.apply_cancel(key, true),
+            Some("cancel") => self.apply_cancel(key, false),
             other => return Err(format!("unknown ledger event {other:?}")),
         }
         Ok(())
@@ -245,63 +233,41 @@ impl Inner {
 }
 
 /// Shared submission store for the mortgage service. See module docs.
-#[derive(Default)]
 pub struct SubmissionLedger {
-    inner: Mutex<Inner>,
-    wal: Option<Wal>,
+    state: Durable<Inner>,
+}
+
+impl Default for SubmissionLedger {
+    fn default() -> Self {
+        SubmissionLedger::new()
+    }
 }
 
 impl SubmissionLedger {
     /// An empty, in-memory ledger (state dies with the process).
     pub fn new() -> Self {
-        SubmissionLedger::default()
+        SubmissionLedger { state: Durable::in_memory(Inner::default()) }
     }
 
     /// A ledger journalled to a write-ahead log in `dir`, recovered to
     /// its pre-crash state if the directory already holds a journal.
     pub fn durable(dir: impl AsRef<std::path::Path>, cfg: WalConfig) -> StoreResult<Self> {
-        let (wal, recovery) = Wal::open_with(dir, cfg)?;
-        let mut inner = Inner::default();
-        if let Some((_, snap)) = &recovery.snapshot {
-            inner.restore(snap).map_err(StoreError::Corrupt)?;
-        }
-        for (_, payload) in &recovery.records {
-            inner.apply_event(payload).map_err(StoreError::Corrupt)?;
-        }
-        Ok(SubmissionLedger { inner: Mutex::new(inner), wal: Some(wal) })
+        Ok(SubmissionLedger { state: Durable::open(dir, cfg, Inner::default())? })
     }
 
     /// Snapshot-then-truncate the journal (durable ledgers only).
     pub fn compact(&self) -> StoreResult<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let inner = self.inner.lock();
-        wal.snapshot(&inner.snapshot())?;
-        Ok(())
+        self.state.compact().map(drop)
     }
 
-    /// The journal directory, when durable.
-    pub fn wal_dir(&self) -> Option<&std::path::Path> {
-        self.wal.as_ref().map(|w| w.dir())
-    }
-
-    /// Journal `ev` while still holding the ledger lock (so journal
-    /// order equals apply order), returning the LSN to await.
-    fn journal(&self, ev: &Value) -> Option<Lsn> {
-        self.wal.as_ref().map(|w| {
-            w.submit(ev.to_compact().as_bytes())
-                .expect("submission ledger journal refused an event")
-        })
-    }
-
-    /// Wait out durability after the lock is released. A ledger that
-    /// can no longer persist fails loudly: acknowledging writes that
-    /// would vanish on crash is exactly the lie this type exists to
-    /// prevent.
-    fn wait(&self, lsn: Option<Lsn>) {
-        if let (Some(wal), Some(lsn)) = (&self.wal, lsn) {
-            if let Err(e) = wal.wait_durable(lsn) {
-                panic!("submission ledger lost durability: {e}");
-            }
+    /// Log and apply the event `decide` builds from the current state,
+    /// returning the value it read. A ledger that can no longer
+    /// persist fails loudly: acknowledging writes that would vanish on
+    /// crash is exactly the lie this type exists to prevent.
+    fn commit<R>(&self, decide: impl FnOnce(&Inner) -> (Vec<u8>, R)) -> R {
+        match self.state.execute_when(|inner| Some(decide(inner))) {
+            Ok(done) => done.expect("every ledger event is logged").1,
+            Err(e) => panic!("submission ledger lost durability: {e}"),
         }
     }
 
@@ -314,35 +280,25 @@ impl SubmissionLedger {
         content: &str,
         decide: impl FnOnce() -> String,
     ) -> (String, bool) {
-        let mut inner = self.inner.lock();
         // Decide before journalling — the journal records *results*, so
         // replay never re-runs the (non-deterministic) decision logic.
         // Execution stays under the lock: replicas share the ledger
         // like a database, and this serializes racing replays of a key.
-        let fresh = !inner.entries.contains_key(key) && !inner.tombstones.contains(key);
-        let response = if fresh { decide() } else { String::new() };
-        let result = inner.apply_submission(key, content, &response);
-        let mut ev = Value::object();
-        ev.set("ev", "apply");
-        ev.set("key", key);
-        ev.set("content", content);
-        ev.set("response", response.as_str());
-        let lsn = self.journal(&ev);
-        drop(inner);
-        self.wait(lsn);
-        result
+        self.commit(|inner| {
+            let (response, replayed) = match inner.settled(key) {
+                Some(settled) => (settled, true),
+                None => (decide(), false),
+            };
+            let logged = if replayed { "" } else { response.as_str() };
+            let ev =
+                event(&[("ev", "apply"), ("key", key), ("content", content), ("response", logged)]);
+            (ev, (response, replayed))
+        })
     }
 
     /// Record a keyless submission (no dedupe possible).
     pub fn note_keyless(&self, content: &str) {
-        let mut inner = self.inner.lock();
-        inner.apply_keyless(content);
-        let mut ev = Value::object();
-        ev.set("ev", "keyless");
-        ev.set("content", content);
-        let lsn = self.journal(&ev);
-        drop(inner);
-        self.wait(lsn);
+        self.commit(|_| (event(&[("ev", "keyless"), ("content", content)]), ()))
     }
 
     /// Cancel a submission that may not have arrived yet. An existing
@@ -354,94 +310,85 @@ impl SubmissionLedger {
     /// idempotency key it chose up front. Returns whether a landed
     /// submission was cancelled.
     pub fn cancel_reservation(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let landed = inner.apply_cancel_reservation(key);
-        let mut ev = Value::object();
-        ev.set("ev", "cancel_reservation");
-        ev.set("key", key);
-        let lsn = self.journal(&ev);
-        drop(inner);
-        self.wait(lsn);
-        landed
+        self.commit(|inner| {
+            (event(&[("ev", "cancel_reservation"), ("key", key)]), inner.entries.contains_key(key))
+        })
     }
 
     /// Tombstones from reservation cancels that no submission ever
     /// claimed.
     pub fn pending_tombstones(&self) -> u64 {
-        self.inner.lock().tombstones.len() as u64
+        self.state.query(|inner| inner.tombstones.len() as u64)
     }
 
     /// Cancel an application. Returns whether the id was known;
     /// unknown ids are recorded as orphan cancels (a compensation
     /// invariant violation if it ever happens).
     pub fn cancel(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let known = inner.apply_cancel(key);
-        let mut ev = Value::object();
-        ev.set("ev", "cancel");
-        ev.set("key", key);
-        let lsn = self.journal(&ev);
-        drop(inner);
-        self.wait(lsn);
-        known
+        self.commit(|inner| {
+            (event(&[("ev", "cancel"), ("key", key)]), inner.entries.contains_key(key))
+        })
     }
 
     /// Audit record for one application id.
     pub fn entry(&self, key: &str) -> Option<LedgerEntry> {
-        self.inner.lock().entries.get(key).cloned()
+        self.state.query(|inner| inner.entries.get(key).cloned())
     }
 
     /// All application ids, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.inner.lock().entries.keys().cloned().collect();
+        let mut keys: Vec<String> =
+            self.state.query(|inner| inner.entries.keys().cloned().collect());
         keys.sort();
         keys
     }
 
     /// Total decision executions (excludes deduped replays).
     pub fn total_executions(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.entries.values().map(|e| e.executions).sum::<u64>() + inner.keyless
+        self.state.query(|inner| {
+            inner.entries.values().map(|e| e.executions).sum::<u64>() + inner.keyless
+        })
     }
 
     /// Replays served from cache.
     pub fn total_deduped(&self) -> u64 {
-        self.inner.lock().entries.values().map(|e| e.deduped).sum()
+        self.state.query(|inner| inner.entries.values().map(|e| e.deduped).sum())
     }
 
     /// The worst duplication factor across logical requests: 1 means
     /// every distinct request body executed exactly once.
     pub fn max_executions_per_content(&self) -> u64 {
-        self.inner.lock().by_content.values().copied().max().unwrap_or(0)
+        self.state.query(|inner| inner.by_content.values().copied().max().unwrap_or(0))
     }
 
     /// Applications executed and not (yet) cancelled.
     pub fn open_applications(&self) -> u64 {
-        self.inner.lock().entries.values().filter(|e| e.cancellations == 0).count() as u64
+        self.state
+            .query(|inner| inner.entries.values().filter(|e| e.cancellations == 0).count() as u64)
     }
 
     /// Ids that were cancelled, sorted.
     pub fn cancelled_keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|(_, e)| e.cancellations > 0)
-            .map(|(k, _)| k.clone())
-            .collect();
+        let mut keys: Vec<String> = self.state.query(|inner| {
+            inner
+                .entries
+                .iter()
+                .filter(|(_, e)| e.cancellations > 0)
+                .map(|(k, _)| k.clone())
+                .collect()
+        });
         keys.sort();
         keys
     }
 
     /// Cancels addressed at ids the ledger never saw.
     pub fn orphan_cancels(&self) -> u64 {
-        self.inner.lock().orphan_cancels
+        self.state.query(|inner| inner.orphan_cancels)
     }
 
     /// Submissions that arrived without an idempotency key.
     pub fn keyless_submissions(&self) -> u64 {
-        self.inner.lock().keyless
+        self.state.query(|inner| inner.keyless)
     }
 }
 
@@ -580,5 +527,20 @@ mod tests {
         assert_eq!(ledger.total_executions(), 2);
         assert_eq!(ledger.max_executions_per_content(), 2);
         assert_eq!(ledger.keyless_submissions(), 2);
+    }
+
+    #[test]
+    fn journal_with_unknown_event_fails_to_open() {
+        let tmp = soc_store::TempDir::new("ledger-corrupt");
+        {
+            let (wal, _) = soc_store::Wal::open(tmp.path()).unwrap();
+            wal.append(br#"{"ev":"apply","key":"k1","content":"a","response":"{}"}"#).unwrap();
+            wal.append(br#"{"ev":"refund","key":"k1"}"#).unwrap();
+        }
+        match SubmissionLedger::durable(tmp.path(), WalConfig::default()) {
+            Err(soc_store::StoreError::Corrupt(msg)) => assert!(msg.contains("refund"), "{msg}"),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("a journal with an unknown event must not open"),
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Property tests for the repository services: crypto round-trips over
 //! arbitrary data/keys, cart arithmetic laws, cache behavioral model,
-//! and mortgage decision invariants.
+//! mortgage decision invariants, and the replay contract of the
+//! journalled cart and submission ledger (a durable service answers
+//! every operation like an in-memory one and reopens to the same state).
 
 use proptest::prelude::*;
 use soc_services::cache::CacheService;
@@ -9,8 +11,44 @@ use soc_services::crypto::{
     base64_decode, base64_encode, hex_decode, hex_encode, vigenere_decrypt, vigenere_encrypt,
     EncryptionService, Xtea,
 };
+use soc_services::ledger::SubmissionLedger;
 use soc_services::mortgage::{Application, CreditScoreService, Decision, MortgageService};
 use soc_services::password::PasswordService;
+use soc_store::wal::{FsyncPolicy, WalConfig};
+use soc_store::TempDir;
+
+/// Reopening after a drop is a process crash, not a power loss, so the
+/// replay properties need no fsync.
+fn unsynced() -> WalConfig {
+    WalConfig { fsync: FsyncPolicy::Never, ..WalConfig::default() }
+}
+
+/// Cart ids the generated operations address: 0 is never created, the
+/// rest only once enough creates ran.
+const CART_IDS: u64 = 6;
+
+/// Every cart's lines (or its error) — the state a reopen must keep.
+fn cart_contents(svc: &CartService) -> Vec<Result<Vec<LineItem>, String>> {
+    (0..CART_IDS).map(|id| svc.items(id)).collect()
+}
+
+/// Everything the ledger's audit getters report.
+fn ledger_audit(ledger: &SubmissionLedger) -> String {
+    let entries: Vec<String> =
+        ledger.keys().iter().map(|k| format!("{k}: {:?}", ledger.entry(k))).collect();
+    format!(
+        "{entries:?} executions={} deduped={} max_per_content={} open={} cancelled={:?} \
+         orphans={} keyless={} tombstones={}",
+        ledger.total_executions(),
+        ledger.total_deduped(),
+        ledger.max_executions_per_content(),
+        ledger.open_applications(),
+        ledger.cancelled_keys(),
+        ledger.orphan_cancels(),
+        ledger.keyless_submissions(),
+        ledger.pending_tombstones(),
+    )
+}
 
 proptest! {
     #[test]
@@ -170,5 +208,82 @@ proptest! {
         let p = svc.generate(len, soc_services::password::Charset::full()).unwrap();
         prop_assert_eq!(p.chars().count(), len);
         prop_assert!(PasswordService::entropy_bits(&p) > 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn durable_cart_matches_in_memory_and_survives_reopen(
+        ops in proptest::collection::vec(
+            (0u8..6, 0..CART_IDS, 0u8..3, 0u32..4, -1i64..500),
+            0..48,
+        ),
+    ) {
+        let tmp = TempDir::new("cart-props");
+        let live = CartService::new();
+        let durable = CartService::durable(tmp.path(), unsynced()).unwrap();
+        for (kind, cart, sku, qty, price) in ops {
+            // Zero quantities, negative prices, absent carts and absent
+            // SKUs are all generated: refusals must match too.
+            let sku = format!("s{sku}");
+            let item =
+                LineItem { sku: sku.clone(), name: "x".into(), unit_price: price, quantity: qty };
+            match kind {
+                0 => prop_assert_eq!(live.create(), durable.create()),
+                1 | 2 => prop_assert_eq!(live.add(cart, item.clone()), durable.add(cart, item)),
+                3 => prop_assert_eq!(live.remove(cart, &sku, qty), durable.remove(cart, &sku, qty)),
+                4 => prop_assert_eq!(live.destroy(cart), durable.destroy(cart)),
+                _ => {
+                    live.compact().unwrap();
+                    durable.compact().unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(cart_contents(&durable), cart_contents(&live));
+        drop(durable);
+        let reopened = CartService::durable(tmp.path(), unsynced()).unwrap();
+        prop_assert_eq!(cart_contents(&reopened), cart_contents(&live));
+        // The next cart id survives too.
+        prop_assert_eq!(reopened.create(), live.create());
+    }
+
+    #[test]
+    fn durable_ledger_matches_in_memory_and_survives_reopen(
+        ops in proptest::collection::vec((0u8..5, 0u8..4, 0u8..3), 0..48),
+    ) {
+        let tmp = TempDir::new("ledger-props");
+        let live = SubmissionLedger::new();
+        let durable = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
+        for (step, (kind, key, content)) in ops.into_iter().enumerate() {
+            let (key, content) = (format!("k{key}"), format!("app-{content}"));
+            match kind {
+                0 => {
+                    let decide = || format!("{{\"decision\":{step}}}");
+                    prop_assert_eq!(
+                        live.apply(&key, &content, decide),
+                        durable.apply(&key, &content, decide)
+                    );
+                }
+                1 => prop_assert_eq!(live.cancel(&key), durable.cancel(&key)),
+                2 => prop_assert_eq!(
+                    live.cancel_reservation(&key),
+                    durable.cancel_reservation(&key)
+                ),
+                3 => {
+                    live.note_keyless(&content);
+                    durable.note_keyless(&content);
+                }
+                _ => {
+                    live.compact().unwrap();
+                    durable.compact().unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(ledger_audit(&durable), ledger_audit(&live));
+        drop(durable);
+        let reopened = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
+        prop_assert_eq!(ledger_audit(&reopened), ledger_audit(&live));
     }
 }

@@ -75,9 +75,9 @@ impl KvMachine {
 }
 
 impl StateMachine for KvMachine {
-    fn apply(&mut self, lsn: Lsn, command: &[u8]) {
-        let Ok(text) = std::str::from_utf8(command) else { return };
-        let Ok(cmd) = Value::parse(text) else { return };
+    fn apply(&mut self, lsn: Lsn, command: &[u8]) -> Result<(), String> {
+        let Ok(text) = std::str::from_utf8(command) else { return Ok(()) };
+        let Ok(cmd) = Value::parse(text) else { return Ok(()) };
         let key = cmd.get("key").and_then(Value::as_str).unwrap_or_default().to_string();
         match cmd.get("op").and_then(Value::as_str) {
             Some("put") => {
@@ -98,6 +98,7 @@ impl StateMachine for KvMachine {
             }
             _ => {}
         }
+        Ok(())
     }
 
     fn snapshot(&self) -> Vec<u8> {

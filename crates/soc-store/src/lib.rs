@@ -13,7 +13,9 @@
 //!   a partial suffix.
 //! * [`StateMachine`] / [`Durable`] — a deterministic replay contract:
 //!   any component that expresses its mutations as logged commands
-//!   reopens to its pre-crash state.
+//!   reopens to its pre-crash state. [`Durable::in_memory`] runs the
+//!   same machine with no log, for services that also offer a
+//!   non-durable constructor.
 //! * [`ShardMap`] — consistent hashing over the registry's lease table
 //!   with N-way replication: every key has one primary and `N-1`
 //!   replica owners, and the ring rebuilds when leases join or expire.

@@ -67,7 +67,7 @@ use crate::fence::Fence;
 use crate::kv::KvMachine;
 use crate::shard::ShardMap;
 use crate::state::Durable;
-use crate::wal::{Lsn, WalConfig};
+use crate::wal::{Lsn, Wal, WalConfig};
 use crate::{crc32, StoreError, StoreResult};
 
 /// Identity and tuning for one [`StoreNode`].
@@ -211,6 +211,11 @@ impl StoreNode {
         &self.inner.store
     }
 
+    /// The primary log, which a node always opens on disk.
+    fn wal(&self) -> &Wal {
+        self.inner.store.wal().expect("a store node's log is on disk")
+    }
+
     /// The replica stream for `source`, opened on first use.
     fn replica_for(&self, source: &str) -> StoreResult<Arc<Durable<KvMachine>>> {
         if let Some(d) = self.inner.replicas.read().get(source) {
@@ -335,7 +340,7 @@ impl StoreNode {
     fn replicate(&self, key: &str, lsn: Lsn, cmd: &[u8]) {
         let map = self.map();
         let epoch = self.ship_epoch();
-        let wal = self.inner.store.wal();
+        let wal = self.wal();
         for owner in map.owners(key).iter().skip(1) {
             if owner.id == self.inner.id {
                 continue;
@@ -558,7 +563,7 @@ impl StoreNode {
         let node = self.clone();
         r.get("/store/ship", move |req, _p| {
             let after = req.query("after").and_then(|v| v.parse().ok()).unwrap_or(0);
-            match node.inner.store.wal().records_after(after) {
+            match node.wal().records_after(after) {
                 Ok(records) => Response::json_owned(
                     records_to_json(&node.inner.id, node.ship_epoch(), &records).to_compact(),
                 ),
@@ -590,7 +595,7 @@ impl StoreNode {
             let mut status = Value::object();
             status.set("id", node.inner.id.as_str());
             status.set("applied", node.inner.store.applied_lsn() as i64);
-            status.set("durable", node.inner.store.wal().durable_lsn() as i64);
+            status.set("durable", node.wal().durable_lsn() as i64);
             status.set("map_version", node.map().version() as i64);
             status.set("epoch", node.inner.fence.epoch() as i64);
             status.set("fence_valid", node.inner.fence.is_valid());

@@ -1,6 +1,12 @@
 //! The deterministic-replay contract: a [`StateMachine`] applies
 //! logged commands, and [`Durable`] pairs one with a [`Wal`] so the
 //! machine reopens to its exact pre-crash state.
+//!
+//! A [`Durable::in_memory`] machine runs the same commands through the
+//! same `apply` with no log behind it: LSNs still count up, durability
+//! waits return at once, and compaction is a no-op. Services that
+//! offer both an in-memory and a journalled constructor pick the mode
+//! here, once, instead of branching on an optional log themselves.
 
 use parking_lot::Mutex;
 
@@ -18,7 +24,10 @@ use crate::{StoreError, StoreResult};
 pub trait StateMachine: Send + 'static {
     /// Apply one command. `lsn` is the command's position in the log —
     /// machines that expose per-key versions use it as the version.
-    fn apply(&mut self, lsn: Lsn, command: &[u8]);
+    /// An `Err` means the command can never apply to this state: on
+    /// replay [`Durable::open`] refuses the log as
+    /// [`StoreError::Corrupt`].
+    fn apply(&mut self, lsn: Lsn, command: &[u8]) -> Result<(), String>;
 
     /// Serialize the full state for compaction.
     fn snapshot(&self) -> Vec<u8>;
@@ -31,7 +40,8 @@ pub trait StateMachine: Send + 'static {
 /// the response is acknowledged, so a crash at any point loses only
 /// writes that were never confirmed.
 pub struct Durable<M> {
-    wal: Wal,
+    /// `None` for an [`Durable::in_memory`] machine.
+    wal: Option<Wal>,
     machine: Mutex<(M, Lsn)>,
 }
 
@@ -47,10 +57,27 @@ impl<M: StateMachine> Durable<M> {
             applied = *lsn;
         }
         for (lsn, payload) in &recovery.records {
-            machine.apply(*lsn, payload);
+            machine.apply(*lsn, payload).map_err(StoreError::Corrupt)?;
             applied = *lsn;
         }
-        Ok(Durable { wal, machine: Mutex::new((machine, applied)) })
+        Ok(Durable { wal: Some(wal), machine: Mutex::new((machine, applied)) })
+    }
+
+    /// Run `machine` with no log: commands go through the same `apply`
+    /// as a logged machine, but the state dies with the process.
+    pub fn in_memory(machine: M) -> Self {
+        Durable { wal: None, machine: Mutex::new((machine, 0)) }
+    }
+
+    /// Append `command` to the log (or, in memory, just number it),
+    /// returning its LSN. The caller holds the machine lock, whose
+    /// applied LSN is `applied`.
+    fn submit(&self, applied: Lsn, command: &[u8]) -> StoreResult<Lsn> {
+        self.wal.as_ref().map_or(Ok(applied + 1), |wal| wal.submit(command))
+    }
+
+    fn wait_durable(&self, lsn: Lsn) -> StoreResult<()> {
+        self.wal.as_ref().map_or(Ok(()), |wal| wal.wait_durable(lsn))
     }
 
     /// Log `command`, apply it, and wait for durability. Returns the
@@ -62,45 +89,23 @@ impl<M: StateMachine> Durable<M> {
     /// the *caller's acknowledgment* is what waits for durability.
     pub fn execute(&self, command: &[u8]) -> StoreResult<Lsn> {
         let mut m = self.machine.lock();
-        let lsn = self.wal.submit(command)?;
-        m.0.apply(lsn, command);
+        let lsn = self.submit(m.1, command)?;
         m.1 = lsn;
+        m.0.apply(lsn, command).map_err(StoreError::Corrupt)?;
         drop(m);
-        self.wal.wait_durable(lsn)?;
+        self.wait_durable(lsn)?;
         Ok(lsn)
     }
 
-    /// Apply a record shipped from a primary, asserting it lands at
-    /// the same LSN locally — replicas replay the primary's exact
-    /// sequence, so local and source LSNs must coincide.
-    pub fn execute_shipped(&self, source_lsn: Lsn, command: &[u8]) -> StoreResult<Lsn> {
-        let mut m = self.machine.lock();
-        if m.1 >= source_lsn {
-            // Already applied (idempotent redelivery).
-            return Ok(source_lsn);
-        }
-        if source_lsn != m.1 + 1 {
-            return Err(StoreError::Behind { have: m.1, want: source_lsn });
-        }
-        let lsn = self.wal.submit(command)?;
-        if lsn != source_lsn {
-            return Err(StoreError::Corrupt(format!(
-                "replica log diverged: shipping lsn {source_lsn} but local log is at {lsn}"
-            )));
-        }
-        m.0.apply(lsn, command);
-        m.1 = lsn;
-        drop(m);
-        self.wal.wait_durable(lsn)?;
-        Ok(lsn)
-    }
-
-    /// Apply a whole shipped batch under one durability wait: every
-    /// record is submitted and applied in order (same idempotent-
-    /// redelivery and gap checks as [`Durable::execute_shipped`]), then
-    /// the log is synced **once** for the batch — so a replica catching
-    /// up on N records pays one group commit, not N fsyncs. Returns the
-    /// highest applied LSN.
+    /// Apply a batch of records shipped from a primary under one
+    /// durability wait, asserting each lands at the same LSN locally —
+    /// replicas replay the primary's exact sequence, so local and
+    /// source LSNs must coincide. Records at or below the applied LSN
+    /// are skipped (idempotent redelivery); a gap is refused with
+    /// [`StoreError::Behind`]. Every record is submitted and applied in
+    /// order, then the log is synced **once** for the batch — so a
+    /// replica catching up on N records pays one group commit, not N
+    /// fsyncs. Returns the highest applied LSN.
     pub fn execute_shipped_batch(&self, records: &[(Lsn, Vec<u8>)]) -> StoreResult<Lsn> {
         let mut m = self.machine.lock();
         let mut last_submitted = None;
@@ -112,20 +117,20 @@ impl<M: StateMachine> Durable<M> {
             if *source_lsn != m.1 + 1 {
                 return Err(StoreError::Behind { have: m.1, want: *source_lsn });
             }
-            let lsn = self.wal.submit(command)?;
+            let lsn = self.submit(m.1, command)?;
             if lsn != *source_lsn {
                 return Err(StoreError::Corrupt(format!(
                     "replica log diverged: shipping lsn {source_lsn} but local log is at {lsn}"
                 )));
             }
-            m.0.apply(lsn, command);
             m.1 = lsn;
+            m.0.apply(lsn, command).map_err(StoreError::Corrupt)?;
             last_submitted = Some(lsn);
         }
         let applied = m.1;
         drop(m);
         if let Some(lsn) = last_submitted {
-            self.wal.wait_durable(lsn)?;
+            self.wait_durable(lsn)?;
         }
         Ok(applied)
     }
@@ -136,6 +141,9 @@ impl<M: StateMachine> Durable<M> {
     /// the queue head a `recv` will pop) or `None` to do nothing. The
     /// check, the logging, and the apply are one atomic step, so a
     /// guard like "only if there is space" cannot race another writer.
+    /// `decide` must only return commands `apply` accepts; one it
+    /// refuses is logged all the same and surfaces as
+    /// [`StoreError::Corrupt`].
     pub fn execute_when<R>(
         &self,
         decide: impl FnOnce(&M) -> Option<(Vec<u8>, R)>,
@@ -144,11 +152,11 @@ impl<M: StateMachine> Durable<M> {
         let Some((command, out)) = decide(&m.0) else {
             return Ok(None);
         };
-        let lsn = self.wal.submit(&command)?;
-        m.0.apply(lsn, &command);
+        let lsn = self.submit(m.1, &command)?;
         m.1 = lsn;
+        m.0.apply(lsn, &command).map_err(StoreError::Corrupt)?;
         drop(m);
-        self.wal.wait_durable(lsn)?;
+        self.wait_durable(lsn)?;
         Ok(Some((lsn, out)))
     }
 
@@ -173,11 +181,12 @@ impl<M: StateMachine> Durable<M> {
 
     /// Snapshot-then-truncate compaction: serialize the machine and
     /// hand the bytes to [`Wal::snapshot`] while holding the machine
-    /// lock, so the snapshot reflects exactly the applied prefix.
+    /// lock, so the snapshot reflects exactly the applied prefix. An
+    /// in-memory machine has nothing to compact and returns its
+    /// applied LSN.
     pub fn compact(&self) -> StoreResult<Lsn> {
         let m = self.machine.lock();
-        let state = m.0.snapshot();
-        self.wal.snapshot(&state)
+        self.wal.as_ref().map_or(Ok(m.1), |wal| wal.snapshot(&m.0.snapshot()))
     }
 
     /// Install a snapshot taken on another node — the bootstrap path
@@ -191,15 +200,18 @@ impl<M: StateMachine> Durable<M> {
         if m.1 >= lsn {
             return Ok(());
         }
-        self.wal.install_snapshot(lsn, state)?;
+        if let Some(wal) = &self.wal {
+            wal.install_snapshot(lsn, state)?;
+        }
         m.0.restore(state).map_err(StoreError::Corrupt)?;
         m.1 = lsn;
         Ok(())
     }
 
-    /// The underlying log (for shipping and introspection).
-    pub fn wal(&self) -> &Wal {
-        &self.wal
+    /// The underlying log (for shipping and introspection); `None` for
+    /// an in-memory machine.
+    pub fn wal(&self) -> Option<&Wal> {
+        self.wal.as_ref()
     }
 }
 
@@ -216,10 +228,11 @@ mod tests {
     }
 
     impl StateMachine for Summer {
-        fn apply(&mut self, _lsn: Lsn, command: &[u8]) {
+        fn apply(&mut self, _lsn: Lsn, command: &[u8]) -> Result<(), String> {
             let n: i64 = std::str::from_utf8(command).unwrap().parse().unwrap();
             self.total += n;
             self.applied += 1;
+            Ok(())
         }
         fn snapshot(&self) -> Vec<u8> {
             format!("{} {}", self.total, self.applied).into_bytes()
@@ -277,7 +290,7 @@ mod tests {
             assert_eq!(d.query(|m| m.total), 95);
             assert_eq!(d.applied_lsn(), 9);
             // Shipped records continue from the installed point.
-            d.execute_shipped(10, b"5").unwrap();
+            d.execute_shipped_batch(&[(10, b"5".to_vec())]).unwrap();
             assert_eq!(d.query(|m| m.total), 100);
             // Installing at or below the applied LSN is a no-op.
             d.install_snapshot(10, b"0 0").unwrap();
@@ -292,16 +305,16 @@ mod tests {
     fn shipped_records_enforce_contiguity() {
         let tmp = TempDir::new("durable-ship");
         let d = Durable::open(tmp.path(), WalConfig::default(), Summer::default()).unwrap();
-        d.execute_shipped(1, b"5").unwrap();
+        d.execute_shipped_batch(&[(1, b"5".to_vec())]).unwrap();
         // Redelivery is idempotent.
-        d.execute_shipped(1, b"5").unwrap();
+        d.execute_shipped_batch(&[(1, b"5".to_vec())]).unwrap();
         assert_eq!(d.query(|m| m.total), 5);
         // A gap is refused with the catch-up hint.
-        match d.execute_shipped(3, b"9") {
+        match d.execute_shipped_batch(&[(3, b"9".to_vec())]) {
             Err(StoreError::Behind { have: 1, want: 3 }) => {}
             other => panic!("expected Behind, got {other:?}"),
         }
-        d.execute_shipped(2, b"7").unwrap();
+        d.execute_shipped_batch(&[(2, b"7".to_vec())]).unwrap();
         assert_eq!(d.query(|m| m.total), 12);
     }
 
@@ -309,7 +322,7 @@ mod tests {
     fn shipped_batches_apply_under_one_commit() {
         let tmp = TempDir::new("durable-ship-batch");
         let d = Durable::open(tmp.path(), WalConfig::default(), Summer::default()).unwrap();
-        d.execute_shipped(1, b"5").unwrap();
+        d.execute_shipped_batch(&[(1, b"5".to_vec())]).unwrap();
         // Overlapping redelivery is skipped; the fresh tail applies.
         let batch: Vec<(Lsn, Vec<u8>)> =
             vec![(1, b"5".to_vec()), (2, b"7".to_vec()), (3, b"9".to_vec())];

@@ -100,9 +100,9 @@ impl JournalMachine {
 }
 
 impl StateMachine for JournalMachine {
-    fn apply(&mut self, _lsn: Lsn, command: &[u8]) {
-        let Ok(text) = std::str::from_utf8(command) else { return };
-        let Ok(ev) = Value::parse(text) else { return };
+    fn apply(&mut self, _lsn: Lsn, command: &[u8]) -> Result<(), String> {
+        let Ok(text) = std::str::from_utf8(command) else { return Ok(()) };
+        let Ok(ev) = Value::parse(text) else { return Ok(()) };
         let saga = ev.get("saga").and_then(Value::as_str).unwrap_or_default().to_string();
         match ev.get("ev").and_then(Value::as_str) {
             Some("begin") => {
@@ -118,6 +118,7 @@ impl StateMachine for JournalMachine {
             }
             _ => {}
         }
+        Ok(())
     }
 
     fn snapshot(&self) -> Vec<u8> {
