@@ -207,7 +207,7 @@ impl Crawler {
                 std::thread::sleep(self.config.politeness);
             }
             let mut dir_span = soc_observe::span("discover.directory", SpanKind::Client);
-            dir_span.set_attr("directory", base.as_str());
+            dir_span.set_text("directory", &base);
             let _dir_active = dir_span.activate();
 
             // Referral first: one round trip yields both the peers to
@@ -227,13 +227,13 @@ impl Crawler {
                 }
             }
             if self.last_versions.get(&base) == Some(&version) {
-                dir_span.set_attr("unchanged", "true");
+                dir_span.set_attr("unchanged", true);
                 stats.skipped_unchanged.push(base);
                 continue;
             }
             match self.listing(&base) {
                 Ok(descriptors) => {
-                    dir_span.set_attr("services", descriptors.len().to_string());
+                    dir_span.set_attr("services", descriptors.len());
                     for d in descriptors {
                         stats.services_seen += 1;
                         let described = self.describe(&base, d, &mut stats);
@@ -249,8 +249,8 @@ impl Crawler {
             }
         }
 
-        crawl_span.set_attr("visited", stats.visited.len().to_string());
-        crawl_span.set_attr("services", catalog.len().to_string());
+        crawl_span.set_attr("visited", stats.visited.len());
+        crawl_span.set_attr("services", catalog.len());
         let m = soc_observe::metrics();
         m.counter("soc_discover_directories_total", &[("outcome", "visited")])
             .add(stats.visited.len() as u64);

@@ -236,7 +236,7 @@ impl Discovery {
             // One span per attempt: the trace reads
             // `discover.plan → workflow.run → gateway.request`.
             let mut plan_span = soc_observe::span("discover.plan", SpanKind::Internal);
-            plan_span.set_attr("attempt", (attempt + 1).to_string());
+            plan_span.set_attr("attempt", attempt + 1);
             let _active = plan_span.activate();
 
             let mut planner = Planner::new(&self.index, &qos);
@@ -259,7 +259,7 @@ impl Discovery {
                 }
             };
             verify(&plan, goal).map_err(DiscoverError::Rejected)?;
-            plan_span.set_attr("nodes", plan.nodes.len().to_string());
+            plan_span.set_attr("nodes", plan.nodes.len());
 
             let lowered =
                 lower(&plan, goal, &self.gateway, inputs).map_err(DiscoverError::Lower)?;

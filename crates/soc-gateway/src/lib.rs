@@ -466,7 +466,7 @@ impl Gateway {
         // retries and hedge backups included — hangs off this span, so
         // one trace shows the whole race.
         let mut gw_span = soc_observe::span("gateway.request", SpanKind::Internal);
-        gw_span.set_attr("service", service);
+        gw_span.set_text("service", service);
         let _active = gw_span.activate();
         let attempt_parent = gw_span.context();
         if !inner.bucket.try_acquire() {
@@ -520,7 +520,7 @@ impl Gateway {
             // or, for a shard-keyed request, a re-published map.
             let endpoints = match self.shard_candidates(service, &req) {
                 Some(eps) => {
-                    gw_span.set_attr("shard_routed", "true");
+                    gw_span.set_attr("shard_routed", true);
                     eps
                 }
                 None => inner.resolver.resolve(service),
@@ -703,11 +703,11 @@ impl Gateway {
                     // primary (the node's map is ahead of ours) chases
                     // the redirect hint instead of surfacing the 409.
                     if let Some(better) = self.follow_not_primary(&req, rest, &resp) {
-                        gw_span.set_attr("shard_redirected", "true");
-                        gw_span.set_attr("http.status", better.status.0.to_string());
+                        gw_span.set_attr("shard_redirected", true);
+                        gw_span.set_attr("http.status", better.status.0);
                         return better;
                     }
-                    gw_span.set_attr("http.status", resp.status.0.to_string());
+                    gw_span.set_attr("http.status", resp.status.0);
                     return resp;
                 }
                 Ok(resp) => {
@@ -773,9 +773,9 @@ impl Arm {
         pass: Pass,
     ) -> Arm {
         let mut span = soc_observe::child_span(parent, "gateway.attempt", SpanKind::Client);
-        span.set_attr("upstream", endpoint.as_str());
-        span.set_attr("attempt", attempt.to_string());
-        span.set_attr("hedge", if hedge { "true" } else { "false" });
+        span.set_text("upstream", &endpoint);
+        span.set_attr("attempt", attempt);
+        span.set_attr("hedge", hedge);
         let ustats = inner.stats.upstream(&endpoint);
         ustats.requests.fetch_add(1, Ordering::Relaxed);
         if attempt > 0 && !hedge {
@@ -813,7 +813,7 @@ impl Arm {
         let ok = matches!(&result, Ok(r) if r.status.0 < 500);
         match &result {
             Ok(r) => {
-                self.span.set_attr("http.status", r.status.0.to_string());
+                self.span.set_attr("http.status", r.status.0);
                 if !ok {
                     self.span.set_error(format!("upstream answered {}", r.status));
                 }

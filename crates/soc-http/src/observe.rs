@@ -36,7 +36,7 @@ pub(crate) fn serve_with_span(
     };
     if span.is_recording() {
         span.set_attr("http.method", req.method.as_str());
-        span.set_attr("http.target", req.target.as_str());
+        span.set_text("http.target", &req.target);
     }
     let ctx = span.context();
     let mut resp = {
@@ -44,7 +44,7 @@ pub(crate) fn serve_with_span(
         f(req)
     };
     if span.is_recording() {
-        span.set_attr("http.status", resp.status.0.to_string());
+        span.set_attr("http.status", resp.status.0);
         if resp.status.0 >= 500 {
             span.set_error(format!("status {}", resp.status.0));
         }

@@ -24,26 +24,33 @@ impl TraceId {
 
     /// Lowercase 32-hex-digit form.
     pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
+        ascii_str(&self.hex()).to_owned()
     }
 
     /// Parse a 32-hex-digit (lowercase) id; zero is invalid.
     pub fn from_hex(s: &str) -> Option<TraceId> {
-        if s.len() != 32 || !is_lower_hex(s) {
+        TraceId::from_hex_bytes(s.as_bytes())
+    }
+
+    fn hex(self) -> [u8; 32] {
+        let mut out = [0; 32];
+        out[..16].copy_from_slice(&hex_u64((self.0 >> 64) as u64));
+        out[16..].copy_from_slice(&hex_u64(self.0 as u64));
+        out
+    }
+
+    fn from_hex_bytes(b: &[u8]) -> Option<TraceId> {
+        if b.len() != 32 {
             return None;
         }
-        let v = u128::from_str_radix(s, 16).ok()?;
-        if v == 0 {
-            None
-        } else {
-            Some(TraceId(v))
-        }
+        let v = (u128::from(decode_hex16(&b[..16])?) << 64) | u128::from(decode_hex16(&b[16..])?);
+        (v != 0).then_some(TraceId(v))
     }
 }
 
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
+        f.write_str(ascii_str(&self.hex()))
     }
 }
 
@@ -59,26 +66,26 @@ impl SpanId {
 
     /// Lowercase 16-hex-digit form.
     pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
+        ascii_str(&self.hex()).to_owned()
     }
 
     /// Parse a 16-hex-digit (lowercase) id; zero is invalid.
     pub fn from_hex(s: &str) -> Option<SpanId> {
-        if s.len() != 16 || !is_lower_hex(s) {
-            return None;
-        }
-        let v = u64::from_str_radix(s, 16).ok()?;
-        if v == 0 {
-            None
-        } else {
-            Some(SpanId(v))
-        }
+        SpanId::from_hex_bytes(s.as_bytes())
+    }
+
+    fn hex(self) -> [u8; 16] {
+        hex_u64(self.0)
+    }
+
+    fn from_hex_bytes(b: &[u8]) -> Option<SpanId> {
+        decode_hex16(b).filter(|&v| v != 0).map(SpanId)
     }
 }
 
 impl fmt::Display for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        f.write_str(ascii_str(&self.hex()))
     }
 }
 
@@ -94,35 +101,113 @@ pub struct TraceContext {
     pub sampled: bool,
 }
 
+/// Length of a version-`00` `traceparent` value.
+const TRACEPARENT_LEN: usize = 55;
+
 impl TraceContext {
     /// Encode as a `traceparent` value:
-    /// `00-{trace_id:032x}-{span_id:016x}-{flags:02x}`.
+    /// `00-{trace_id:032x}-{span_id:016x}-{flags:02x}`. One
+    /// allocation: the returned string.
     pub fn to_traceparent(&self) -> String {
-        format!("00-{:032x}-{:016x}-{:02x}", self.trace_id.0, self.span_id.0, self.sampled as u8)
+        let mut out = [0; TRACEPARENT_LEN];
+        out[..3].copy_from_slice(b"00-");
+        out[3..35].copy_from_slice(&self.trace_id.hex());
+        out[35] = b'-';
+        out[36..52].copy_from_slice(&self.span_id.hex());
+        out[52..].copy_from_slice(if self.sampled { b"-01" } else { b"-00" });
+        ascii_str(&out).to_owned()
     }
 
     /// Decode a `traceparent` value. Strict on shape (version `00`,
     /// lowercase hex, non-zero ids); unknown flag bits are ignored
-    /// except the low `sampled` bit.
+    /// except the low `sampled` bit. Allocates nothing.
     pub fn parse_traceparent(s: &str) -> Option<TraceContext> {
-        let mut parts = s.split('-');
-        let version = parts.next()?;
-        if version != "00" {
+        let b = s.as_bytes();
+        // Hex digits never contain '-', so fixed offsets accept exactly
+        // the four-field `00-<32>-<16>-<2>` shape.
+        if b.len() != TRACEPARENT_LEN || &b[..3] != b"00-" || b[35] != b'-' || b[52] != b'-' {
             return None;
         }
-        let trace_id = TraceId::from_hex(parts.next()?)?;
-        let span_id = SpanId::from_hex(parts.next()?)?;
-        let flags = parts.next()?;
-        if flags.len() != 2 || !is_lower_hex(flags) || parts.next().is_some() {
-            return None;
-        }
-        let flags = u8::from_str_radix(flags, 16).ok()?;
+        let trace_id = TraceId::from_hex_bytes(&b[3..35])?;
+        let span_id = SpanId::from_hex_bytes(&b[36..52])?;
+        let flags = (hex_digit(b[53])? << 4) | hex_digit(b[54])?;
         Some(TraceContext { trace_id, span_id, sampled: flags & 1 == 1 })
     }
 }
 
-fn is_lower_hex(s: &str) -> bool {
-    s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+// The codec works on eight hex digits at a time, one per byte of a
+// `u64` (SWAR): a nibble per byte on one side, its ASCII digit on the
+// other. No byte ever carries into its neighbour: every intermediate
+// stays below 0x100.
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The 16 lowercase hex digits of `v`, most significant first.
+fn hex_u64(v: u64) -> [u8; 16] {
+    let mut out = [0; 16];
+    out[..8].copy_from_slice(&nibbles_to_ascii(spread_nibbles((v >> 32) as u32)).to_be_bytes());
+    out[8..].copy_from_slice(&nibbles_to_ascii(spread_nibbles(v as u32)).to_be_bytes());
+    out
+}
+
+/// One nibble of `x` per byte, the most significant nibble in the most
+/// significant byte.
+fn spread_nibbles(x: u32) -> u64 {
+    let x = u64::from(x);
+    let x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    let x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f
+}
+
+/// Map each byte `0..=15` to its lowercase hex digit.
+fn nibbles_to_ascii(n: u64) -> u64 {
+    // Adding 6 carries into bit 4 exactly for the bytes that are >= 10.
+    let letters = ((n + 6 * ONES) >> 4) & ONES;
+    n + u64::from(b'0') * ONES + letters * u64::from(b'a' - b'0' - 10)
+}
+
+/// The high bit of each byte of `x` (all below 0x80) that lies in
+/// `lo..=hi`.
+fn bytes_in(x: u64, lo: u8, hi: u8) -> u64 {
+    (x + u64::from(0x80 - lo) * ONES) & !(x + u64::from(0x7f - hi) * ONES) & HIGH_BITS
+}
+
+/// Decode eight lowercase hex digits; `None` on any other byte.
+fn decode_hex8(digits: [u8; 8]) -> Option<u32> {
+    let x = u64::from_be_bytes(digits);
+    if x & HIGH_BITS != 0 {
+        return None;
+    }
+    let letters = bytes_in(x, b'a', b'f');
+    if bytes_in(x, b'0', b'9') | letters != HIGH_BITS {
+        return None;
+    }
+    // '0'..'9' hold their value in the low nibble; 'a'..'f' hold 1..6.
+    let n = (x & 0x0f0f_0f0f_0f0f_0f0f) + (letters >> 7) * 9;
+    let n = (n | n >> 4) & 0x00ff_00ff_00ff_00ff;
+    let n = (n | n >> 8) & 0x0000_ffff_0000_ffff;
+    Some((n | n >> 16) as u32)
+}
+
+/// Decode exactly 16 lowercase hex digits; `None` on any other input.
+fn decode_hex16(digits: &[u8]) -> Option<u64> {
+    let (hi, lo) = digits.split_first_chunk::<8>()?;
+    let lo: [u8; 8] = lo.try_into().ok()?;
+    Some(u64::from(decode_hex8(*hi)?) << 32 | u64::from(decode_hex8(lo)?))
+}
+
+/// One lowercase hex digit's value.
+fn hex_digit(b: u8) -> Option<u8> {
+    match b {
+        b'0'..=b'9' => Some(b - b'0'),
+        b'a'..=b'f' => Some(b - b'a' + 10),
+        _ => None,
+    }
+}
+
+/// View encoder output as text; it holds only hex digits and `-`.
+fn ascii_str(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("hex encoding is ASCII")
 }
 
 thread_local! {
@@ -254,6 +339,24 @@ mod tests {
         assert_eq!(current(), Some(outer));
         drop(g1);
         assert_eq!(current(), None);
+    }
+
+    #[test]
+    fn word_codec_agrees_with_per_digit_decoding_on_every_byte() {
+        let base = *b"0123abcd";
+        for at in 0..8 {
+            for byte in 0..=u8::MAX {
+                let mut digits = base;
+                digits[at] = byte;
+                let expected =
+                    digits.iter().try_fold(0u32, |v, &b| Some(v << 4 | u32::from(hex_digit(b)?)));
+                assert_eq!(decode_hex8(digits), expected, "byte {byte:#04x} at {at}");
+            }
+        }
+        for v in [0, 1, 0x0123_4567_89ab_cdef, u64::MAX, 0xa0a0_0a0a_f9f9_9f9f] {
+            assert_eq!(hex_u64(v), *format!("{v:016x}").as_bytes());
+            assert_eq!(decode_hex16(&hex_u64(v)), Some(v));
+        }
     }
 
     #[test]

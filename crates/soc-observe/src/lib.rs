@@ -21,8 +21,16 @@
 //! Everything hangs off one process-wide [`global`] instance so any
 //! crate can record without plumbing handles; `soc-http` mounts the
 //! `/observe/metrics` and `/observe/traces/{id}` endpoints over it.
-//! Unsampled spans cost well under a microsecond (no allocation, no
-//! store write) — budgeted by the `observe` bench.
+//!
+//! Tracing is cheap enough to leave on, which is why the default head
+//! sampling rate is 1.0. A recorded span keeps its name, attribute keys
+//! and static, integer and flag values inline in its [`SpanRecord`]
+//! (see [`mod@span`] for the layout), so it allocates nothing beyond one
+//! copy per run-time text attribute; `traceparent` encodes into one
+//! allocation and parses into none. The `observe` bench budgets a
+//! recorded span at 250 ns, a whole traced server hop at 800 ns, a
+//! `traceparent` round trip at 150 ns and a sampled-out span at 1 µs,
+//! and `tests/alloc_count.rs` pins the allocation counts.
 
 pub mod context;
 pub mod metrics;
@@ -37,7 +45,9 @@ use std::sync::OnceLock;
 pub use context::{ContextGuard, SpanId, TraceContext, TraceId, TRACEPARENT};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
 pub use otlp::OtlpExporter;
-pub use span::{child_span, root_span, span, Span, SpanKind, SpanRecord, SpanStatus};
+pub use span::{
+    child_span, root_span, span, AttrValue, Attrs, Span, SpanKind, SpanRecord, SpanStatus,
+};
 pub use store::SpanStore;
 
 /// The process-wide observability plane: span store + metrics registry

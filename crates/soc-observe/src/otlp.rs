@@ -55,12 +55,12 @@ pub fn span_to_otlp(rec: &SpanRecord) -> Value {
     if let Some(parent) = rec.parent {
         s.set("parentSpanId", parent.to_hex());
     }
-    s.set("name", rec.name.as_str());
+    s.set("name", rec.name);
     s.set("kind", kind_code(rec.kind));
     // OTLP/JSON carries 64-bit nanos as decimal strings.
     s.set("startTimeUnixNano", (rec.start_us * 1000).to_string());
     s.set("endTimeUnixNano", ((rec.start_us + rec.duration_us) * 1000).to_string());
-    let mut attrs: Vec<Value> = rec.attrs.iter().map(|(k, v)| attr(k, v)).collect();
+    let mut attrs: Vec<Value> = rec.attrs.iter().map(|(k, v)| attr(k, &v.render())).collect();
     if let Some(err) = &rec.error {
         attrs.push(attr("error.message", err));
     }
@@ -129,19 +129,22 @@ impl OtlpExporter {
 mod tests {
     use super::*;
     use crate::context::{SpanId, TraceId};
+    use crate::span::{AttrValue, Attrs};
 
-    fn record(name: &str, error: Option<&str>) -> SpanRecord {
+    fn record(name: &'static str, error: Option<&str>) -> SpanRecord {
+        let mut attrs = Attrs::new();
+        attrs.push("http.method", AttrValue::Str("GET"));
         SpanRecord {
             trace_id: TraceId(0xabcd),
             span_id: SpanId(0x1234),
             parent: Some(SpanId(0x5678)),
-            name: name.to_string(),
+            name,
             kind: SpanKind::Server,
             start_us: 1_000,
             duration_us: 250,
             status: if error.is_some() { SpanStatus::Error } else { SpanStatus::Ok },
             error: error.map(String::from),
-            attrs: vec![("http.method".into(), "GET".into())],
+            attrs,
         }
     }
 

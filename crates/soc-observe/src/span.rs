@@ -1,11 +1,37 @@
 //! Spans: timed units of work with status and attributes.
 //!
-//! A [`Span`] is a guard — it stamps its start on creation and records
-//! itself into the global [`crate::SpanStore`] on drop. Unsampled spans
-//! still carry a [`TraceContext`] (so the decision propagates
-//! downstream) but skip all bookkeeping: no allocation, no store
-//! write — the sub-microsecond path the `observe` bench budgets.
+//! A [`Span`] is a guard — it reads the clock once when it starts and
+//! records itself into the global [`crate::SpanStore`] on drop.
+//! Unsampled spans still carry a [`TraceContext`] (so the decision
+//! propagates downstream) but skip all bookkeeping: no allocation, no
+//! clock read, no store write.
+//!
+//! # Record layout
+//!
+//! A sampled span builds its [`SpanRecord`] inside the `Span` itself
+//! (no box), and the store takes it by swapping it into a ring slot.
+//! The name and the attribute keys are `&'static str`. The first
+//! [`INLINE_ATTRS`] attributes live in the record; a fifth spills to a
+//! heap vector. Values are [`AttrValue`]s: static strings, integers and
+//! flags are held as they are, and only run-time text
+//! ([`AttrValue::Text`], set through [`Span::set_text`]) owns a heap
+//! copy. A recorded span with static, integer and flag attributes
+//! therefore allocates nothing once its store shard is full, and each
+//! text attribute costs one allocation. Values render to the same
+//! strings `/observe/traces/{id}` and OTLP export always carried
+//! (`"200"`, `"true"`, ...).
+//!
+//! # Cost
+//!
+//! From the `observe` bench on a 2-vCPU KVM guest, against a full
+//! store: a sampled-out span costs 20–30 ns, and a recorded span with
+//! one attribute 170–200 ns (up to 270 ns in runs that start right
+//! after a build). Two clock reads (about 40 ns each on that host) and
+//! the shard lock (about 20 ns) are much of it. A whole traced server
+//! hop (`traceparent` parse, `http.server` around `rest.dispatch`,
+//! `X-Trace-Id`) costs 380–570 ns (`server_hop_recorded`).
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -54,6 +80,119 @@ impl SpanStatus {
     }
 }
 
+/// Attributes stored inline; a span setting more spills to the heap.
+/// Four is the most any instrumented call site sets today.
+pub const INLINE_ATTRS: usize = 4;
+
+/// One attribute value. Static strings, integers and booleans are held
+/// as they are; only [`AttrValue::Text`] owns a heap copy.
+/// `/observe/traces/{id}` and OTLP export carry every value as the
+/// string [`AttrValue::render`] gives.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A string known at compile time: no copy.
+    Str(&'static str),
+    /// An integer, rendered in decimal.
+    Int(i64),
+    /// A flag, rendered `true` / `false`.
+    Bool(bool),
+    /// A string that only exists at run time: one heap copy.
+    Text(Box<str>),
+}
+
+impl AttrValue {
+    /// The rendered value: borrowed for strings and flags, formatted
+    /// for integers.
+    pub fn render(&self) -> Cow<'_, str> {
+        match self {
+            AttrValue::Str(s) => Cow::Borrowed(s),
+            AttrValue::Text(s) => Cow::Borrowed(s),
+            AttrValue::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            AttrValue::Int(i) => Cow::Owned(i.to_string()),
+        }
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> AttrValue {
+        AttrValue::Str(s)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(b: bool) -> AttrValue {
+        AttrValue::Bool(b)
+    }
+}
+
+impl From<u16> for AttrValue {
+    fn from(i: u16) -> AttrValue {
+        AttrValue::Int(i.into())
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(i: u32) -> AttrValue {
+        AttrValue::Int(i.into())
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(i: usize) -> AttrValue {
+        AttrValue::Int(i64::try_from(i).unwrap_or(i64::MAX))
+    }
+}
+
+/// One attribute: a static key and its value.
+type Attr = (&'static str, AttrValue);
+
+/// A span's attributes in insertion order: the first
+/// [`INLINE_ATTRS`] live in the record itself, any further ones in a
+/// heap vector allocated on the first spill.
+#[derive(Debug)]
+pub struct Attrs {
+    inline: [Option<Attr>; INLINE_ATTRS],
+    spill: Vec<Attr>,
+}
+
+impl Attrs {
+    /// No attributes; allocates nothing.
+    pub const fn new() -> Attrs {
+        Attrs { inline: [const { None }; INLINE_ATTRS], spill: Vec::new() }
+    }
+
+    /// Append one attribute (a repeated key is kept twice, as set).
+    #[inline]
+    pub fn push(&mut self, key: &'static str, value: AttrValue) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((key, value)),
+            None => self.spill.push((key, value)),
+        }
+    }
+
+    /// Attributes in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &AttrValue)> {
+        self.inline.iter().map_while(Option::as_ref).chain(&self.spill).map(|(k, v)| (*k, v))
+    }
+}
+
+impl Clone for Attrs {
+    /// Clones only the slots in use.
+    fn clone(&self) -> Attrs {
+        let mut out = Attrs::new();
+        for (k, v) in self.iter() {
+            out.push(k, v.clone());
+        }
+        out
+    }
+}
+
+impl Default for Attrs {
+    fn default() -> Attrs {
+        Attrs::new()
+    }
+}
+
 /// A finished span as kept by the [`crate::SpanStore`].
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
@@ -64,7 +203,7 @@ pub struct SpanRecord {
     /// Parent span id, `None` for a trace root.
     pub parent: Option<SpanId>,
     /// Operation name, e.g. `"gateway.attempt"`.
-    pub name: String,
+    pub name: &'static str,
     /// Client / server / internal.
     pub kind: SpanKind,
     /// Start time, microseconds since process start.
@@ -76,10 +215,26 @@ pub struct SpanRecord {
     /// Error detail when `status == Error`.
     pub error: Option<String>,
     /// Key/value attributes in insertion order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Attrs,
 }
 
 impl SpanRecord {
+    /// A placeholder left behind when a record moves into the store.
+    pub(crate) const fn blank() -> SpanRecord {
+        SpanRecord {
+            trace_id: TraceId(0),
+            span_id: SpanId(0),
+            parent: None,
+            name: "",
+            kind: SpanKind::Internal,
+            start_us: 0,
+            duration_us: 0,
+            status: SpanStatus::Ok,
+            error: None,
+            attrs: Attrs::new(),
+        }
+    }
+
     /// JSON form used by `/observe/traces/{id}`.
     pub fn to_json(&self) -> Value {
         let mut v = Value::Object(vec![]);
@@ -88,7 +243,7 @@ impl SpanRecord {
             Some(p) => v.set("parent_span_id", p.to_hex()),
             None => v.set("parent_span_id", Value::Null),
         }
-        v.set("name", self.name.as_str());
+        v.set("name", self.name);
         v.set("kind", self.kind.as_str());
         v.set("start_us", self.start_us as i64);
         v.set("duration_us", self.duration_us as i64);
@@ -97,37 +252,33 @@ impl SpanRecord {
             v.set("error", e.as_str());
         }
         let mut attrs = Value::Object(vec![]);
-        for (k, val) in &self.attrs {
-            attrs.set(k.clone(), val.as_str());
+        for (k, val) in self.attrs.iter() {
+            attrs.set(k, val.render().as_ref());
         }
         v.set("attrs", attrs);
         v
     }
 }
 
-/// Recording state carried only by sampled spans.
+/// Recording state carried only by sampled spans: the record being
+/// built, and the clock reading its duration is measured from.
 struct ActiveSpan {
-    parent: Option<SpanId>,
-    name: &'static str,
-    kind: SpanKind,
-    start_us: u64,
     started: Instant,
-    status: SpanStatus,
-    error: Option<String>,
-    attrs: Vec<(String, String)>,
+    record: SpanRecord,
 }
 
 /// A live span guard. Records itself into the global store when
 /// dropped (or via [`Span::finish`]).
 pub struct Span {
     ctx: TraceContext,
-    active: Option<Box<ActiveSpan>>,
+    active: Option<ActiveSpan>,
     /// Head-unsampled but recorded anyway because tail sampling is on:
     /// the finished record goes to the tail buffer, not the store.
     tail_only: bool,
 }
 
 impl Span {
+    #[inline]
     fn start(
         ctx: TraceContext,
         parent: Option<SpanId>,
@@ -136,16 +287,22 @@ impl Span {
     ) -> Span {
         let tail_only = !ctx.sampled && crate::global().tail_keep_errors();
         let active = if ctx.sampled || tail_only {
-            Some(Box::new(ActiveSpan {
-                parent,
-                name,
-                kind,
-                start_us: now_us(),
-                started: Instant::now(),
-                status: SpanStatus::Ok,
-                error: None,
-                attrs: Vec::new(),
-            }))
+            let started = Instant::now();
+            Some(ActiveSpan {
+                started,
+                record: SpanRecord {
+                    trace_id: ctx.trace_id,
+                    span_id: ctx.span_id,
+                    parent,
+                    name,
+                    kind,
+                    start_us: since_epoch_us(started),
+                    duration_us: 0,
+                    status: SpanStatus::Ok,
+                    error: None,
+                    attrs: Attrs::new(),
+                },
+            })
         } else {
             None
         };
@@ -165,19 +322,29 @@ impl Span {
         self.active.is_some()
     }
 
-    /// Attach a key/value attribute (no-op when unsampled).
-    pub fn set_attr(&mut self, key: &str, value: impl Into<String>) {
-        if let Some(a) = self.active.as_deref_mut() {
-            a.attrs.push((key.to_string(), value.into()));
+    /// Attach a key/value attribute (no-op when unsampled). The value
+    /// is converted only when the span records, so an integer status
+    /// costs nothing on an unsampled span.
+    pub fn set_attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        if let Some(a) = &mut self.active {
+            a.record.attrs.push(key, value.into());
+        }
+    }
+
+    /// Attach a borrowed run-time string, copied into an
+    /// [`AttrValue::Text`] only when the span records.
+    pub fn set_text(&mut self, key: &'static str, value: &str) {
+        if let Some(a) = &mut self.active {
+            a.record.attrs.push(key, AttrValue::Text(value.into()));
         }
     }
 
     /// Mark the span failed with a detail message (no-op when
     /// unsampled).
     pub fn set_error(&mut self, detail: impl Into<String>) {
-        if let Some(a) = self.active.as_deref_mut() {
-            a.status = SpanStatus::Error;
-            a.error = Some(detail.into());
+        if let Some(a) = &mut self.active {
+            a.record.status = SpanStatus::Error;
+            a.record.error = Some(detail.into());
         }
     }
 
@@ -190,40 +357,38 @@ impl Span {
 
     /// Stop the clock and record the span now (equivalent to dropping
     /// it, but reads as intent at call sites).
+    #[inline]
     pub fn finish(self) {}
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(a) = self.active.take() {
-            let duration_us = a.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let record = SpanRecord {
-                trace_id: self.ctx.trace_id,
-                span_id: self.ctx.span_id,
-                parent: a.parent,
-                name: a.name.to_string(),
-                kind: a.kind,
-                start_us: a.start_us,
-                duration_us,
-                status: a.status,
-                error: a.error,
-                attrs: a.attrs,
-            };
-            if self.tail_only {
-                // Buffered until the trace's fate is known; an error
-                // anywhere in the trace flushes it into the store.
-                for flushed in crate::global().tail.offer(record) {
-                    crate::global().store().record(flushed);
-                }
-            } else {
-                crate::global().store().record(record);
-            }
+        let Some(active) = &mut self.active else { return };
+        active.record.duration_us =
+            active.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        if self.tail_only {
+            offer_to_tail(&mut active.record);
+        } else {
+            // The evicted record comes back in its place and is freed
+            // with this span, after the shard lock is released.
+            crate::global().store().record_swap(&mut active.record);
         }
+    }
+}
+
+/// Buffer a head-unsampled span until its trace's fate is known; an
+/// error anywhere in the trace flushes it into the store.
+#[cold]
+fn offer_to_tail(record: &mut SpanRecord) {
+    let record = std::mem::replace(record, SpanRecord::blank());
+    for flushed in crate::global().tail.offer(record) {
+        crate::global().store().record(flushed);
     }
 }
 
 /// Start a root span: fresh trace id, sampling decided by the global
 /// sample rate.
+#[inline]
 pub fn root_span(name: &'static str, kind: SpanKind) -> Span {
     let ctx = TraceContext {
         trace_id: TraceId::generate(),
@@ -236,6 +401,7 @@ pub fn root_span(name: &'static str, kind: SpanKind) -> Span {
 /// Start a child of an explicit parent context (same trace, inherits
 /// the parent's sampling decision). Used when the parent lives on
 /// another thread or arrived over the wire.
+#[inline]
 pub fn child_span(parent: TraceContext, name: &'static str, kind: SpanKind) -> Span {
     let ctx = TraceContext {
         trace_id: parent.trace_id,
@@ -247,6 +413,7 @@ pub fn child_span(parent: TraceContext, name: &'static str, kind: SpanKind) -> S
 
 /// Start a span under the thread's current context, or a new root if
 /// none is active.
+#[inline]
 pub fn span(name: &'static str, kind: SpanKind) -> Span {
     match context::current() {
         Some(parent) => child_span(parent, name, kind),
@@ -254,10 +421,12 @@ pub fn span(name: &'static str, kind: SpanKind) -> Span {
     }
 }
 
-/// Microseconds since process start (monotonic).
-pub(crate) fn now_us() -> u64 {
+/// Microseconds from process start (the first span's start) to `at`,
+/// on the monotonic clock.
+fn since_epoch_us(at: Instant) -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros().min(u64::MAX as u128) as u64
+    let epoch = *EPOCH.get_or_init(|| at);
+    at.saturating_duration_since(epoch).as_micros().min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -275,7 +444,9 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "test.sampled_root");
         assert_eq!(spans[0].parent, None);
-        assert_eq!(spans[0].attrs, vec![("k".to_string(), "v".to_string())]);
+        let attrs: Vec<(&str, String)> =
+            spans[0].attrs.iter().map(|(k, v)| (k, v.render().into_owned())).collect();
+        assert_eq!(attrs, vec![("k", "v".to_string())]);
         assert_eq!(spans[0].status, SpanStatus::Ok);
     }
 
@@ -355,12 +526,56 @@ mod tests {
         // A span finishing *after* promotion records directly.
         child_span(parent, "test.tail_late", SpanKind::Internal).finish();
         let spans = crate::global().store().trace(parent.trace_id);
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert!(names.contains(&"test.tail_sibling"), "{names:?}");
         assert!(names.contains(&"test.tail_error"), "{names:?}");
         assert!(names.contains(&"test.tail_late"), "{names:?}");
         let err = spans.iter().find(|s| s.name == "test.tail_error").unwrap();
         assert_eq!(err.status, SpanStatus::Error);
+    }
+
+    #[test]
+    fn typed_attributes_render_as_strings_in_insertion_order() {
+        let mut s = root_span("test.typed_attrs", SpanKind::Server);
+        let trace = s.context().trace_id;
+        s.set_attr("http.method", "GET");
+        s.set_text("http.target", &String::from("/svc/x"));
+        s.set_attr("http.status", 503u16);
+        s.set_attr("hedge", true);
+        // Past the inline slots: spills, and keeps its place.
+        s.set_attr("attempt", 2u32);
+        s.set_attr("nodes", 7usize);
+        drop(s);
+        let rec = crate::global().store().trace(trace).remove(0);
+        let json = rec.to_json();
+        let attrs = json.pointer("/attrs").unwrap();
+        let expected = [
+            ("http.method", "GET"),
+            ("http.target", "/svc/x"),
+            ("http.status", "503"),
+            ("hedge", "true"),
+            ("attempt", "2"),
+            ("nodes", "7"),
+        ];
+        let expected_json = {
+            let mut v = Value::Object(vec![]);
+            for (k, val) in expected {
+                v.set(k, val);
+            }
+            v
+        };
+        assert_eq!(attrs, &expected_json);
+        let otlp = crate::otlp::span_to_otlp(&rec);
+        for (i, (k, val)) in expected.iter().enumerate() {
+            assert_eq!(
+                otlp.pointer(&format!("/attributes/{i}/key")).and_then(Value::as_str),
+                Some(*k)
+            );
+            assert_eq!(
+                otlp.pointer(&format!("/attributes/{i}/value/stringValue")).and_then(Value::as_str),
+                Some(*val)
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Spans are kept in per-shard rings (oldest evicted first). Sharding
 //! is by trace id, so all spans of one trace land in one shard and a
-//! trace lookup scans a single ring under a single short lock.
-
-use std::collections::VecDeque;
+//! trace lookup scans a single ring under a single short lock. A full
+//! ring overwrites its oldest slot in place, and the evicted record is
+//! dropped after the lock is released.
 
 use parking_lot::Mutex;
 
@@ -17,7 +17,16 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub const DEFAULT_SHARD_CAPACITY: usize = 2048;
 
 struct Shard {
-    ring: Mutex<VecDeque<SpanRecord>>,
+    ring: Mutex<Ring>,
+}
+
+/// A bounded ring: grows to its capacity, then `next` walks it,
+/// pointing at the oldest record. Readers sort what they take, so slot
+/// order carries no meaning.
+#[derive(Default)]
+struct Ring {
+    slots: Vec<SpanRecord>,
+    next: usize,
 }
 
 /// A sharded ring buffer of finished spans.
@@ -31,24 +40,38 @@ impl SpanStore {
     pub fn new(shards: usize, shard_capacity: usize) -> SpanStore {
         let shards = shards.max(1);
         SpanStore {
-            shards: (0..shards).map(|_| Shard { ring: Mutex::new(VecDeque::new()) }).collect(),
+            shards: (0..shards).map(|_| Shard { ring: Mutex::new(Ring::default()) }).collect(),
             shard_capacity: shard_capacity.max(1),
         }
     }
 
     fn shard(&self, trace_id: TraceId) -> &Shard {
-        let h = (trace_id.0 as u64) ^ ((trace_id.0 >> 64) as u64);
-        &self.shards[(h as usize) % self.shards.len()]
+        // Fibonacci-hash the folded id, then scale it onto the shard
+        // count with a multiply: no division on the record path.
+        let h =
+            ((trace_id.0 as u64) ^ ((trace_id.0 >> 64) as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[((u128::from(h) * self.shards.len() as u128) >> 64) as usize]
     }
 
     /// Append a finished span, evicting the shard's oldest span when
     /// the ring is full.
-    pub fn record(&self, rec: SpanRecord) {
+    pub fn record(&self, mut rec: SpanRecord) {
+        self.record_swap(&mut rec);
+    }
+
+    /// Store `*rec` and leave the evicted record (or a blank one while
+    /// the ring still grows) in its place, for the caller to drop
+    /// outside the shard lock. A swap moves each record once, where
+    /// taking ownership would copy it out of the finished span first.
+    pub(crate) fn record_swap(&self, rec: &mut SpanRecord) {
         let mut ring = self.shard(rec.trace_id).ring.lock();
-        if ring.len() == self.shard_capacity {
-            ring.pop_front();
+        if ring.slots.len() < self.shard_capacity {
+            ring.slots.push(std::mem::replace(rec, SpanRecord::blank()));
+            return;
         }
-        ring.push_back(rec);
+        let next = ring.next;
+        ring.next = if next + 1 == self.shard_capacity { 0 } else { next + 1 };
+        std::mem::swap(&mut ring.slots[next], rec);
     }
 
     /// All retained spans of `trace_id`, ordered by start time (ties
@@ -56,7 +79,7 @@ impl SpanStore {
     pub fn trace(&self, trace_id: TraceId) -> Vec<SpanRecord> {
         let ring = self.shard(trace_id).ring.lock();
         let mut spans: Vec<SpanRecord> =
-            ring.iter().filter(|s| s.trace_id == trace_id).cloned().collect();
+            ring.slots.iter().filter(|s| s.trace_id == trace_id).cloned().collect();
         drop(ring);
         spans.sort_by_key(|s| (s.start_us, s.span_id.0));
         spans
@@ -68,7 +91,7 @@ impl SpanStore {
         let mut counts: std::collections::HashMap<TraceId, usize> =
             std::collections::HashMap::new();
         for shard in &self.shards {
-            for s in shard.ring.lock().iter() {
+            for s in &shard.ring.lock().slots {
                 *counts.entry(s.trace_id).or_default() += 1;
             }
         }
@@ -79,7 +102,7 @@ impl SpanStore {
 
     /// Total spans currently retained.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.ring.lock().len()).sum()
+        self.shards.iter().map(|s| s.ring.lock().slots.len()).sum()
     }
 
     /// Whether no spans are retained.
@@ -90,7 +113,7 @@ impl SpanStore {
     /// Drop every retained span.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.ring.lock().clear();
+            *shard.ring.lock() = Ring::default();
         }
     }
 }
@@ -105,20 +128,20 @@ impl Default for SpanStore {
 mod tests {
     use super::*;
     use crate::context::SpanId;
-    use crate::span::{SpanKind, SpanStatus};
+    use crate::span::{Attrs, SpanKind, SpanStatus};
 
     fn rec(trace: u128, span: u64, start_us: u64) -> SpanRecord {
         SpanRecord {
             trace_id: TraceId(trace),
             span_id: SpanId(span),
             parent: None,
-            name: "t".into(),
+            name: "t",
             kind: SpanKind::Internal,
             start_us,
             duration_us: 1,
             status: SpanStatus::Ok,
             error: None,
-            attrs: vec![],
+            attrs: Attrs::new(),
         }
     }
 

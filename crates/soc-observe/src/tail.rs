@@ -14,7 +14,11 @@
 //!
 //! The feature is off by default, and the unsampled fast path stays
 //! allocation-free when it is off — the `observe` bench budgets that
-//! path at well under a microsecond.
+//! path at well under a microsecond. When it is on, a head-unsampled
+//! span records exactly like a sampled one (the same inline
+//! [`SpanRecord`], see [`mod@crate::span`]) and is handed here instead of
+//! to the store; the only allocation tail sampling adds is each pending
+//! trace's span vector.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -113,20 +117,20 @@ impl TailBuffer {
 mod tests {
     use super::*;
     use crate::context::{SpanId, TraceId};
-    use crate::span::SpanKind;
+    use crate::span::{Attrs, SpanKind};
 
-    fn rec(trace: u128, status: SpanStatus, name: &str) -> SpanRecord {
+    fn rec(trace: u128, status: SpanStatus, name: &'static str) -> SpanRecord {
         SpanRecord {
             trace_id: TraceId(trace),
             span_id: SpanId::generate(),
             parent: None,
-            name: name.to_string(),
+            name,
             kind: SpanKind::Internal,
             start_us: 0,
             duration_us: 1,
             status,
             error: None,
-            attrs: Vec::new(),
+            attrs: Attrs::new(),
         }
     }
 
@@ -153,7 +157,7 @@ mod tests {
         buf.offer(rec(7, SpanStatus::Ok, "child1"));
         buf.offer(rec(7, SpanStatus::Ok, "child2"));
         let flushed = buf.offer(rec(7, SpanStatus::Error, "boom"));
-        let names: Vec<&str> = flushed.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = flushed.iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["child1", "child2", "boom"]);
         // The still-open parent finishing later records directly.
         let late = buf.offer(rec(7, SpanStatus::Ok, "root"));
@@ -166,11 +170,12 @@ mod tests {
     fn per_trace_span_cap_keeps_earliest() {
         let buf = TailBuffer::default();
         for i in 0..(MAX_SPANS_PER_TRACE + 10) {
-            buf.offer(rec(9, SpanStatus::Ok, &format!("s{i}")));
+            buf.offer(SpanRecord { start_us: i as u64, ..rec(9, SpanStatus::Ok, "s") });
         }
         let flushed = buf.offer(rec(9, SpanStatus::Error, "boom"));
         assert_eq!(flushed.len(), MAX_SPANS_PER_TRACE + 1);
-        assert_eq!(flushed[0].name, "s0");
+        assert_eq!((flushed[0].name, flushed[0].start_us), ("s", 0));
+        assert_eq!(flushed[MAX_SPANS_PER_TRACE - 1].start_us, MAX_SPANS_PER_TRACE as u64 - 1);
         assert_eq!(flushed.last().unwrap().name, "boom");
     }
 }

@@ -200,7 +200,7 @@ impl Handler for Router {
     fn handle(&self, req: Request) -> Response {
         let mut span = soc_observe::span("rest.dispatch", soc_observe::SpanKind::Internal);
         span.set_attr("http.method", req.method.as_str());
-        span.set_attr("http.path", req.path());
+        span.set_text("http.path", req.path());
         let resp = {
             let _active = span.activate();
             // Build the middleware chain inside-out around dispatch.
@@ -213,7 +213,7 @@ impl Handler for Router {
             }
             next(req)
         };
-        span.set_attr("http.status", resp.status.0.to_string());
+        span.set_attr("http.status", resp.status.0);
         if resp.status.0 >= 500 {
             span.set_error(format!("handler answered {}", resp.status));
         }

@@ -129,7 +129,7 @@ impl Handler for SoapService {
             return Response::error(Status::METHOD_NOT_ALLOWED, "POST required");
         }
         let mut span = soc_observe::span("soap.dispatch", soc_observe::SpanKind::Internal);
-        span.set_attr("soap.service", self.contract.name.as_str());
+        span.set_text("soap.service", &self.contract.name);
         let result = {
             let _active = span.activate();
             self.dispatch(&req)

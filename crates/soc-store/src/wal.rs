@@ -62,6 +62,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -232,6 +233,7 @@ struct WalShared {
     tail: Mutex<Tail>,
     appends: soc_observe::Counter,
     fsyncs: soc_observe::Counter,
+    fsync_us: Arc<soc_observe::Histogram>,
     batch_hist: Arc<soc_observe::Histogram>,
     segments: soc_observe::Gauge,
 }
@@ -384,6 +386,7 @@ impl Wal {
             tail: Mutex::new(Tail::new(last_lsn)),
             appends: metrics.counter("soc_store_wal_appends_total", &[]),
             fsyncs: metrics.counter("soc_store_wal_fsyncs_total", &[]),
+            fsync_us: metrics.histogram("soc_store_wal_fsync_us", &[]),
             batch_hist: metrics.histogram_with_bounds(
                 "soc_store_wal_commit_batch",
                 &[],
@@ -686,6 +689,17 @@ impl Wal {
         self.inner.tail.lock().range(from, to)
     }
 
+    /// `fdatasync` the active segment, timed into
+    /// `soc_store_wal_fsync_us` and counted in
+    /// `soc_store_wal_fsyncs_total`.
+    fn sync_data(&self, file: &File) -> StoreResult<()> {
+        let start = Instant::now();
+        file.sync_data()?;
+        self.inner.fsync_us.record(start.elapsed());
+        self.inner.fsyncs.inc();
+        Ok(())
+    }
+
     /// Serialize and persist one batch, then move it into the tail.
     /// Called only by the flush leader (or by [`Wal::snapshot`], which
     /// excludes leaders first) with a non-empty batch.
@@ -699,9 +713,8 @@ impl Wal {
                 frame.extend_from_slice(&crc32(payload).to_le_bytes());
                 frame.extend_from_slice(payload);
                 fs_state.file.write_all(&frame)?;
-                fs_state.file.sync_data()?;
+                self.sync_data(&fs_state.file)?;
                 fs_state.seg_len += frame.len() as u64;
-                self.inner.fsyncs.inc();
             }
         } else {
             let mut buf = std::mem::take(&mut fs_state.buf);
@@ -717,8 +730,7 @@ impl Wal {
             result?;
             fs_state.seg_len += written;
             if self.inner.cfg.fsync == FsyncPolicy::Batch {
-                fs_state.file.sync_data()?;
-                self.inner.fsyncs.inc();
+                self.sync_data(&fs_state.file)?;
             }
         }
         self.inner.appends.add(batch.len() as u64);
@@ -1125,6 +1137,37 @@ mod tests {
                 .unwrap();
         assert!(matches!(wal.append(b"123456789"), Err(StoreError::Io(_))));
         assert_eq!(wal.append(b"12345678").unwrap(), 1);
+    }
+
+    #[test]
+    fn fsync_histogram_counts_every_fsync() {
+        let fsyncs = soc_observe::metrics().counter("soc_store_wal_fsyncs_total", &[]);
+        let fsync_us = soc_observe::metrics().histogram("soc_store_wal_fsync_us", &[]);
+        // Both series are process-wide and other tests fsync meanwhile.
+        // Every fsync updates them back to back, so they agree whenever
+        // no fsync is half-counted: read them at such a moment.
+        let snapshot = || {
+            for _ in 0..100_000 {
+                let (count, observed) = (fsyncs.get(), fsync_us.count());
+                if count == observed {
+                    return (count, observed);
+                }
+                std::thread::yield_now();
+            }
+            panic!("soc_store_wal_fsync_us never agreed with soc_store_wal_fsyncs_total");
+        };
+        let tmp = TempDir::new("wal-fsync-hist");
+        let (before_count, before_observed) = snapshot();
+        {
+            let cfg = WalConfig { fsync: FsyncPolicy::Always, ..WalConfig::default() };
+            let (wal, _) = Wal::open_with(tmp.path(), cfg).unwrap();
+            for i in 0..5u32 {
+                wal.append(format!("r{i}").as_bytes()).unwrap();
+            }
+        }
+        let (after_count, after_observed) = snapshot();
+        assert!(after_count - before_count >= 5, "Always fsyncs each of the 5 records");
+        assert_eq!(after_observed - before_observed, after_count - before_count);
     }
 
     #[test]

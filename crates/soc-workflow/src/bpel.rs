@@ -214,7 +214,7 @@ impl Process {
             }
             Step::Invoke { endpoint, input_var, output_var } => {
                 let mut span = soc_observe::span("bpel.invoke", soc_observe::SpanKind::Internal);
-                span.set_attr("endpoint", endpoint.as_str());
+                span.set_text("endpoint", endpoint);
                 let req = match input_var {
                     Some(var) => {
                         let payload = scope

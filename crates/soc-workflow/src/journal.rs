@@ -472,7 +472,7 @@ impl WorkflowGraph {
             })
             .collect();
         let mut span = soc_observe::span("workflow.recover", soc_observe::SpanKind::Internal);
-        span.set_attr("saga", saga_id);
+        span.set_text("saga", saga_id);
         span.set_attr("mode", "compensate");
         let _active = span.activate();
         let result = self.compensate(&completed, None, span.context());

@@ -210,8 +210,8 @@ impl WorkflowGraph {
         // `run_ctx` explicitly — thread-locals don't cross the pool).
         // Every run has saga semantics, so every run span says so.
         let mut run_span = soc_observe::span("workflow.run", soc_observe::SpanKind::Internal);
-        run_span.set_attr("saga", "true");
-        run_span.set_attr("nodes", self.nodes.len().to_string());
+        run_span.set_attr("saga", true);
+        run_span.set_attr("nodes", self.nodes.len());
         let _active = run_span.activate();
         let run_ctx = run_span.context();
         let deadline = Instant::now().checked_add(config.deadline);
@@ -394,9 +394,9 @@ impl WorkflowGraph {
                 if attempt == 0 { "workflow.activity" } else { "workflow.retry" },
                 soc_observe::SpanKind::Internal,
             );
-            span.set_attr("node", name);
+            span.set_text("node", name);
             if attempt > 0 {
-                span.set_attr("attempt", attempt.to_string());
+                span.set_attr("attempt", attempt);
             }
             let res = match policy.timeout {
                 Some(t) => self.fire_timed(i, ports, t.min(remaining), span.context(), stragglers),
@@ -445,7 +445,7 @@ impl WorkflowGraph {
                     "workflow.fallback",
                     soc_observe::SpanKind::Internal,
                 );
-                span.set_attr("node", name);
+                span.set_text("node", name);
                 let res = {
                     let _in_span = span.activate();
                     fallback.execute(ports)
@@ -534,7 +534,7 @@ impl WorkflowGraph {
                 "workflow.compensate",
                 soc_observe::SpanKind::Internal,
             );
-            span.set_attr("node", name.as_str());
+            span.set_text("node", &name);
             let res = {
                 let _in_span = span.activate();
                 comp.execute(ports)
