@@ -54,7 +54,7 @@ fn read_headers<R: BufRead>(r: &mut R, budget: &mut usize) -> HttpResult<Headers
         if name.is_empty() || name.contains(' ') {
             return Err(HttpError::Malformed(format!("bad header name: {name:?}")));
         }
-        headers.add(name.trim(), value.trim());
+        headers.add(name.trim().to_owned(), value.trim());
     }
 }
 

@@ -10,10 +10,11 @@
 //! - [`codec`] — wire encode/decode: request/response lines, headers,
 //!   `Content-Length` and `chunked` bodies.
 //! - [`server`] — a TCP server ([`HttpServer`]) running any [`Handler`]
-//!   on a `soc-parallel` pool, with keep-alive and graceful shutdown.
+//!   on its worker threads, with keep-alive and graceful shutdown.
 //!   On Linux the default transport is a readiness-driven epoll
-//!   reactor (see [`poller`]) that multiplexes every connection on one
-//!   event-loop thread; a threaded blocking transport remains as the
+//!   reactor (see [`poller`]): every connection is multiplexed over
+//!   one-shot epoll, and the worker handed a connection's readiness
+//!   serves its request; a threaded blocking transport remains as the
 //!   portable fallback and differential-testing baseline.
 //! - [`client`] — a blocking TCP client ([`HttpClient`]) with
 //!   keep-alive connection pooling (bounded per-host idle pools,

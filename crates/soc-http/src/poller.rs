@@ -1,20 +1,24 @@
 //! A minimal readiness poller over Linux `epoll`, plus an
 //! `eventfd`-based [`Waker`] for cross-thread wakeups.
 //!
-//! This is the substrate the reactor transport stands on: the event
-//! loop registers nonblocking sockets here and sleeps in
-//! [`Poller::wait`] until the kernel reports readiness, instead of
-//! parking one blocked thread per connection. The workspace vendors no
-//! FFI crates, so the handful of syscalls are declared directly against
-//! the system libc that `std` already links. Its `sys` block is the
-//! crate's only FFI site, which is why the pooled client's one-syscall
-//! liveness probe, `peek_nonblocking`, its wait for a response's
-//! first byte, `wait_readable`, and its bounded request write,
-//! `send_nonblocking` with `wait_writable`, live here too.
+//! This is the substrate the reactor transport stands on: its loop
+//! waits here for the listener, and its workers register nonblocking
+//! connection sockets one-shot ([`Poller::add_oneshot`]) and sleep in
+//! [`Poller::wait_one`] until the kernel hands one of them a
+//! readiness, instead of parking one blocked thread per connection.
+//! The workspace vendors no FFI crates, so the handful of syscalls are
+//! declared directly against the system libc that `std` already links.
+//! Its `sys` block is the crate's only FFI site, which is why the
+//! pooled client's one-syscall liveness probe, `peek_nonblocking`, its
+//! wait for a response's first byte, `wait_readable`, and its bounded
+//! request write, `send_nonblocking` with `wait_writable`, live here
+//! too.
 //!
 //! Level-triggered mode throughout: a readiness bit stays set until the
 //! state machine drains it, which keeps the connection logic re-entrant
-//! and immune to the classic edge-trigger starvation bugs.
+//! and immune to the classic edge-trigger starvation bugs. One-shot
+//! registrations are level-triggered too: re-arming a socket whose bytes
+//! are still unread reports it again at once.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -59,6 +63,7 @@ mod sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    pub const EPOLLONESHOT: u32 = 1 << 30;
 
     pub const EFD_NONBLOCK: i32 = 0o4000;
     pub const EFD_CLOEXEC: i32 = 0o2000000;
@@ -171,9 +176,13 @@ impl Interest {
     pub const NONE: Interest = Interest { readable: false, writable: false };
 
     fn bits(self) -> u32 {
-        // RDHUP is always on: a half-closed peer must wake the loop so
-        // idle keep-alive connections are reaped promptly.
-        let mut e = sys::EPOLLRDHUP;
+        // RDHUP is on unless only writes are awaited: a half-closed
+        // peer must wake the loop so idle keep-alive connections are
+        // reaped promptly. A socket waiting for send-buffer space must
+        // not report it: the peer can still read the response, and
+        // the level-triggered bit would report the socket ready again
+        // and again while its buffer stays full.
+        let mut e = if self == Interest::WRITE { 0 } else { sys::EPOLLRDHUP };
         if self.readable {
             e |= sys::EPOLLIN;
         }
@@ -199,8 +208,8 @@ impl Poller {
         Ok(Poller { epfd })
     }
 
-    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut ev = sys::EpollEvent { events: interest.bits(), data: token };
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        let mut ev = sys::EpollEvent { events, data: token };
         let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -210,12 +219,25 @@ impl Poller {
 
     /// Register `fd` under `token` with the given interests.
     pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest.bits())
     }
 
     /// Change the interests (and token) of an already-registered fd.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest.bits())
+    }
+
+    /// Register `fd` for one report (`EPOLLONESHOT`): the kernel hands
+    /// its next readiness to exactly one waiting thread and then
+    /// disarms it, so no other thread sees the fd until
+    /// [`Poller::rearm`].
+    pub fn add_oneshot(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest.bits() | sys::EPOLLONESHOT)
+    }
+
+    /// Arm a one-shot fd again, for its next report under `interest`.
+    pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest.bits() | sys::EPOLLONESHOT)
     }
 
     /// Deregister `fd`. Harmless to call for an fd the kernel already
@@ -234,6 +256,27 @@ impl Poller {
     /// `events`, which is cleared first. Returns the number delivered.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let n = self.wait_raw(&mut buf, timeout)?;
+        events.extend(buf.iter().take(n).map(decode));
+        Ok(n)
+    }
+
+    /// Block until one registered fd is ready, and take just that one
+    /// report: `None` when `timeout` elapsed first. Threads that share
+    /// a poller wait here, so one thread never takes readiness another
+    /// idle thread could serve.
+    pub fn wait_one(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }];
+        let n = self.wait_raw(&mut buf, timeout)?;
+        Ok((n == 1).then(|| decode(&buf[0])))
+    }
+
+    fn wait_raw(
+        &self,
+        buf: &mut [sys::EpollEvent],
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let ms = match timeout {
             None => -1,
             Some(d) => {
@@ -247,28 +290,27 @@ impl Poller {
                 }
             }
         };
-        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let n = loop {
-            let rc = unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), MAX_EVENTS as i32, ms) };
+        loop {
+            let rc = unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, ms) };
             if rc >= 0 {
-                break rc as usize;
+                return Ok(rc as usize);
             }
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
                 return Err(err);
             }
-        };
-        for ev in buf.iter().take(n) {
-            // Copy out of the (packed) kernel struct before use.
-            let (bits, token) = (ev.events, ev.data);
-            events.push(Event {
-                token,
-                readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP) != 0,
-            });
         }
-        Ok(n)
+    }
+}
+
+fn decode(ev: &sys::EpollEvent) -> Event {
+    // Copy out of the (packed) kernel struct before use.
+    let (bits, token) = (ev.events, ev.data);
+    Event {
+        token,
+        readable: bits & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+        writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+        hangup: bits & (sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP) != 0,
     }
 }
 
@@ -283,16 +325,13 @@ impl Drop for Poller {
 unsafe impl Send for Poller {}
 unsafe impl Sync for Poller {}
 
-/// Cross-thread wakeup for a [`Poller`] loop, backed by an `eventfd`.
+/// Cross-thread wakeup for [`Poller`] waits, backed by an `eventfd`.
 ///
-/// The reactor's workers write a response themselves and re-arm the
-/// connection with [`Poller::modify`], which needs no wakeup. They call
-/// [`Waker::wake`] only on the fallback path — a partial write, a
-/// closing connection, or a write error — when the loop must take the
-/// remaining bytes from its completion queue; `shutdown` wakes it too.
-/// The reactor sees the eventfd turn readable under the waker's token
-/// and drains the queue. Writes coalesce (an eventfd is a counter), so
-/// waking an already-woken loop is one cheap syscall.
+/// The reactor registers one waker on both of its pollers and wakes it
+/// only to shut down. Nothing drains it then, so the level-triggered
+/// eventfd keeps every wait on either poller returning until each
+/// thread has seen the stop flag. Writes coalesce (an eventfd is a
+/// counter), so waking an already-woken waker is one cheap syscall.
 #[derive(Debug)]
 pub struct Waker {
     fd: RawFd,
@@ -308,6 +347,11 @@ impl Waker {
         let waker = Waker { fd };
         poller.add(fd, token, Interest::READ)?;
         Ok(waker)
+    }
+
+    /// Register this waker on one more poller, under `token`.
+    pub fn watch(&self, poller: &Poller, token: u64) -> io::Result<()> {
+        poller.add(self.fd, token, Interest::READ)
     }
 
     /// Make the poller's next (or current) `wait` return.
@@ -420,6 +464,26 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(peek_nonblocking(server.as_raw_fd()).unwrap(), 0, "EOF");
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_rearmed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+
+        let poller = Poller::new().unwrap();
+        poller.add_oneshot(server.as_raw_fd(), 5, Interest::READ).unwrap();
+        (&client).write_all(b"ping").unwrap();
+        let ev = poller.wait_one(Some(Duration::from_secs(2))).unwrap().expect("readable");
+        assert_eq!((ev.token, ev.readable), (5, true));
+        // The bytes are still unread, yet the fd stays silent: disarmed.
+        assert!(poller.wait_one(Some(Duration::from_millis(10))).unwrap().is_none());
+        // Re-arming a still-readable fd reports it again at once.
+        poller.rearm(server.as_raw_fd(), 6, Interest::READ).unwrap();
+        let ev = poller.wait_one(Some(Duration::from_secs(2))).unwrap().expect("re-armed");
+        assert_eq!(ev.token, 6);
     }
 
     #[test]

@@ -1,61 +1,71 @@
-//! The readiness-driven server transport: one event-loop thread owns
-//! every connection's I/O, handlers run on the `soc-parallel` pool.
+//! The readiness-driven server transport: connections are multiplexed
+//! over epoll, and the worker the kernel hands a connection's readiness
+//! serves that connection's request from first byte to last.
 //!
 //! The threaded transport parks one pool thread per connection, which
 //! caps real concurrency at pool size — an idle keep-alive connection
-//! costs a whole blocked thread. Here the reactor multiplexes all
-//! connections over a [`Poller`](crate::poller::Poller) (epoll on
-//! Linux): sockets are nonblocking, each connection is a small state
-//! machine
+//! costs a whole blocked thread. Here sockets are nonblocking, each
+//! connection's bytes live in its incremental codec buffers instead of
+//! a thread's stack, and an idle connection costs a descriptor and a
+//! slot.
+//!
+//! Two [`Poller`](crate::poller::Poller)s split the work, after
+//! Leader/Followers (Schmidt et al., *POSA2*). The loop thread waits on
+//! the listener's: it accepts, sheds at the connection cap, sweeps
+//! deadlines every 250 ms and handles shutdown. The `workers` threads
+//! all wait on the connections' poller, where every socket is
+//! registered `EPOLLONESHOT`: the kernel reports each readiness to
+//! exactly one waiting worker and disarms the socket, so no other
+//! thread sees it until that worker re-arms it. The worker does all of
+//! the request's work — reads and parses it, runs the handler under the
+//! same server span and panic catch as the threaded transport, writes
+//! the response, answers any pipelined request already buffered — and
+//! then re-arms `READ`, or `WRITE` if the socket took only part of a
+//! response. No request passes from one thread to another.
 //!
 //! ```text
-//! ReadingHead → ReadingBody → Handling → Writing ─┐
-//!      ▲                                          │ keep-alive
-//!      └────────────── KeepAlive ◄────────────────┘
+//!                ┌──────────────── keep-alive ────────────────┐
+//!                ▼                                            │
+//! accept ──► armed READ ── readiness ──► held by a worker ────┤
+//!                                          ▲           │      │ close, EOF
+//!                                readiness │           │      ▼ or error
+//!                                          │  partial  │   closed
+//!                                       armed WRITE ◄──┘
 //! ```
 //!
-//! and the bytes live in per-connection incremental codec buffers
-//! instead of a thread's stack. When a full request has been parsed the
-//! reactor hands it to the worker pool (`Handling`) with read interest
-//! parked; the worker runs the same `Handler`/span/panic-catch path as
-//! the threaded transport and serializes the response. The reactor
-//! never executes handler code.
-//!
-//! The worker then writes the response itself, on the nonblocking
-//! socket it shares with the loop through an `Arc<TcpStream>`. When
-//! the whole response went out and the connection stays open, it
-//! queues a `Written` completion and re-arms `READ` with `epoll_ctl`:
-//! no eventfd wake, no hop back to the loop before the client sees its
-//! answer. The completion is queued before the re-arm, and the loop
-//! applies completions before it dispatches each event batch, so the
-//! readiness that the client's next request raises always finds the
-//! connection back in `KeepAlive`. A partial write, a closing
-//! connection, or a write error falls back to the completion queue:
-//! the worker hands over the unwritten bytes and wakes the loop through
-//! the eventfd [`Waker`](crate::poller::Waker), and the loop finishes
-//! the write under `WRITE` interest. Only one side writes at a time —
-//! the worker while the connection is `Handling`, the loop after. The
-//! `Arc` keeps the descriptor open while a worker holds it, so a
-//! connection the loop closes meanwhile cannot have its fd reused
-//! under the worker; the worker's re-arm of a deregistered fd just
-//! fails. `soc_http_responses_total{write="worker"|"reactor"}` counts
-//! which side finished each response.
+//! Each connection lives in a slot of a table that only grows, behind
+//! one lock per slot. A worker holds the lock for as long as it serves
+//! the connection, so the lock is uncontended: the loop takes it only
+//! to insert a connection, and the sweep takes it with `try_lock`,
+//! skipping a connection a worker holds — a handler runs with no
+//! deadline, as on the threaded transport. A connection's epoll token
+//! carries its slot and a generation, so a readiness that raced the
+//! connection's close finds the slot empty or reused and is dropped.
 //!
 //! Backpressure at the connection cap is identical to the threaded
 //! transport: connections over `max_connections` are shed with a
 //! `503 + Retry-After` written from the accept path, and counted in
-//! `ServerStats::shed`.
+//! `ServerStats::shed`. Because the loop never runs a handler, it
+//! accepts and sheds while every worker is busy.
+//!
+//! Metrics move once per connection — `soc_http_connections_open`
+//! (gauge), `soc_http_connections_accepted_total` and
+//! `soc_http_connections_closed_total` (shed connections count only in
+//! `soc_http_connections_shed_total`) — and once per response:
+//! `soc_http_responses_total{write="worker"}` counts responses written
+//! in full as soon as they were made, `{write="reactor"}` those
+//! finished under `WRITE` readiness.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use soc_observe::Counter;
-use soc_parallel::ThreadPool;
+use soc_observe::{Counter, Gauge};
 
 use crate::codec::{self, BodyFraming};
 use crate::poller::{Event, Interest, Poller, Waker};
@@ -72,9 +82,11 @@ pub(crate) struct ReactorConfig {
     pub body_limit: usize,
 }
 
+/// The listener's token on the loop's poller.
 const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_BASE: u64 = 2;
+/// The shutdown waker's token on both pollers. No connection token
+/// reaches it: a slot index stays below `u32::MAX` (see [`SEGMENTS`]).
+const TOKEN_WAKER: u64 = u64::MAX;
 
 /// How often the loop wakes to sweep deadlines when nothing is ready.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(250);
@@ -82,26 +94,16 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(250);
 /// Per-read scratch size.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A handler's finished work, travelling pool → reactor.
-struct Completion {
-    slot: usize,
-    gen: u64,
-    outcome: Outcome,
-}
+/// Slots in the table's first segment; segment `k` holds
+/// `SEGMENT_BASE << k`.
+const SEGMENT_BASE: usize = 64;
+/// Segments in the table: 64 × (2²⁶ − 1) slots, more than a process
+/// has descriptors, and every index fits a token's low 32 bits.
+const SEGMENTS: usize = 26;
 
-enum Outcome {
-    /// The worker wrote the whole response and re-armed `READ`.
-    Written,
-    /// The loop finishes the response: `bytes[written..]` is still
-    /// unsent (possibly nothing, when only the close is left). `bytes`
-    /// is `None` when serialization or the write failed: the connection
-    /// is closed without a response, like the threaded transport's
-    /// failed write.
-    Pending { bytes: Option<Vec<u8>>, written: usize, close: bool },
-}
-
-fn token(slot: usize) -> u64 {
-    slot as u64 + TOKEN_BASE
+/// A connection's epoll token: its generation above its slot.
+fn conn_token(slot: usize, gen: u32) -> u64 {
+    u64::from(gen) << 32 | slot as u64
 }
 
 // ---------------------------------------------------------------------
@@ -220,10 +222,6 @@ impl RequestParser {
     /// genuinely idle (keep-alive), not mid-request.
     fn is_idle(&self) -> bool {
         matches!(self.phase, Phase::Head) && self.buffered() == 0
-    }
-
-    fn in_body(&self) -> bool {
-        matches!(self.phase, Phase::Body { .. })
     }
 
     /// Mid-body with the lookahead buffer drained: returns the body
@@ -395,25 +393,14 @@ impl RequestParser {
 }
 
 // ---------------------------------------------------------------------
-// Connection state machine
+// Connections and their slot table
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    ReadingHead,
-    ReadingBody,
-    Handling,
-    Writing,
-    KeepAlive,
-}
-
 struct Conn {
-    /// Shared with the worker that handles the current request, which
-    /// writes the response itself.
-    stream: Arc<TcpStream>,
-    gen: u64,
-    state: ConnState,
+    stream: TcpStream,
+    gen: u32,
     parser: RequestParser,
+    /// The response being written; `write_buf[written..]` is unsent.
     write_buf: Vec<u8>,
     written: usize,
     close_after_write: bool,
@@ -421,224 +408,379 @@ struct Conn {
     /// close instead of going back to keep-alive.
     peer_closed: bool,
     deadline: Instant,
-    interest: Interest,
 }
 
-struct Slab {
-    entries: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    live: usize,
-}
+impl Conn {
+    fn unsent(&self) -> bool {
+        self.written < self.write_buf.len()
+    }
 
-impl Slab {
-    fn insert(&mut self, conn: Conn) -> usize {
-        self.live += 1;
-        match self.free.pop() {
-            Some(slot) => {
-                self.entries[slot] = Some(conn);
-                slot
-            }
-            None => {
-                self.entries.push(Some(conn));
-                self.entries.len() - 1
+    /// Write what the socket takes of the unsent response: `Some(true)`
+    /// once all of it went out, `Some(false)` when the send buffer is
+    /// full, `None` when the write failed.
+    fn flush(&mut self) -> Option<bool> {
+        while self.unsent() {
+            match self.stream.write(&self.write_buf[self.written..]) {
+                Ok(0) => return None,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Some(false),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return None,
             }
         }
+        self.write_buf = Vec::new();
+        self.written = 0;
+        Some(true)
     }
 
-    fn remove(&mut self, slot: usize) -> Option<Conn> {
-        let conn = self.entries.get_mut(slot)?.take()?;
-        self.free.push(slot);
-        self.live -= 1;
-        Some(conn)
-    }
-
-    fn get_mut(&mut self, slot: usize) -> Option<&mut Conn> {
-        self.entries.get_mut(slot)?.as_mut()
+    /// One read off the socket into the parser. Mid-body
+    /// (`Content-Length`, or the data section of a chunk) it reads
+    /// straight into the body allocation the handler will own, skipping
+    /// the scratch → lookahead-buffer → body double copy. Growth is
+    /// bounded per read, so a claimed-but-never-sent length cannot
+    /// force a large allocation up front.
+    fn fill(&mut self, scratch: &mut [u8]) -> std::io::Result<usize> {
+        if let Some((body, need)) = self.parser.direct_body() {
+            let start = body.len();
+            body.resize(start + need.min(READ_CHUNK), 0);
+            let r = self.stream.read(&mut body[start..]);
+            body.truncate(start + *r.as_ref().unwrap_or(&0));
+            r
+        } else {
+            self.stream.read(scratch).inspect(|&n| self.parser.push(&scratch[..n]))
+        }
     }
 }
 
-/// The state the loop shares with every worker, behind one `Arc`.
+type Slot = Mutex<Option<Conn>>;
+
+/// The connection table. It grows in doubling segments that never
+/// move, so a worker reaches its slot without a table-wide lock, and a
+/// large `max_connections` costs nothing until connections arrive.
+struct Slots {
+    segments: [OnceLock<Box<[Slot]>>; SEGMENTS],
+    /// Slots freed by a close, reused before the table grows.
+    free: Mutex<Vec<usize>>,
+    /// Connections open now: what the cap is compared against. A count
+    /// only, it publishes no other data.
+    live: AtomicUsize,
+}
+
+impl Slots {
+    /// Segment and offset of `slot`.
+    fn locate(slot: usize) -> (usize, usize) {
+        let k = (slot / SEGMENT_BASE + 1).ilog2() as usize;
+        (k, slot - SEGMENT_BASE * ((1 << k) - 1))
+    }
+
+    fn get(&self, slot: usize) -> Option<&Slot> {
+        let (k, i) = Slots::locate(slot);
+        self.segments.get(k)?.get()?.get(i)
+    }
+
+    /// Like [`Slots::get`], allocating the slot's segment on first use;
+    /// `None` past the last segment.
+    fn get_or_grow(&self, slot: usize) -> Option<&Slot> {
+        let (k, i) = Slots::locate(slot);
+        let segment = self.segments.get(k)?;
+        segment.get_or_init(|| (0..SEGMENT_BASE << k).map(|_| Mutex::new(None)).collect()).get(i)
+    }
+}
+
+/// What the loop and every worker share.
 struct Shared {
+    /// The connections' poller, which every worker waits on.
     poller: Poller,
-    waker: Arc<Waker>,
+    slots: Slots,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
-    completions: Mutex<Vec<Completion>>,
-    /// `soc_http_responses_total{write="worker"}`: responses a worker
-    /// wrote in full.
-    worker_writes: Counter,
-}
-
-impl Shared {
-    /// Worker side of a response: write it straight to the socket (see
-    /// the module docs). A complete write on a connection that stays
-    /// open queues `Written` and re-arms `READ`; anything else queues
-    /// the rest for the loop and wakes it.
-    fn deliver(&self, slot: usize, gen: u64, stream: &TcpStream, bytes: Vec<u8>, close: bool) {
-        let mut written = 0;
-        let failed = loop {
-            if written == bytes.len() {
-                break false;
-            }
-            match (&*stream).write(&bytes[written..]) {
-                Ok(0) => break true,
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break true,
-            }
-        };
-        if written == bytes.len() {
-            self.worker_writes.inc();
-            if !close {
-                self.completions.lock().push(Completion { slot, gen, outcome: Outcome::Written });
-                // Queued before the re-arm: the readiness this raises
-                // must find the completion already there.
-                self.poller.modify(stream.as_raw_fd(), token(slot), Interest::READ).ok();
-                return;
-            }
-        }
-        let bytes = (!failed).then_some(bytes);
-        self.hand_back(Completion {
-            slot,
-            gen,
-            outcome: Outcome::Pending { bytes, written, close },
-        });
-    }
-
-    /// The fallback path: queue work the loop must finish, and wake it.
-    fn hand_back(&self, completion: Completion) {
-        self.completions.lock().push(completion);
-        self.waker.wake();
-    }
-}
-
-struct Reactor {
-    listener: TcpListener,
-    shared: Arc<Shared>,
     cfg: ReactorConfig,
     stop: Arc<AtomicBool>,
-    pool: ThreadPool,
-    conns: Slab,
-    gen: u64,
-    shed_counter: Counter,
-    /// `soc_http_responses_total{write="reactor"}`: responses the loop
-    /// finished writing (worker fallbacks and its own 400s).
+    open: Gauge,
+    closed: Counter,
+    /// `soc_http_responses_total{write="worker"}`: responses written in
+    /// full as soon as they were made.
+    worker_writes: Counter,
+    /// `soc_http_responses_total{write="reactor"}`: responses finished
+    /// under `WRITE` readiness.
     reactor_writes: Counter,
 }
 
-/// Create the poller + waker and spawn the event-loop thread. The
-/// returned waker unblocks the loop so `shutdown` is immediate.
+impl Shared {
+    /// A worker: take one readiness at a time and serve it, until
+    /// shutdown.
+    fn work(&self) {
+        let mut scratch = vec![0u8; READ_CHUNK];
+        while !self.stop.load(Ordering::Acquire) {
+            match self.poller.wait_one(None) {
+                Ok(Some(ev)) if ev.token != TOKEN_WAKER => self.serve(ev.token, &mut scratch),
+                Ok(_) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Serve the connection behind `token` until it would block, then
+    /// re-arm or close it. The slot stays locked throughout.
+    fn serve(&self, token: u64, scratch: &mut [u8]) {
+        let slot = (token & u64::from(u32::MAX)) as usize;
+        let Some(cell) = self.slots.get(slot) else { return };
+        let mut guard = cell.lock();
+        let Some(conn) = guard.as_mut().filter(|c| conn_token(slot, c.gen) == token) else {
+            return;
+        };
+        // Re-armed under the lock: once the lock is released the loop
+        // may close the descriptor, and its number may be reused.
+        let rearmed = self.drive(conn, scratch).is_some_and(|interest| {
+            self.poller.rearm(conn.stream.as_raw_fd(), token, interest).is_ok()
+        });
+        if !rearmed {
+            self.close(slot, &mut guard);
+        }
+    }
+
+    /// Finish an unsent response, answer every request the buffered and
+    /// readable bytes hold, and return the interest to re-arm — `READ`
+    /// or `WRITE` — or `None` to close.
+    fn drive(&self, conn: &mut Conn, scratch: &mut [u8]) -> Option<Interest> {
+        // A connection still owing bytes was armed for `WRITE`.
+        let mut writes = if conn.unsent() { &self.reactor_writes } else { &self.worker_writes };
+        loop {
+            if conn.unsent() {
+                if !conn.flush()? {
+                    conn.deadline = Instant::now() + self.cfg.io_timeout;
+                    return Some(Interest::WRITE);
+                }
+                writes.inc();
+                writes = &self.worker_writes;
+                if conn.close_after_write || conn.peer_closed {
+                    return None;
+                }
+                // Nothing pipelined: the next request is not sent yet,
+                // so re-arm without a read that would find no bytes.
+                if conn.parser.is_idle() {
+                    return Some(self.await_read(conn));
+                }
+            }
+            match conn.parser.advance() {
+                Ok(Some((req, version))) => {
+                    (conn.write_buf, conn.close_after_write) = self.respond(req, version)?;
+                    continue;
+                }
+                // EOF between requests is a normal close; EOF mid-
+                // request is truncation. Neither gets a response,
+                // matching the blocking transport.
+                Ok(None) if conn.peer_closed => return None,
+                Ok(None) => {}
+                Err(e) => {
+                    // Parse errors answer 400 and close, like the
+                    // threaded transport — with the close made explicit
+                    // on the wire.
+                    let resp = Response::error(Status::BAD_REQUEST, &e.to_string())
+                        .with_header("Connection", "close");
+                    conn.write_buf = codec::encode_response(&resp).ok()?;
+                    conn.close_after_write = true;
+                    continue;
+                }
+            }
+            // Bound buffered-but-unparsed bytes: past this a peer is
+            // over a limit the parser would have rejected.
+            if conn.parser.buffered() > self.cfg.body_limit + codec::HEADER_LIMIT + READ_CHUNK {
+                return None;
+            }
+            match conn.fill(scratch) {
+                Ok(0) => conn.peer_closed = true,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return Some(self.await_read(conn))
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return None,
+            }
+        }
+    }
+
+    /// Set the deadline for the bytes `conn` waits for — the keep-alive
+    /// window between requests, the I/O timeout inside one — and
+    /// return the interest that waits for them.
+    fn await_read(&self, conn: &mut Conn) -> Interest {
+        let wait =
+            if conn.parser.is_idle() { self.cfg.keep_alive_timeout } else { self.cfg.io_timeout };
+        conn.deadline = Instant::now() + wait;
+        Interest::READ
+    }
+
+    /// Run the handler on one request and encode its response, with
+    /// whether the connection closes after it. `None` when the response
+    /// cannot be encoded: the connection then closes without one, like
+    /// the threaded transport's failed write.
+    fn respond(&self, req: Request, version: Version) -> Option<(Vec<u8>, bool)> {
+        let close_requested = codec::wants_close(version, &req.headers);
+        let handler = &self.handler;
+        let mut resp =
+            crate::observe::serve_with_span(
+                req,
+                "http.server",
+                |req| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handler.handle(req)
+                })) {
+                    Ok(resp) => resp,
+                    Err(_) => Response::error(Status::INTERNAL_SERVER_ERROR, "handler panicked"),
+                },
+            );
+        if resp.status.0 >= 500 {
+            self.stats.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        self.stats.served.fetch_add(1, Ordering::Relaxed);
+        // Close if the client asked, or the handler did. Either way the
+        // peer (possibly a pooled client) must see it.
+        let close = close_requested || resp.headers.has_token("Connection", "close");
+        if close && !resp.headers.has_token("Connection", "close") {
+            resp.headers.set("Connection", "close");
+        }
+        Some((codec::encode_response(&resp).ok()?, close))
+    }
+
+    /// Deregister and drop the connection in `slot`, whose lock the
+    /// caller holds.
+    fn close(&self, slot: usize, conn: &mut Option<Conn>) {
+        let Some(conn) = conn.take() else { return };
+        self.poller.delete(conn.stream.as_raw_fd()).ok();
+        self.slots.free.lock().push(slot);
+        self.slots.live.fetch_sub(1, Ordering::Relaxed);
+        self.open.add(-1);
+        self.closed.inc();
+    }
+}
+
+// ---------------------------------------------------------------------
+// The loop: listener, cap, deadlines, shutdown
+// ---------------------------------------------------------------------
+
+struct Acceptor {
+    listener: TcpListener,
+    /// The listener's poller, separate from the connections'.
+    poller: Poller,
+    waker: Arc<Waker>,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    /// Slots handed out so far: a fresh slot is the next index, and the
+    /// sweep scans below it.
+    high: usize,
+    gen: u32,
+    accepted: Counter,
+    shed_counter: Counter,
+}
+
+/// Create both pollers and the waker, start the workers, and spawn the
+/// loop thread. The returned waker unblocks every thread so `shutdown`
+/// is immediate.
 pub(crate) fn spawn(
     listener: TcpListener,
     cfg: ReactorConfig,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-) -> HttpResult<(std::thread::JoinHandle<()>, Arc<Waker>)> {
+) -> HttpResult<(JoinHandle<()>, Arc<Waker>)> {
     let io_err = |e: std::io::Error| HttpError::Io(e.to_string());
-    let poller = Poller::new().map_err(io_err)?;
-    let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER).map_err(io_err)?);
-    let waker2 = waker.clone();
-    let thread = std::thread::Builder::new()
-        .name("soc-http-reactor".into())
-        .spawn(move || run(listener, poller, waker2, cfg, handler, stats, stop))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    Ok((thread, waker))
-}
-
-/// Run the event loop until `stop` is set. Owns the listener, every
-/// connection, and the worker pool; dropping on exit joins the pool.
-fn run(
-    listener: TcpListener,
-    poller: Poller,
-    waker: Arc<Waker>,
-    cfg: ReactorConfig,
-    handler: Arc<dyn Handler>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-) {
-    let pool = ThreadPool::new(cfg.workers.max(1));
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
+    listener.set_nonblocking(true).map_err(io_err)?;
     listener.set_ttl(64).ok();
-    if poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).is_err() {
-        return;
-    }
+    let poller = Poller::new().map_err(io_err)?;
+    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).map_err(io_err)?;
+    let conns = Poller::new().map_err(io_err)?;
+    let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER).map_err(io_err)?);
+    waker.watch(&conns, TOKEN_WAKER).map_err(io_err)?;
+
     let metrics = soc_observe::metrics();
-    let shed_counter = metrics.counter("soc_http_connections_shed_total", &[]);
     let responses = |write| metrics.counter("soc_http_responses_total", &[("write", write)]);
-    let mut reactor = Reactor {
-        listener,
-        shared: Arc::new(Shared {
-            poller,
-            waker,
-            handler,
-            stats,
-            completions: Mutex::new(Vec::new()),
-            worker_writes: responses("worker"),
-        }),
+    let workers = cfg.workers;
+    let shared = Arc::new(Shared {
+        poller: conns,
+        slots: Slots {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            free: Mutex::new(Vec::new()),
+            live: AtomicUsize::new(0),
+        },
+        handler,
+        stats,
         cfg,
         stop,
-        pool,
-        conns: Slab { entries: Vec::new(), free: Vec::new(), live: 0 },
-        gen: 0,
-        shed_counter,
+        open: metrics.gauge("soc_http_connections_open", &[]),
+        closed: metrics.counter("soc_http_connections_closed_total", &[]),
+        worker_writes: responses("worker"),
         reactor_writes: responses("reactor"),
+    });
+    let mut acceptor = Acceptor {
+        listener,
+        poller,
+        waker: waker.clone(),
+        shared: shared.clone(),
+        workers: Vec::with_capacity(workers),
+        high: 0,
+        gen: 0,
+        accepted: metrics.counter("soc_http_connections_accepted_total", &[]),
+        shed_counter: metrics.counter("soc_http_connections_shed_total", &[]),
     };
-    reactor.run_loop();
+    let spawned = (0..workers).try_for_each(|_| {
+        let shared = shared.clone();
+        let worker = std::thread::Builder::new()
+            .name("soc-http-worker".into())
+            .spawn(move || shared.work())?;
+        acceptor.workers.push(worker);
+        Ok::<(), std::io::Error>(())
+    });
+    let thread = spawned.and_then(|()| {
+        std::thread::Builder::new().name("soc-http-reactor".into()).spawn(move || acceptor.run())
+    });
+    thread.map(|thread| (thread, waker.clone())).map_err(|e| {
+        // Let the workers already started see the stop and exit.
+        shared.stop.store(true, Ordering::Release);
+        waker.wake();
+        io_err(e)
+    })
 }
 
-impl Reactor {
-    fn run_loop(&mut self) {
+impl Acceptor {
+    /// Run until `stop` is set, then stop and join the workers.
+    fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                return;
+        while !self.shared.stop.load(Ordering::Acquire) {
+            let timeout = next_sweep.saturating_duration_since(Instant::now());
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+                break;
             }
-            let now = Instant::now();
-            let timeout = next_sweep.saturating_duration_since(now);
-            if self.shared.poller.wait(&mut events, Some(timeout)).is_err() {
-                return;
+            if events.iter().any(|ev| ev.token == TOKEN_LISTENER) {
+                self.accept_ready();
             }
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            // Before the batch: a worker that re-armed `READ` queued its
-            // `Written` first, so this puts the connection back in
-            // `KeepAlive` before its readiness is dispatched.
-            self.apply_completions();
-            // Pull the batch out so `self` stays borrowable.
-            let batch = std::mem::take(&mut events);
-            for ev in &batch {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.shared.waker.drain(),
-                    token => self.conn_ready((token - TOKEN_BASE) as usize, ev),
-                }
-            }
-            events = batch;
-            // After the batch: completions queued before the drain above
-            // consumed their wake.
-            self.apply_completions();
             let now = Instant::now();
             if now >= next_sweep {
-                self.sweep_deadlines(now);
+                // Stalled reads/writes and idle keep-alives close
+                // silently, exactly as the blocking transport's socket
+                // timeouts do.
+                self.sweep(|conn| conn.deadline <= now);
                 next_sweep = now + SWEEP_INTERVAL;
             }
         }
+        // Also reached on a poller error: the workers must stop either
+        // way, or the joins below would wait forever.
+        self.shared.stop.store(true, Ordering::Release);
+        self.waker.wake();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+        // No worker holds a slot now; close what is left so the
+        // connection metrics balance.
+        self.sweep(|_| true);
     }
-
-    // -- accept path --------------------------------------------------
 
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.conns.live >= self.cfg.max_connections {
-                        self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    let shared = &self.shared;
+                    if shared.slots.live.load(Ordering::Relaxed) >= shared.cfg.max_connections {
+                        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                         self.shed_counter.inc();
                         // Accepted sockets don't inherit nonblocking
                         // from the listener, so the bounded blocking
@@ -650,24 +792,7 @@ impl Reactor {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    self.gen += 1;
-                    let conn = Conn {
-                        stream: Arc::new(stream),
-                        gen: self.gen,
-                        state: ConnState::ReadingHead,
-                        parser: RequestParser::new(self.cfg.body_limit),
-                        write_buf: Vec::new(),
-                        written: 0,
-                        close_after_write: false,
-                        peer_closed: false,
-                        deadline: Instant::now() + self.cfg.io_timeout,
-                        interest: Interest::READ,
-                    };
-                    let fd = conn.stream.as_raw_fd();
-                    let slot = self.conns.insert(conn);
-                    if self.shared.poller.add(fd, token(slot), Interest::READ).is_err() {
-                        self.conns.remove(slot);
-                    }
+                    self.admit(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -682,301 +807,46 @@ impl Reactor {
         }
     }
 
-    // -- connection events --------------------------------------------
-
-    fn conn_ready(&mut self, slot: usize, ev: &Event) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        match conn.state {
-            ConnState::Writing => {
-                if ev.writable || ev.hangup {
-                    self.write_ready(slot);
-                }
-            }
-            ConnState::Handling => {
-                // Interest is NONE while a worker owns the request, but
-                // RDHUP/ERR still arrive. Probe: a half-close keeps the
-                // connection (the response is still deliverable); a
-                // hard error drops it.
-                if ev.hangup {
-                    let mut probe = [0u8; 64];
-                    match (&*conn.stream).read(&mut probe) {
-                        Ok(0) => conn.peer_closed = true,
-                        Ok(n) => conn.parser.push(&probe[..n]),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            self.close(slot);
-                        }
-                    }
-                }
-            }
-            ConnState::ReadingHead | ConnState::ReadingBody | ConnState::KeepAlive => {
-                if ev.readable || ev.hangup {
-                    self.read_ready(slot);
-                }
-            }
-        }
-    }
-
-    fn read_ready(&mut self, slot: usize) {
-        let mut scratch = [0u8; READ_CHUNK];
-        // Bound buffered-but-unparsed bytes: past this a peer is either
-        // over a limit the parser will reject or flooding pipelined
-        // requests ahead of our responses.
-        let cap = self.cfg.body_limit + codec::HEADER_LIMIT + READ_CHUNK;
-        loop {
-            let Some(conn) = self.conns.get_mut(slot) else { return };
-            if conn.parser.buffered() > cap {
-                break;
-            }
-            // Mid-body (`Content-Length`, or the data section of a
-            // chunk): read straight into the body allocation the
-            // handler will own, skipping the scratch → lookahead-buffer
-            // → body double copy. Growth is bounded per read, so a
-            // claimed-but-never-sent length cannot force a large
-            // allocation up front.
-            let read = if let Some((body, need)) = conn.parser.direct_body() {
-                let start = body.len();
-                body.resize(start + need.min(READ_CHUNK), 0);
-                let r = (&*conn.stream).read(&mut body[start..]);
-                body.truncate(start + *r.as_ref().unwrap_or(&0));
-                r
-            } else {
-                (&*conn.stream).read(&mut scratch).inspect(|&n| conn.parser.push(&scratch[..n]))
-            };
-            match read {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                // Drive the parser now rather than after the drain, so
-                // once the head parses the rest of the body takes the
-                // direct path. On a complete request `advance_parser`
-                // dispatches and parks read interest; the poller is
-                // level-triggered, so bytes left in the socket re-arm
-                // readiness when interest returns.
-                Ok(_) => {
-                    if !self.advance_step(slot) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot);
-                    return;
-                }
-            }
-        }
-        self.advance_parser(slot);
-    }
-
-    /// One parser step during the read loop: returns `false` when the
-    /// connection left the reading states (request dispatched, 400 sent,
-    /// or closed) and the caller must stop reading.
-    fn advance_step(&mut self, slot: usize) -> bool {
-        self.advance_parser(slot);
-        matches!(
-            self.conns.get_mut(slot).map(|c| c.state),
-            Some(ConnState::ReadingHead | ConnState::ReadingBody | ConnState::KeepAlive)
-        )
-    }
-
-    /// Drive the parser; dispatch on a complete request, 400 on a
-    /// malformed one, close on a truncated one.
-    fn advance_parser(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        match conn.parser.advance() {
-            Ok(Some((req, version))) => {
-                conn.state = ConnState::Handling;
-                // The handler owns the clock now; handler execution has
-                // no timeout on either transport.
-                conn.deadline = Instant::now() + Duration::from_secs(3600);
-                self.set_interest(slot, Interest::NONE);
-                self.dispatch(slot, req, version);
-            }
-            Ok(None) => {
-                if conn.peer_closed {
-                    // EOF between requests is a normal close; EOF mid-
-                    // request is truncation. Neither gets a response,
-                    // matching the blocking transport.
-                    self.close(slot);
-                    return;
-                }
-                let now = Instant::now();
-                if conn.parser.is_idle() {
-                    conn.state = ConnState::KeepAlive;
-                    conn.deadline = now + self.cfg.keep_alive_timeout;
-                } else {
-                    conn.state = if conn.parser.in_body() {
-                        ConnState::ReadingBody
-                    } else {
-                        ConnState::ReadingHead
-                    };
-                    conn.deadline = now + self.cfg.io_timeout;
-                }
-                self.set_interest(slot, Interest::READ);
-            }
-            Err(e) => {
-                // Parse errors answer 400 and close, like the threaded
-                // transport — with the close made explicit on the wire.
-                let resp = Response::error(Status::BAD_REQUEST, &e.to_string())
-                    .with_header("Connection", "close");
-                match codec::encode_response(&resp) {
-                    Ok(bytes) => self.start_write(slot, bytes, 0, true),
-                    Err(_) => self.close(slot),
-                }
-            }
-        }
-    }
-
-    /// Hand a parsed request to the worker pool.
-    fn dispatch(&mut self, slot: usize, req: Request, version: Version) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        let gen = conn.gen;
-        let stream = conn.stream.clone();
-        let close_requested = codec::wants_close(version, &req.headers);
-        let shared = self.shared.clone();
-        self.pool.spawn_detached(move || {
-            let handler = &shared.handler;
-            let mut resp = crate::observe::serve_with_span(req, "http.server", |req| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(req)))
-                {
-                    Ok(resp) => resp,
-                    Err(_) => Response::error(Status::INTERNAL_SERVER_ERROR, "handler panicked"),
-                }
-            });
-            if resp.status.0 >= 500 {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            // Close if the client asked, or the handler did. Either
-            // way the peer (possibly a pooled client) must see it.
-            let close = close_requested || resp.headers.has_token("Connection", "close");
-            if close && !resp.headers.has_token("Connection", "close") {
-                resp.headers.set("Connection", "close");
-            }
-            match codec::encode_response(&resp) {
-                Ok(bytes) => shared.deliver(slot, gen, &stream, bytes, close),
-                Err(_) => {
-                    let outcome = Outcome::Pending { bytes: None, written: 0, close };
-                    shared.hand_back(Completion { slot, gen, outcome });
-                }
-            }
+    /// Put a new connection in a slot and arm it for the workers.
+    fn admit(&mut self, stream: TcpStream) {
+        let shared = &*self.shared;
+        let slot = shared.slots.free.lock().pop().unwrap_or_else(|| {
+            self.high += 1;
+            self.high - 1
         });
+        // Past the last segment: more connections than descriptors.
+        let Some(cell) = shared.slots.get_or_grow(slot) else { return };
+        self.gen = self.gen.wrapping_add(1);
+        let fd = stream.as_raw_fd();
+        let mut guard = cell.lock();
+        *guard = Some(Conn {
+            stream,
+            gen: self.gen,
+            parser: RequestParser::new(shared.cfg.body_limit),
+            write_buf: Vec::new(),
+            written: 0,
+            close_after_write: false,
+            peer_closed: false,
+            deadline: Instant::now() + shared.cfg.io_timeout,
+        });
+        shared.slots.live.fetch_add(1, Ordering::Relaxed);
+        shared.open.add(1);
+        self.accepted.inc();
+        if shared.poller.add_oneshot(fd, conn_token(slot, self.gen), Interest::READ).is_err() {
+            shared.close(slot, &mut guard);
+        }
     }
 
-    fn apply_completions(&mut self) {
-        let done: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock());
-        for c in done {
-            let Some(conn) = self.conns.get_mut(c.slot) else { continue };
-            // Generation guard: the slot may have been reused after a
-            // mid-handling disconnect.
-            if conn.gen != c.gen || conn.state != ConnState::Handling {
-                continue;
+    /// Close every connection `expired` picks, skipping any a worker
+    /// holds: a connection being served has no deadline.
+    fn sweep(&self, expired: impl Fn(&Conn) -> bool) {
+        let shared = &*self.shared;
+        for slot in 0..self.high {
+            let Some(cell) = shared.slots.get(slot) else { return };
+            let Some(mut guard) = cell.try_lock() else { continue };
+            if guard.as_ref().is_some_and(&expired) {
+                shared.close(slot, &mut guard);
             }
-            match c.outcome {
-                Outcome::Written => {
-                    // The worker re-armed `READ` in the kernel already.
-                    conn.interest = Interest::READ;
-                    conn.close_after_write = false;
-                    self.finish_write(c.slot);
-                }
-                Outcome::Pending { bytes: Some(bytes), written, close } => {
-                    self.start_write(c.slot, bytes, written, close)
-                }
-                Outcome::Pending { bytes: None, .. } => self.close(c.slot),
-            }
-        }
-    }
-
-    // -- write path ----------------------------------------------------
-
-    /// Send `bytes[written..]` from the loop, then keep or close the
-    /// connection.
-    fn start_write(&mut self, slot: usize, bytes: Vec<u8>, written: usize, close: bool) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        if written < bytes.len() {
-            self.reactor_writes.inc();
-        }
-        conn.write_buf = bytes;
-        conn.written = written;
-        conn.close_after_write = close;
-        conn.state = ConnState::Writing;
-        conn.deadline = Instant::now() + self.cfg.io_timeout;
-        self.write_ready(slot);
-    }
-
-    fn write_ready(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        while conn.written < conn.write_buf.len() {
-            match (&*conn.stream).write(&conn.write_buf[conn.written..]) {
-                Ok(0) => {
-                    self.close(slot);
-                    return;
-                }
-                Ok(n) => conn.written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.set_interest(slot, Interest::WRITE);
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot);
-                    return;
-                }
-            }
-        }
-        self.finish_write(slot);
-    }
-
-    fn finish_write(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        conn.write_buf = Vec::new();
-        conn.written = 0;
-        if conn.close_after_write || conn.peer_closed {
-            self.close(slot);
-            return;
-        }
-        conn.state = ConnState::KeepAlive;
-        conn.deadline = Instant::now() + self.cfg.keep_alive_timeout;
-        self.set_interest(slot, Interest::READ);
-        // Pipelined bytes may already hold the next request.
-        self.advance_parser(slot);
-    }
-
-    // -- bookkeeping ---------------------------------------------------
-
-    fn set_interest(&mut self, slot: usize, interest: Interest) {
-        let Some(conn) = self.conns.get_mut(slot) else { return };
-        if conn.interest == interest {
-            return;
-        }
-        conn.interest = interest;
-        let fd = conn.stream.as_raw_fd();
-        self.shared.poller.modify(fd, token(slot), interest).ok();
-    }
-
-    fn close(&mut self, slot: usize) {
-        if let Some(conn) = self.conns.remove(slot) {
-            self.shared.poller.delete(conn.stream.as_raw_fd()).ok();
-            // Dropping the last `Arc` of the stream closes the fd: here,
-            // or in a worker still writing to it.
-        }
-    }
-
-    fn sweep_deadlines(&mut self, now: Instant) {
-        let expired: Vec<usize> = self
-            .conns
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, e)| e.as_ref().and_then(|c| (c.deadline <= now).then_some(slot)))
-            .collect();
-        for slot in expired {
-            // Stalled reads/writes and idle keep-alives close silently,
-            // exactly as the blocking transport's socket timeouts do.
-            self.close(slot);
         }
     }
 }
@@ -1114,7 +984,7 @@ mod tests {
 
     /// Feed `wire` through the incremental parser in `step`-byte
     /// slices, routing bytes through the direct-read window whenever
-    /// it is open (exactly as `read_ready` does) when `direct` is set.
+    /// it is open (exactly as `Conn::fill` does) when `direct` is set.
     fn drive(wire: &[u8], step: usize, direct: bool, limit: usize) -> HttpResult<Option<Request>> {
         let mut p = RequestParser::new(limit);
         let mut i = 0;

@@ -55,8 +55,9 @@ pub struct ServerStats {
 /// Which I/O engine a server runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerTransport {
-    /// Readiness-driven epoll event loop (Linux). Handlers still run on
-    /// the worker pool; the reactor owns only I/O. Falls back to
+    /// Readiness-driven epoll transport (Linux): one loop thread
+    /// accepts, and the worker that receives a connection's readiness
+    /// reads, handles and answers its request. Falls back to
     /// `Threaded` on platforms without the reactor.
     Reactor,
     /// One blocking pool task per connection.
@@ -80,8 +81,8 @@ impl ServerTransport {
 /// Tunables for [`HttpServer::bind_with`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Pool threads serving connections (running handlers, on either
-    /// transport).
+    /// Threads serving connections and running handlers, on either
+    /// transport.
     pub workers: usize,
     /// Concurrent-connection cap: further connections are shed with a
     /// 503 + `Retry-After` instead of queueing unboundedly.
@@ -273,7 +274,8 @@ impl HttpServer {
         self.stop.store(true, Ordering::Release);
         #[cfg(target_os = "linux")]
         if let Some(waker) = &self.waker {
-            // Reactor transport: one eventfd write unblocks the loop.
+            // Reactor transport: one eventfd write unblocks the loop
+            // and every worker.
             waker.wake();
             if let Some(t) = self.accept_thread.take() {
                 let _ = t.join();

@@ -1,5 +1,6 @@
 //! Core HTTP types: methods, status codes, headers, request/response.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors across the HTTP stack.
@@ -232,9 +233,13 @@ impl fmt::Display for Status {
 }
 
 /// Case-insensitive header multimap preserving insertion order.
+///
+/// A name is a `Cow`: a constant name (`Connection`, `traceparent`,
+/// `Content-Type`) is stored as the `&'static str` it is, without an
+/// allocation, and a name parsed off the wire is owned.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    entries: Vec<(Cow<'static, str>, String)>,
 }
 
 impl Headers {
@@ -244,12 +249,12 @@ impl Headers {
     }
 
     /// Append a header (does not replace existing values).
-    pub fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn add(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<String>) {
         self.entries.push((name.into(), value.into()));
     }
 
     /// Replace all values of `name` with one value.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<String>) {
         let name = name.into();
         self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
         self.entries.push((name, value.into()));
@@ -289,7 +294,7 @@ impl Headers {
 
     /// Iterate all `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (n.as_ref(), v.as_str()))
     }
 
     /// Number of header lines.
@@ -368,7 +373,7 @@ impl Request {
     }
 
     /// Builder: add a header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    pub fn with_header(mut self, name: impl Into<Cow<'static, str>>, value: &str) -> Self {
         self.headers.add(name, value);
         self
     }
@@ -531,7 +536,7 @@ impl Response {
     }
 
     /// Builder: add a header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
+    pub fn with_header(mut self, name: impl Into<Cow<'static, str>>, value: &str) -> Self {
         self.headers.add(name, value);
         self
     }

@@ -46,7 +46,7 @@ proptest! {
     ) {
         let mut req = Request::new(method, path.clone()).with_body_bytes(body.clone());
         for (k, v) in &headers {
-            req.headers.add(k.as_str(), v.as_str());
+            req.headers.add(k.clone(), v.as_str());
         }
         let mut wire = Vec::new();
         codec::write_request(&mut wire, &req, Some("h")).unwrap();
@@ -200,7 +200,7 @@ proptest! {
     #[test]
     fn headers_set_then_get(k in "[A-Za-z-]{1,10}", v in "[ -~]{0,20}") {
         let mut h = Headers::new();
-        h.set(k.as_str(), v.trim());
+        h.set(k.clone(), v.trim());
         prop_assert_eq!(h.get(&k.to_ascii_uppercase()), Some(v.trim()));
         prop_assert_eq!(h.get_all(&k).count(), 1);
     }

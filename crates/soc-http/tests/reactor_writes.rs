@@ -1,11 +1,11 @@
 //! Which side of the reactor writes a response, as counted by
 //! `soc_http_responses_total{write="worker"|"reactor"}`.
 //!
-//! A worker writes a small response itself and re-arms the connection;
-//! a response bigger than the socket buffers leaves the worker with a
-//! remainder that the event loop finishes. The counters live in the
-//! process-wide registry, so this binary holds this one test alone and
-//! can compare exact deltas.
+//! A small response goes out in full as soon as the worker makes it
+//! (`"worker"`); a response bigger than the socket buffers is finished
+//! later, when the socket reports `WRITE` readiness (`"reactor"`). The
+//! counters live in the process-wide registry, so this binary holds
+//! this one test alone and can compare exact deltas.
 
 #![cfg(target_os = "linux")]
 
