@@ -256,7 +256,20 @@ impl RequestParser {
 
     /// Consume as much as possible; `Ok(Some(..))` when one complete
     /// request has been parsed (leftover pipelined bytes stay buffered).
+    /// Mid-body, the consumed prefix is dropped before waiting for more
+    /// bytes: it holds only framing (chunk-size lines, extensions,
+    /// CRLFs) and data already copied into the body, and keeping it
+    /// would let a chunked body buffer ~1 KiB of framing per body byte.
     fn advance(&mut self) -> HttpResult<Option<(Request, Version)>> {
+        let parsed = self.parse()?;
+        if parsed.is_none() && matches!(self.phase, Phase::Body { .. }) {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        Ok(parsed)
+    }
+
+    fn parse(&mut self) -> HttpResult<Option<(Request, Version)>> {
         loop {
             match &mut self.phase {
                 Phase::Head => {
@@ -897,6 +910,34 @@ mod tests {
         }
         let (req, _) = done.expect("request completes");
         assert_eq!(req.body, b"hello chunked world");
+        assert!(p.is_idle());
+    }
+
+    #[test]
+    fn chunk_framing_is_dropped_as_the_body_advances() {
+        // 1,000 one-byte chunks, each behind a 1,000-byte extension:
+        // ~1 MB of framing around a 1,000-byte body.
+        let mut raw = b"POST /u HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        let ext = "e".repeat(1000);
+        let mut want = Vec::new();
+        for i in 0..1000u32 {
+            let byte = b'a' + (i % 26) as u8;
+            want.push(byte);
+            raw.extend_from_slice(format!("1;{ext}\r\n").as_bytes());
+            raw.push(byte);
+            raw.extend_from_slice(b"\r\n");
+        }
+        raw.extend_from_slice(b"0\r\n\r\n");
+        let mut p = RequestParser::new(1024 * 1024);
+        let mut done = None;
+        for piece in raw.chunks(512) {
+            if let Some(pair) = parse_all(&mut p, piece).unwrap() {
+                done = Some(pair);
+            }
+            assert!(p.buf.len() < 4 * 1024, "parser buffers {} bytes", p.buf.len());
+        }
+        let (req, _) = done.expect("request completes");
+        assert_eq!(req.body, want);
         assert!(p.is_idle());
     }
 

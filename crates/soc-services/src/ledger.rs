@@ -41,9 +41,10 @@
 //! on a [`Durable::in_memory`] machine, so its state dies with the
 //! process.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use soc_json::Value;
+use soc_json::{Value, ValueRef};
 use soc_store::wal::{Lsn, WalConfig};
 use soc_store::{Durable, StateMachine, StoreResult};
 
@@ -83,6 +84,16 @@ fn event(fields: &[(&str, &str)]) -> Vec<u8> {
     ev.to_compact().into_bytes()
 }
 
+/// A decoded string the ledger keeps for good. An escaped one was
+/// unescaped into a buffer grown past its text; shrinking it hands
+/// the slack back to the allocator in place instead of holding it
+/// for every entry.
+fn kept(text: Cow<'_, str>) -> String {
+    let mut text = text.into_owned();
+    text.shrink_to_fit();
+    text
+}
+
 /// The response a submission under a tombstoned key gets.
 fn cancelled_response(key: &str) -> String {
     format!("{{\"application_id\":{:?},\"cancelled\":true}}", key)
@@ -99,8 +110,15 @@ impl Inner {
         }
     }
 
-    fn apply_submission(&mut self, key: &str, content: &str, response: &str) {
-        if let Some(entry) = self.entries.get_mut(key) {
+    /// Count a submission under `key`. The decoded strings are moved
+    /// into the maps when they are new, not copied.
+    fn apply_submission(
+        &mut self,
+        key: Cow<'_, str>,
+        content: Cow<'_, str>,
+        response: Cow<'_, str>,
+    ) {
+        if let Some(entry) = self.entries.get_mut(&*key) {
             entry.deduped += 1;
             return;
         }
@@ -108,14 +126,24 @@ impl Inner {
         // up on a lost response and compensated): refuse to open the
         // application, recording an already-cancelled entry so the
         // audit shows what happened.
-        let (executions, cancellations, response) = if self.tombstones.remove(key) {
-            (0, 1, cancelled_response(key))
+        let (executions, cancellations, response) = if self.tombstones.remove(&*key) {
+            (0, 1, cancelled_response(&key))
         } else {
-            *self.by_content.entry(content.to_string()).or_insert(0) += 1;
-            (1, 0, response.to_string())
+            self.count_content(content);
+            (1, 0, kept(response))
         };
         let entry = LedgerEntry { executions, deduped: 0, cancellations, response };
-        self.entries.insert(key.to_string(), entry);
+        self.entries.insert(key.into_owned(), entry);
+    }
+
+    /// One more decision execution for the request body `content`.
+    fn count_content(&mut self, content: Cow<'_, str>) {
+        match self.by_content.get_mut(&*content) {
+            Some(n) => *n += 1,
+            None => {
+                self.by_content.insert(kept(content), 1);
+            }
+        }
     }
 
     /// Count a cancel against `key`'s entry; a key with no entry gets a
@@ -134,20 +162,36 @@ impl Inner {
 impl StateMachine for Inner {
     fn apply(&mut self, _lsn: Lsn, payload: &[u8]) -> Result<(), String> {
         let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-        let ev = Value::parse(text).map_err(|e| e.to_string())?;
-        let key = ev.get("key").and_then(Value::as_str).unwrap_or_default();
-        let content = ev.get("content").and_then(Value::as_str).unwrap_or_default();
-        match ev.get("ev").and_then(Value::as_str) {
-            Some("apply") => {
-                let response = ev.get("response").and_then(Value::as_str).unwrap_or_default();
-                self.apply_submission(key, content, response);
+        let ev = soc_json::parse_ref(text).map_err(|e| e.to_string())?;
+        // Every field is a string; a missing or non-string one reads as
+        // absent, the last duplicate winning like `Value::get`. The
+        // escaped (hence already owned) strings are moved out whole.
+        let (mut name, mut key, mut content, mut response) = (None, None, None, None);
+        if let ValueRef::Object(members) = ev {
+            for (field, value) in members {
+                let text = match value {
+                    ValueRef::String(text) => Some(text),
+                    _ => None,
+                };
+                match &*field {
+                    "ev" => name = text,
+                    "key" => key = text,
+                    "content" => content = text,
+                    "response" => response = text,
+                    _ => {}
+                }
             }
+        }
+        let key = key.unwrap_or_default();
+        let content = content.unwrap_or_default();
+        match name.as_deref() {
+            Some("apply") => self.apply_submission(key, content, response.unwrap_or_default()),
             Some("keyless") => {
                 self.keyless += 1;
-                *self.by_content.entry(content.to_string()).or_insert(0) += 1;
+                self.count_content(content);
             }
-            Some("cancel_reservation") => self.apply_cancel(key, true),
-            Some("cancel") => self.apply_cancel(key, false),
+            Some("cancel_reservation") => self.apply_cancel(&key, true),
+            Some("cancel") => self.apply_cancel(&key, false),
             other => return Err(format!("unknown ledger event {other:?}")),
         }
         Ok(())
@@ -527,6 +571,25 @@ mod tests {
         assert_eq!(ledger.total_executions(), 2);
         assert_eq!(ledger.max_executions_per_content(), 2);
         assert_eq!(ledger.keyless_submissions(), 2);
+    }
+
+    #[test]
+    fn events_decode_like_the_owned_dom_did() {
+        let mut inner = Inner::default();
+        // Later duplicates win; escapes are expanded.
+        let ev = br#"{"ev":"apply","key":"k0","key":"k1","content":"{\"a\":1}","response":"r\n"}"#;
+        inner.apply(1, ev).unwrap();
+        assert_eq!(inner.entries["k1"].response, "r\n");
+        assert_eq!(inner.by_content["{\"a\":1}"], 1);
+        assert!(!inner.entries.contains_key("k0"));
+        // A non-string field reads as absent: the empty string.
+        inner.apply(2, br#"{"ev":"keyless","content":7}"#).unwrap();
+        assert_eq!(inner.by_content[""], 1);
+        // No event name, or not an object at all: refused.
+        for bad in [&br#"{"ev":1,"key":"k2"}"#[..], b"[1,2]", b"\"apply\"", b"{"] {
+            assert!(inner.apply(3, bad).is_err(), "{}", String::from_utf8_lossy(bad));
+        }
+        assert_eq!(inner.entries.len(), 1);
     }
 
     #[test]

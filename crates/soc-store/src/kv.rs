@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use soc_json::Value;
+use soc_json::{Value, ValueRef};
 
 use crate::state::StateMachine;
 use crate::wal::Lsn;
@@ -77,24 +77,46 @@ impl KvMachine {
 impl StateMachine for KvMachine {
     fn apply(&mut self, lsn: Lsn, command: &[u8]) -> Result<(), String> {
         let Ok(text) = std::str::from_utf8(command) else { return Ok(()) };
-        let Ok(cmd) = Value::parse(text) else { return Ok(()) };
-        let key = cmd.get("key").and_then(Value::as_str).unwrap_or_default().to_string();
-        match cmd.get("op").and_then(Value::as_str) {
+        let Ok(cmd) = soc_json::parse_ref(text) else { return Ok(()) };
+        // Decode borrowed, last duplicate winning like `Value::get`:
+        // only the stored value (and a new key) is made owned.
+        let (mut op, mut key, mut value, mut version) = (None, None, None, None);
+        if let ValueRef::Object(members) = cmd {
+            for (name, field) in members {
+                match &*name {
+                    "op" => op = Some(field),
+                    "key" => key = Some(field),
+                    "value" => value = Some(field),
+                    "version" => version = Some(field),
+                    _ => {}
+                }
+            }
+        }
+        let key = key.as_ref().and_then(ValueRef::as_str).unwrap_or_default();
+        match op.as_ref().and_then(ValueRef::as_str) {
             Some("put") => {
-                let value = cmd.get("value").cloned().unwrap_or(Value::Null);
+                // Cloning first sizes every string and array to its
+                // content: the parser's buffers grew past it, and the
+                // machine keeps the value for good.
+                let value = value.map_or(Value::Null, |v| v.clone().into_owned());
                 // A pinned version (promotion re-log) wins; otherwise
                 // the LSN, floored so a key adopted at a high version
                 // never regresses when its new primary's log is short.
-                let prior = self.entries.get(&key).map(|(_, l)| *l).unwrap_or(0);
-                let version = cmd
-                    .get("version")
-                    .and_then(Value::as_i64)
+                let prior = self.entries.get(key).map(|(_, l)| *l).unwrap_or(0);
+                let version = version
+                    .as_ref()
+                    .and_then(ValueRef::as_i64)
                     .map(|v| v as Lsn)
                     .unwrap_or_else(|| lsn.max(prior + 1));
-                self.entries.insert(key, (value, version));
+                match self.entries.get_mut(key) {
+                    Some(entry) => *entry = (value, version),
+                    None => {
+                        self.entries.insert(key.to_string(), (value, version));
+                    }
+                }
             }
             Some("del") => {
-                self.entries.remove(&key);
+                self.entries.remove(key);
             }
             _ => {}
         }
@@ -161,6 +183,27 @@ mod tests {
         assert_eq!(d.query(|m| m.get("a").map(|(_, l)| l)), Some(v2));
         d.execute(&KvMachine::del_command("a")).unwrap();
         assert!(d.query(|m| m.get("a").is_none()));
+    }
+
+    #[test]
+    fn commands_decode_like_the_owned_dom_did() {
+        let mut m = KvMachine::new();
+        // Unparseable, non-object, and unknown commands are skipped.
+        for skipped in [&b"\xff"[..], b"{", b"[1]", br#"{"op":"merge","key":"a"}"#] {
+            m.apply(1, skipped).unwrap();
+        }
+        assert!(m.is_empty());
+        // Later duplicates win; the value keeps its escapes expanded.
+        m.apply(2, br#"{"op":"put","key":"a","key":"b","value":{"s":"x\ty"}}"#).unwrap();
+        assert_eq!(m.keys(), vec!["b"]);
+        assert_eq!(m.get("b"), Some((&json!({"s": "x\ty"}), 2)));
+        // A put without a value stores null; a pinned version wins.
+        m.apply(3, br#"{"op":"put","key":"b","version":40}"#).unwrap();
+        assert_eq!(m.get("b"), Some((&Value::Null, 40)));
+        m.apply(4, br#"{"op":"put","key":"b","value":1}"#).unwrap();
+        assert_eq!(m.get("b").map(|(_, l)| l), Some(41), "versions never regress");
+        m.apply(5, br#"{"op":"del","key":"b"}"#).unwrap();
+        assert!(m.is_empty());
     }
 
     #[test]

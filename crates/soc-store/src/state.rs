@@ -10,7 +10,7 @@
 
 use parking_lot::Mutex;
 
-use crate::wal::{Lsn, Wal, WalConfig};
+use crate::wal::{Lsn, Replayed, Wal, WalConfig};
 use crate::{StoreError, StoreResult};
 
 /// A component whose every mutation is a logged command.
@@ -47,19 +47,30 @@ pub struct Durable<M> {
 
 impl<M: StateMachine> Durable<M> {
     /// Open the log in `dir`, restore the newest snapshot into
-    /// `machine`, and replay every record after it.
+    /// `machine`, and replay every record after it. The records stream
+    /// from [`Wal::open_streaming`] straight into
+    /// [`StateMachine::apply`], borrowed from the segment buffer, so
+    /// recovery holds one segment plus the machine, never the log. A
+    /// snapshot the machine cannot restore, or a record it refuses,
+    /// fails the open as [`StoreError::Corrupt`]; so does damage the
+    /// log itself refuses, even after some records were applied (the
+    /// half-built machine is dropped).
     pub fn open(dir: impl AsRef<std::path::Path>, cfg: WalConfig, machine: M) -> StoreResult<Self> {
-        let (wal, recovery) = Wal::open_with(dir, cfg)?;
         let mut machine = machine;
         let mut applied = 0;
-        if let Some((lsn, snap)) = &recovery.snapshot {
-            machine.restore(snap).map_err(StoreError::Corrupt)?;
-            applied = *lsn;
-        }
-        for (lsn, payload) in &recovery.records {
-            machine.apply(*lsn, payload).map_err(StoreError::Corrupt)?;
-            applied = *lsn;
-        }
+        let (wal, _) = Wal::open_streaming(dir, cfg, |item| {
+            applied = match item {
+                Replayed::Snapshot { lsn, state } => {
+                    machine.restore(state).map_err(StoreError::Corrupt)?;
+                    lsn
+                }
+                Replayed::Record { lsn, payload } => {
+                    machine.apply(lsn, payload).map_err(StoreError::Corrupt)?;
+                    lsn
+                }
+            };
+            Ok(())
+        })?;
         Ok(Durable { wal: Some(wal), machine: Mutex::new((machine, applied)) })
     }
 

@@ -41,6 +41,18 @@
 //! has been compacted away — fails [`Wal::open`] with
 //! [`StoreError::Corrupt`] instead of silently skipping records.
 //!
+//! Replay streams. [`Wal::open_streaming`] reads one segment file at a
+//! time into a buffer it reuses, checksums each frame in place, and
+//! hands the payload — borrowed from that buffer — straight to the
+//! caller, snapshot first and then records in LSN order; nothing is
+//! collected. Peak memory is one segment plus whatever the caller
+//! builds (for [`crate::Durable::open`], the state machine). A caller
+//! may see records of a segment that later proves damaged or out of
+//! chain: the open then fails, and whatever it built must be thrown
+//! away. [`Wal::open`] is the same scan collecting into a
+//! [`Recovery`]. The checksum is [`crate::crc32`], slice-by-8, with the
+//! same IEEE CRC-32 values the format has always stored.
+//!
 //! ## Log shipping
 //!
 //! A primary ships its log to replicas in order, so the records a
@@ -85,6 +97,8 @@ const SEG_MAGIC: &[u8; 8] = b"SOCWAL1\n";
 const SNAP_MAGIC: &[u8; 8] = b"SOCSNP1\n";
 const SEG_HEADER: u64 = 16;
 const FRAME_HEADER: usize = 8;
+/// Magic, lsn, length and checksum ahead of a snapshot's payload.
+const SNAP_HEADER: usize = 28;
 
 /// Memory bound of a log's in-memory tail: payload bytes plus one
 /// `(Lsn, Vec<u8>)` entry per record. A replica a few hundred small
@@ -129,7 +143,9 @@ impl Default for WalConfig {
     }
 }
 
-/// What [`Wal::open`] recovered from disk.
+/// What [`Wal::open`] recovered from disk, collected: the shape tests
+/// and benches inspect. [`Wal::open_streaming`] hands out the same
+/// items without keeping them.
 pub struct Recovery {
     /// Newest valid snapshot, as `(lsn, state_bytes)` — restore this
     /// first, then apply [`Recovery::records`].
@@ -138,6 +154,27 @@ pub struct Recovery {
     pub records: Vec<(Lsn, Vec<u8>)>,
     /// Bytes dropped from a torn tail, if any (unacknowledged suffix).
     pub truncated_bytes: u64,
+}
+
+/// One item of a streamed recovery, borrowed from the buffer the file
+/// was read into. See [`Wal::open_streaming`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replayed<'a> {
+    /// The newest valid snapshot: comes first, at most once.
+    Snapshot {
+        /// The LSN the snapshot covers up to.
+        lsn: Lsn,
+        /// The state bytes.
+        state: &'a [u8],
+    },
+    /// One checksummed record after the snapshot, in ascending LSN
+    /// order.
+    Record {
+        /// The record's LSN.
+        lsn: Lsn,
+        /// The record's payload.
+        payload: &'a [u8],
+    },
 }
 
 /// Appender-side log state, guarded by one mutex with a condvar for
@@ -252,8 +289,37 @@ impl Wal {
     }
 
     /// Open (or create) the log in `dir`, replaying whatever is on
-    /// disk. See the module docs for the recovery contract.
+    /// disk into a [`Recovery`]. See the module docs for the recovery
+    /// contract.
     pub fn open_with(dir: impl AsRef<Path>, cfg: WalConfig) -> StoreResult<(Wal, Recovery)> {
+        let mut snapshot = None;
+        let mut records = Vec::new();
+        let (wal, truncated_bytes) = Wal::open_streaming(dir, cfg, |item| {
+            match item {
+                Replayed::Snapshot { lsn, state } => snapshot = Some((lsn, state.to_vec())),
+                Replayed::Record { lsn, payload } => records.push((lsn, payload.to_vec())),
+            }
+            Ok(())
+        })?;
+        Ok((wal, Recovery { snapshot, records, truncated_bytes }))
+    }
+
+    /// Open (or create) the log in `dir`, handing each recovered item
+    /// to `visit` as the scan reaches it: the newest valid snapshot
+    /// first, then every record after it in LSN order. Payloads borrow
+    /// the scan's buffer, so nothing is copied or kept. Returns the
+    /// log and the bytes dropped from a torn tail.
+    ///
+    /// An `Err` from `visit` stops the scan and fails the open with
+    /// it. The open can also fail after `visit` has seen records (a
+    /// later segment is damaged or missing): the caller must then
+    /// discard what it built from them. See the module docs for the
+    /// recovery contract.
+    pub fn open_streaming(
+        dir: impl AsRef<Path>,
+        cfg: WalConfig,
+        mut visit: impl FnMut(Replayed<'_>) -> StoreResult<()>,
+    ) -> StoreResult<(Wal, u64)> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
@@ -278,20 +344,17 @@ impl Wal {
 
         // Newest structurally valid snapshot wins; older ones are
         // fallbacks (a crash mid-snapshot leaves the previous one).
-        let mut snapshot: Option<(Lsn, Vec<u8>)> = None;
+        let mut snap_lsn = 0;
         for &lsn in snap_lsns.iter().rev() {
-            match read_snapshot(&dir.join(snap_name(lsn)), cfg.max_record_bytes) {
-                Ok(state) => {
-                    snapshot = Some((lsn, state));
-                    break;
-                }
-                Err(_) => continue,
+            if let Ok(file) = read_snapshot(&dir.join(snap_name(lsn)), cfg.max_record_bytes) {
+                visit(Replayed::Snapshot { lsn, state: &file[SNAP_HEADER..] })?;
+                snap_lsn = lsn;
+                break;
             }
         }
-        let snap_lsn = snapshot.as_ref().map(|(l, _)| *l).unwrap_or(0);
 
-        // Scan the segment chain.
-        let mut records: Vec<(Lsn, Vec<u8>)> = Vec::new();
+        // Scan the segment chain, one reused buffer for every file.
+        let mut data = Vec::new();
         let mut truncated_bytes = 0u64;
         let mut expected_base: Option<Lsn> = None;
         let mut last_lsn: Lsn = snap_lsn;
@@ -311,34 +374,30 @@ impl Wal {
                     "history missing: snapshot at {snap_lsn} but oldest segment starts at {base}"
                 )));
             }
-            match scan_segment(&path, base, cfg.max_record_bytes)? {
-                SegmentScan::Clean { recs, end_offset } => {
-                    let count = recs.len() as u64;
-                    for (lsn, payload) in recs {
-                        if lsn > snap_lsn {
-                            records.push((lsn, payload));
-                        }
+            let scan =
+                scan_segment(&path, base, cfg.max_record_bytes, &mut data, |lsn, payload| {
+                    if lsn > snap_lsn {
+                        visit(Replayed::Record { lsn, payload })
+                    } else {
+                        Ok(())
                     }
-                    last_lsn = last_lsn.max(if count > 0 { base + count - 1 } else { base - 1 });
+                })?;
+            match scan {
+                SegmentScan::Clean { count, end_offset } => {
+                    last_lsn = last_lsn.max(base + count - 1);
                     expected_base = Some(base + count);
                     if is_last {
                         tail = Some((base, end_offset));
                     }
                 }
-                SegmentScan::Torn { recs, good_offset, file_len } => {
+                SegmentScan::Torn { count, good_offset, file_len } => {
                     if !is_last {
                         return Err(StoreError::Corrupt(format!(
                             "corrupt record in non-final segment {}",
                             path.display()
                         )));
                     }
-                    let count = recs.len() as u64;
-                    for (lsn, payload) in recs {
-                        if lsn > snap_lsn {
-                            records.push((lsn, payload));
-                        }
-                    }
-                    last_lsn = last_lsn.max(if count > 0 { base + count - 1 } else { base - 1 });
+                    last_lsn = last_lsn.max(base + count - 1);
                     truncated_bytes = file_len - good_offset;
                     let f = OpenOptions::new().write(true).open(&path)?;
                     f.set_len(good_offset)?;
@@ -395,9 +454,7 @@ impl Wal {
             segments: metrics.gauge("soc_store_wal_segments", &[]),
         };
         shared.segments.set(seg_bases.len().max(1) as i64);
-        let wal = Wal { inner: Arc::new(shared) };
-        let recovery = Recovery { snapshot, records, truncated_bytes };
-        Ok((wal, recovery))
+        Ok((Wal { inner: Arc::new(shared) }, truncated_bytes))
     }
 
     /// Stamp and enqueue a record without waiting for durability.
@@ -650,31 +707,27 @@ impl Wal {
             }
         }
         let mut out = Vec::new();
+        let mut data = Vec::new();
         for (i, &base) in seg_bases.iter().enumerate() {
             // A segment whose successor starts at or below `from + 1`
             // holds nothing past `from`: skip it unread.
             if seg_bases.get(i + 1).is_some_and(|&next| next <= first) {
                 continue;
             }
-            match scan_segment(
-                &self.inner.dir.join(seg_name(base)),
-                base,
-                self.inner.cfg.max_record_bytes,
-            )? {
-                SegmentScan::Clean { recs, .. } => {
-                    for (lsn, payload) in recs {
-                        if lsn > from {
-                            out.push((lsn, payload));
-                        }
-                    }
+            let path = self.inner.dir.join(seg_name(base));
+            let max_record = self.inner.cfg.max_record_bytes;
+            let scan = scan_segment(&path, base, max_record, &mut data, |lsn, payload| {
+                if lsn > from {
+                    out.push((lsn, payload.to_vec()));
                 }
-                // We hold the file lock and flushed first: segments on
-                // disk must be clean. Anything else is real corruption.
-                _ => {
-                    return Err(StoreError::Corrupt(format!(
-                        "segment {base} unreadable during log shipping"
-                    )))
-                }
+                Ok(())
+            })?;
+            // We hold the file lock and flushed first: segments on disk
+            // must be clean. Anything else is real corruption.
+            if !matches!(scan, SegmentScan::Clean { .. }) {
+                return Err(StoreError::Corrupt(format!(
+                    "segment {base} unreadable during log shipping"
+                )));
             }
         }
         Ok(out)
@@ -773,20 +826,31 @@ fn sync_dir(dir: &Path) -> StoreResult<()> {
 }
 
 enum SegmentScan {
-    /// Every frame parsed and checksummed.
-    Clean { recs: Vec<(Lsn, Vec<u8>)>, end_offset: u64 },
-    /// A bad frame at `good_offset`; `recs` hold the clean prefix.
-    Torn { recs: Vec<(Lsn, Vec<u8>)>, good_offset: u64, file_len: u64 },
+    /// Every frame parsed and checksummed: `count` records, ending at
+    /// `end_offset`.
+    Clean { count: u64, end_offset: u64 },
+    /// A bad frame at `good_offset`, after a clean prefix of `count`
+    /// records.
+    Torn { count: u64, good_offset: u64, file_len: u64 },
     /// The 16-byte header itself is missing or wrong.
     BadHeader,
 }
 
-/// Parse one segment file, stopping (not failing) at the first bad
-/// frame — the caller decides whether "torn" is a truncatable tail or
-/// fatal mid-log damage.
-fn scan_segment(path: &Path, expect_base: Lsn, max_record: u32) -> StoreResult<SegmentScan> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
+/// Read one segment file into `data` (cleared first, so one buffer
+/// serves a whole chain) and hand each checksummed record, in place,
+/// to `visit`, stopping (not failing) at the first bad frame — the
+/// caller decides whether "torn" is a truncatable tail or fatal mid-log
+/// damage. Fails only on I/O or when `visit` does.
+fn scan_segment(
+    path: &Path,
+    expect_base: Lsn,
+    max_record: u32,
+    data: &mut Vec<u8>,
+    mut visit: impl FnMut(Lsn, &[u8]) -> StoreResult<()>,
+) -> StoreResult<SegmentScan> {
+    data.clear();
+    File::open(path)?.read_to_end(data)?;
+    let data = data.as_slice();
     let file_len = data.len() as u64;
     if data.len() < SEG_HEADER as usize
         || &data[..8] != SEG_MAGIC
@@ -794,48 +858,46 @@ fn scan_segment(path: &Path, expect_base: Lsn, max_record: u32) -> StoreResult<S
     {
         return Ok(SegmentScan::BadHeader);
     }
-    let mut recs = Vec::new();
     let mut off = SEG_HEADER as usize;
-    let mut lsn = expect_base;
+    let mut count = 0u64;
     loop {
         if off == data.len() {
-            return Ok(SegmentScan::Clean { recs, end_offset: off as u64 });
+            return Ok(SegmentScan::Clean { count, end_offset: off as u64 });
         }
-        if data.len() - off < FRAME_HEADER {
-            return Ok(SegmentScan::Torn { recs, good_offset: off as u64, file_len });
-        }
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
+        let torn = SegmentScan::Torn { count, good_offset: off as u64, file_len };
+        let Some(frame) = data.get(off..off + FRAME_HEADER) else { return Ok(torn) };
+        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(frame[4..].try_into().unwrap());
         if len > max_record as usize || data.len() - off - FRAME_HEADER < len {
-            return Ok(SegmentScan::Torn { recs, good_offset: off as u64, file_len });
+            return Ok(torn);
         }
         let payload = &data[off + FRAME_HEADER..off + FRAME_HEADER + len];
         if crc32(payload) != crc {
-            return Ok(SegmentScan::Torn { recs, good_offset: off as u64, file_len });
+            return Ok(torn);
         }
-        recs.push((lsn, payload.to_vec()));
-        lsn += 1;
+        visit(expect_base + count, payload)?;
+        count += 1;
         off += FRAME_HEADER + len;
     }
 }
 
-/// Read and validate one snapshot file.
+/// Read and validate one snapshot file, returning the whole file: the
+/// state is `file[SNAP_HEADER..]`.
 fn read_snapshot(path: &Path, max_bytes: u32) -> StoreResult<Vec<u8>> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
-    if data.len() < 28 || &data[..8] != SNAP_MAGIC {
+    if data.len() < SNAP_HEADER || &data[..8] != SNAP_MAGIC {
         return Err(StoreError::Corrupt("snapshot header damaged".into()));
     }
     let len = u64::from_le_bytes(data[16..24].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(data[24..28].try_into().unwrap());
-    if len > max_bytes as usize || data.len() - 28 != len {
+    if len > max_bytes as usize || data.len() - SNAP_HEADER != len {
         return Err(StoreError::Corrupt("snapshot length damaged".into()));
     }
-    let payload = &data[28..];
-    if crc32(payload) != crc {
+    if crc32(&data[SNAP_HEADER..]) != crc {
         return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
     }
-    Ok(payload.to_vec())
+    Ok(data)
 }
 
 #[cfg(test)]
