@@ -1,4 +1,4 @@
-//! C10K load harness for the HTTP transports.
+//! C10K load harness for the HTTP server's reactor.
 //!
 //! Three experiments, all against the same `/ping` handler:
 //!
@@ -12,11 +12,10 @@
 //!    connections — arrivals do not wait for completions, so queueing
 //!    delay shows up in the latency rows instead of silently throttling
 //!    the offered load (the closed-loop-measurement mistake).
-//! 3. **Reactor vs threaded**: the same offered load, equal workers,
-//!    connections >> workers. The threaded transport pins one worker
-//!    per live connection, so most connections starve; the reactor
-//!    multiplexes all of them. The reactor-over-threaded throughput
-//!    ratio is budgeted above 1.
+//! 3. **Peak at 16 connections per worker**: 6,000 rps offered over 32
+//!    connections to 2 workers. The reactor multiplexes every
+//!    connection, so none starves behind a busy worker; the achieved
+//!    rate has an absolute floor.
 //!
 //! The runs are long, stateful scenarios rather than timed closures;
 //! `cargo bench --bench http_load` asserts their budgets and records
@@ -32,7 +31,7 @@ mod load {
 
     use soc_bench::{percentile, Record};
     use soc_http::poller::{Interest, Poller};
-    use soc_http::{HttpServer, Request, Response, ServerConfig, ServerTransport};
+    use soc_http::{HttpServer, Request, Response, ServerConfig};
 
     fn handler(req: Request) -> Response {
         match req.path() {
@@ -41,13 +40,12 @@ mod load {
         }
     }
 
-    fn bind(transport: ServerTransport, workers: usize, max_connections: usize) -> HttpServer {
+    fn bind(workers: usize, max_connections: usize) -> HttpServer {
         HttpServer::bind_with(
             "127.0.0.1:0",
             ServerConfig {
                 workers,
                 max_connections,
-                transport,
                 keep_alive_timeout: Duration::from_secs(60),
                 ..ServerConfig::default()
             },
@@ -140,7 +138,7 @@ mod load {
         // (client end + server end); keep headroom for the rest of the
         // suite.
         let target = (((fd_budget.saturating_sub(1500)) / 2) as usize).min(10_000);
-        let server = bind(ServerTransport::Reactor, 2, target + 64);
+        let server = bind(2, target + 64);
         let addr = server.addr();
 
         let mut parked: Vec<TcpStream> = Vec::with_capacity(target);
@@ -367,7 +365,7 @@ mod load {
     // ------------------------------------------------------------------
 
     pub fn latency_vs_offered_load(rec: &mut Record) {
-        let server = bind(ServerTransport::Reactor, 2, 256);
+        let server = bind(2, 256);
         for (label, rate) in
             [("open_loop_1k", 1_000.0), ("open_loop_4k", 4_000.0), ("open_loop_12k", 12_000.0)]
         {
@@ -382,25 +380,21 @@ mod load {
         }
     }
 
-    /// The tentpole comparison: same offered load, equal workers, 32
-    /// connections against 2 workers.
-    pub fn reactor_vs_threaded(rec: &mut Record) {
-        let run = |transport| {
-            let server = bind(transport, 2, 256);
-            let r = open_loop(server.addr(), 32, 6_000.0, Duration::from_millis(1200));
-            println!(
-                "  {:?}: achieved {:>7.0} rps, {} completed, {} errors, p99 {:.0} us",
-                transport, r.achieved_rps, r.completed, r.errors, r.p99_us
-            );
-            r.achieved_rps
-        };
-        let reactor = run(ServerTransport::Reactor);
-        let threaded = run(ServerTransport::Threaded);
-        rec.value("peak_reactor_rps", reactor, "rps");
-        rec.value("peak_threaded_rps", threaded, "rps");
-        // The reactor must beat threaded at equal workers once
-        // connections outnumber workers.
-        rec.value("reactor_over_threaded", reactor / threaded, "ratio").min(1.0);
+    /// The floor under `peak_reactor_rps`: 90% of the offered rate.
+    /// Unloaded, the reactor completes all but the last few requests
+    /// (six full runs on a 2-vCPU host read 5,994.5–5,995.3 rps); the
+    /// margin absorbs a stall from a busy neighbour on a shared host.
+    const PEAK_FLOOR_RPS: f64 = 5_400.0;
+
+    /// 6,000 rps offered over 32 connections to 2 workers.
+    pub fn peak(rec: &mut Record) {
+        let server = bind(2, 256);
+        let r = open_loop(server.addr(), 32, 6_000.0, Duration::from_millis(1200));
+        println!(
+            "  achieved {:>7.0} rps, {} completed, {} errors, p99 {:.0} us",
+            r.achieved_rps, r.completed, r.errors, r.p99_us
+        );
+        rec.value("peak_reactor_rps", r.achieved_rps, "rps").min(PEAK_FLOOR_RPS);
     }
 }
 
@@ -411,8 +405,8 @@ fn main() {
     load::c10k(&mut rec);
     println!("== open loop: latency vs offered load (reactor, 32 conns) ==");
     load::latency_vs_offered_load(&mut rec);
-    println!("== reactor vs threaded at equal workers (32 conns, 2 workers) ==");
-    load::reactor_vs_threaded(&mut rec);
+    println!("== peak at 6k rps offered (32 conns, 2 workers) ==");
+    load::peak(&mut rec);
     rec.finish();
 }
 

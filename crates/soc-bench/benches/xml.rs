@@ -5,7 +5,7 @@
 use std::hint::black_box;
 
 use soc_bench::Record;
-use soc_xml::{sax, xpath, Document, OwnedEvent, XmlEvent, XmlReader};
+use soc_xml::{sax, xpath, Document, XmlEvent, XmlReader};
 
 fn main() {
     let mut rec = Record::new("xml");
@@ -36,15 +36,6 @@ fn main() {
         if label == "large" {
             reader_borrowed.min(500.0);
         }
-        // Owned events: what the old API allocated on every start tag.
-        rec.throughput(&row("reader_owned"), bytes, || {
-            let mut reader = XmlReader::new(black_box(&xml));
-            let mut events = 0usize;
-            while !matches!(reader.next_owned().unwrap(), OwnedEvent::EndDocument) {
-                events += 1;
-            }
-            events
-        });
 
         let doc = Document::parse_str(&xml).unwrap();
         rec.throughput(&row("xpath_descendants"), bytes, || {

@@ -186,16 +186,21 @@ fn read_chunked<R: BufRead>(r: &mut R, limit: usize) -> HttpResult<Vec<u8>> {
 
 /// Read one request from `r` (e.g. a buffered TCP stream).
 pub fn read_request<R: BufRead>(r: &mut R, body_limit: usize) -> HttpResult<Request> {
-    read_request_versioned(r, body_limit).map(|(req, _)| req)
+    let (method, target, _, headers) = read_request_head(r)?;
+    let body = read_body(r, &headers, body_limit)?;
+    Ok(Request { method, target, headers, body })
 }
 
-/// Read one request plus the protocol version from its request line.
-/// Servers need the version for connection semantics: HTTP/1.0
-/// defaults to close, HTTP/1.1 to keep-alive.
-pub fn read_request_versioned<R: BufRead>(
-    r: &mut R,
-    body_limit: usize,
-) -> HttpResult<(Request, Version)> {
+/// Parse a complete request head (request line + headers + terminating
+/// blank line) from an in-memory buffer. The reactor accumulates bytes
+/// until it sees the head terminator, then hands the whole section
+/// here, so the line-oriented reader can never hit a mid-line EOF.
+pub(crate) fn parse_request_head(head: &[u8]) -> HttpResult<(Method, String, Version, Headers)> {
+    read_request_head(&mut std::io::Cursor::new(head))
+}
+
+/// Read a request line and its headers, up to the blank line.
+fn read_request_head<R: BufRead>(r: &mut R) -> HttpResult<(Method, String, Version, Headers)> {
     let mut budget = HEADER_LIMIT;
     let line = read_line(r, &mut budget)?;
     let mut parts = line.split_whitespace();
@@ -208,28 +213,6 @@ pub fn read_request_versioned<R: BufRead>(
     let method =
         Method::parse(m).ok_or_else(|| HttpError::Malformed(format!("unknown method: {m}")))?;
     let headers = read_headers(r, &mut budget)?;
-    let body = read_body(r, &headers, body_limit)?;
-    Ok((Request { method, target: target.to_string(), headers, body }, version))
-}
-
-/// Parse a complete request head (request line + headers + terminating
-/// blank line) from an in-memory buffer. The reactor accumulates bytes
-/// until it sees the head terminator, then hands the whole section
-/// here, so the line-oriented reader can never hit a mid-line EOF.
-pub(crate) fn parse_request_head(head: &[u8]) -> HttpResult<(Method, String, Version, Headers)> {
-    let mut r = std::io::Cursor::new(head);
-    let mut budget = HEADER_LIMIT;
-    let line = read_line(&mut r, &mut budget)?;
-    let mut parts = line.split_whitespace();
-    let (m, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m, t, v),
-        _ => return Err(HttpError::Malformed(format!("bad request line: {line}"))),
-    };
-    let version = Version::parse(version)
-        .ok_or_else(|| HttpError::Malformed(format!("unsupported version: {version}")))?;
-    let method =
-        Method::parse(m).ok_or_else(|| HttpError::Malformed(format!("unknown method: {m}")))?;
-    let headers = read_headers(&mut r, &mut budget)?;
     Ok((method, target.to_string(), version, headers))
 }
 
@@ -670,9 +653,7 @@ mod tests {
 
     #[test]
     fn request_version_is_reported() {
-        let reader = |raw: &[u8]| {
-            read_request_versioned(&mut BufReader::new(raw), DEFAULT_BODY_LIMIT).unwrap().1
-        };
+        let reader = |raw: &[u8]| parse_request_head(raw).unwrap().2;
         assert_eq!(reader(b"GET / HTTP/1.0\r\n\r\n"), Version::Http10);
         assert_eq!(reader(b"GET / HTTP/1.1\r\n\r\n"), Version::Http11);
     }

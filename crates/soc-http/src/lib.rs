@@ -9,13 +9,12 @@
 //!   handling (`application/x-www-form-urlencoded`).
 //! - [`codec`] — wire encode/decode: request/response lines, headers,
 //!   `Content-Length` and `chunked` bodies.
-//! - [`server`] — a TCP server ([`HttpServer`]) running any [`Handler`]
-//!   on its worker threads, with keep-alive and graceful shutdown.
-//!   On Linux the default transport is a readiness-driven epoll
-//!   reactor (see [`poller`]): every connection is multiplexed over
-//!   one-shot epoll, and the worker handed a connection's readiness
-//!   serves its request; a threaded blocking transport remains as the
-//!   portable fallback and differential-testing baseline.
+//! - [`server`] — the [`Handler`] trait every service binding
+//!   implements, and on Linux a TCP server ([`HttpServer`]) running one
+//!   on its worker threads, with keep-alive and graceful shutdown. Its
+//!   one transport is a readiness-driven epoll reactor (see [`poller`]):
+//!   every connection is multiplexed over one-shot epoll, and the
+//!   worker handed a connection's readiness serves its request.
 //! - [`client`] — a blocking TCP client ([`HttpClient`]) with
 //!   keep-alive connection pooling (bounded per-host idle pools,
 //!   idle-timeout eviction, retire-on-error).
@@ -75,7 +74,9 @@ pub use client::{ClientPoolStats, HttpClient, PoolConfig};
 pub use fault::{FaultConfig, FaultRng, FaultVerdict, FaultWindow};
 pub use mem::{MemNetwork, Transport};
 pub use observe::ObserveEndpoints;
-pub use server::{Handler, HttpServer, ServerConfig, ServerTransport};
+pub use server::Handler;
+#[cfg(target_os = "linux")]
+pub use server::{HttpServer, ServerConfig, ServerTransport};
 pub use types::{
     fresh_idempotency_key, Headers, HttpError, HttpResult, Method, Request, Response, Status,
     Version, IDEMPOTENCY_KEY,

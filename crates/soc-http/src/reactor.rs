@@ -2,12 +2,10 @@
 //! over epoll, and the worker the kernel hands a connection's readiness
 //! serves that connection's request from first byte to last.
 //!
-//! The threaded transport parks one pool thread per connection, which
-//! caps real concurrency at pool size — an idle keep-alive connection
-//! costs a whole blocked thread. Here sockets are nonblocking, each
-//! connection's bytes live in its incremental codec buffers instead of
-//! a thread's stack, and an idle connection costs a descriptor and a
-//! slot.
+//! Sockets are nonblocking, each connection's bytes live in its
+//! incremental codec buffers instead of a thread's stack, and an idle
+//! keep-alive connection costs a descriptor and a slot, not a blocked
+//! thread.
 //!
 //! Two [`Poller`](crate::poller::Poller)s split the work, after
 //! Leader/Followers (Schmidt et al., *POSA2*). The loop thread waits on
@@ -17,9 +15,8 @@
 //! registered `EPOLLONESHOT`: the kernel reports each readiness to
 //! exactly one waiting worker and disarms the socket, so no other
 //! thread sees it until that worker re-arms it. The worker does all of
-//! the request's work — reads and parses it, runs the handler under the
-//! same server span and panic catch as the threaded transport, writes
-//! the response, answers any pipelined request already buffered — and
+//! the request's work — reads and parses it, runs the handler under a
+//! server span and a panic catch, writes the response, answers any pipelined request already buffered — and
 //! then re-arms `READ`, or `WRITE` if the socket took only part of a
 //! response. No request passes from one thread to another.
 //!
@@ -38,14 +35,13 @@
 //! the connection, so the lock is uncontended: the loop takes it only
 //! to insert a connection, and the sweep takes it with `try_lock`,
 //! skipping a connection a worker holds — a handler runs with no
-//! deadline, as on the threaded transport. A connection's epoll token
+//! deadline. A connection's epoll token
 //! carries its slot and a generation, so a readiness that raced the
 //! connection's close finds the slot empty or reused and is dropped.
 //!
-//! Backpressure at the connection cap is identical to the threaded
-//! transport: connections over `max_connections` are shed with a
-//! `503 + Retry-After` written from the accept path, and counted in
-//! `ServerStats::shed`. Because the loop never runs a handler, it
+//! Backpressure at the connection cap: connections over
+//! `max_connections` are shed with a `503 + Retry-After` written from
+//! the accept path, and counted in `ServerStats::shed`. Because the loop never runs a handler, it
 //! accepts and sheds while every worker is busy.
 //!
 //! Metrics move once per connection — `soc_http_connections_open`
@@ -147,7 +143,8 @@ enum ChunkPhase {
 /// Bytes are appended as the socket produces them; [`advance`] consumes
 /// complete messages. Framing decisions (`Content-Length` vs `chunked`,
 /// smuggling rejections, body limits, chunk-size overflow) are the
-/// shared `codec` routines, so the two transports cannot drift.
+/// shared `codec` routines, so it cannot drift from the blocking
+/// `codec::read_request`, its reference parser in the tests.
 pub(crate) struct RequestParser {
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
@@ -581,14 +578,12 @@ impl Shared {
                     continue;
                 }
                 // EOF between requests is a normal close; EOF mid-
-                // request is truncation. Neither gets a response,
-                // matching the blocking transport.
+                // request is truncation. Neither gets a response.
                 Ok(None) if conn.peer_closed => return None,
                 Ok(None) => {}
                 Err(e) => {
-                    // Parse errors answer 400 and close, like the
-                    // threaded transport — with the close made explicit
-                    // on the wire.
+                    // Parse errors answer 400 and close, with the close
+                    // made explicit on the wire.
                     let resp = Response::error(Status::BAD_REQUEST, &e.to_string())
                         .with_header("Connection", "close");
                     conn.write_buf = codec::encode_response(&resp).ok()?;
@@ -625,8 +620,7 @@ impl Shared {
 
     /// Run the handler on one request and encode its response, with
     /// whether the connection closes after it. `None` when the response
-    /// cannot be encoded: the connection then closes without one, like
-    /// the threaded transport's failed write.
+    /// cannot be encoded: the connection then closes without one.
     fn respond(&self, req: Request, version: Version) -> Option<(Vec<u8>, bool)> {
         let close_requested = codec::wants_close(version, &req.headers);
         let handler = &self.handler;
@@ -769,8 +763,7 @@ impl Acceptor {
             let now = Instant::now();
             if now >= next_sweep {
                 // Stalled reads/writes and idle keep-alives close
-                // silently, exactly as the blocking transport's socket
-                // timeouts do.
+                // silently.
                 self.sweep(|conn| conn.deadline <= now);
                 next_sweep = now + SWEEP_INTERVAL;
             }
@@ -798,7 +791,7 @@ impl Acceptor {
                         // Accepted sockets don't inherit nonblocking
                         // from the listener, so the bounded blocking
                         // write in `shed_connection` applies as-is.
-                        crate::server::shed_connection(stream);
+                        shed_connection(stream);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -862,6 +855,18 @@ impl Acceptor {
             }
         }
     }
+}
+
+/// Refuse one connection politely: a quick 503 + `Retry-After` written
+/// from the accept path, bounded by a short write timeout so a
+/// slow-reading peer cannot stall accepting.
+fn shed_connection(mut stream: TcpStream) {
+    stream.set_write_timeout(Some(Duration::from_millis(250))).ok();
+    stream.set_nodelay(true).ok();
+    let resp = Response::error(Status::SERVICE_UNAVAILABLE, "server at connection capacity")
+        .with_header("Retry-After", "1")
+        .with_header("Connection", "close");
+    let _ = codec::write_response(&mut stream, &resp);
 }
 
 #[cfg(test)]
@@ -1051,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_parsing_matches_the_threaded_codec() {
+    fn chunked_parsing_matches_the_blocking_codec() {
         const LIMIT: usize = 64 * 1024;
         let bodies: Vec<Vec<u8>> = vec![
             Vec::new(),
@@ -1080,17 +1085,17 @@ mod tests {
         wires.push(b"POST /d HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nffffffff\r\n".to_vec());
 
         for (w, wire) in wires.iter().enumerate() {
-            let threaded = codec::read_request(&mut std::io::BufReader::new(&wire[..]), LIMIT);
+            let blocking = codec::read_request(&mut std::io::BufReader::new(&wire[..]), LIMIT);
             for step in [1usize, 3, 17, 1024, wire.len()] {
                 for direct in [false, true] {
-                    match (&threaded, drive(wire, step, direct, LIMIT)) {
+                    match (&blocking, drive(wire, step, direct, LIMIT)) {
                         (Ok(t), Ok(Some(r))) => assert_eq!(
                             t.body, r.body,
                             "wire {w} step {step} direct {direct}: bodies diverged"
                         ),
                         (Err(_), Err(_)) => {}
                         (t, r) => panic!(
-                            "wire {w} step {step} direct {direct}: threaded={:?} reactor={:?}",
+                            "wire {w} step {step} direct {direct}: blocking={:?} reactor={:?}",
                             t.as_ref().map(|q| q.body.len()),
                             r.map(|q| q.map(|req| req.body.len()))
                         ),

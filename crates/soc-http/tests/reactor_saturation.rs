@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use soc_http::codec;
-use soc_http::{HttpServer, Request, Response, ServerConfig, ServerTransport, Status};
+use soc_http::{HttpServer, Request, Response, ServerConfig, Status};
 
 const LIMIT: usize = 1024 * 1024;
 
@@ -54,12 +54,7 @@ fn gated_server(workers: usize, max_connections: usize) -> (HttpServer, Gate) {
     let release_rx = Mutex::new(release_rx);
     let server = HttpServer::bind_with(
         "127.0.0.1:0",
-        ServerConfig {
-            workers,
-            max_connections,
-            transport: ServerTransport::Reactor,
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers, max_connections, ..ServerConfig::default() },
         move |req: Request| {
             if req.path() == "/block" {
                 entered_tx.send(()).expect("test is listening");

@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use soc_http::codec;
-use soc_http::{HttpServer, Request, Response, ServerConfig, ServerTransport, Status};
+use soc_http::{HttpServer, Request, Response, Status};
 
 const BIG_BODY: usize = 4 * 1024 * 1024;
 
@@ -40,11 +40,9 @@ fn counts_reaching(want: (u64, u64)) -> (u64, u64) {
 
 #[test]
 fn small_responses_are_written_by_workers_and_a_large_one_by_the_loop() {
-    let server = HttpServer::bind_with(
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, transport: ServerTransport::Reactor, ..ServerConfig::default() },
-        |req: Request| Response::new(Status::OK).with_body_bytes(req.body),
-    )
+    let server = HttpServer::bind("127.0.0.1:0", 2, |req: Request| {
+        Response::new(Status::OK).with_body_bytes(req.body)
+    })
     .unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

@@ -48,7 +48,7 @@ pub use dom::{Document, NodeId, NodeValue};
 pub use error::{XmlError, XmlResult};
 pub use intern::{Atom, NameInterner};
 pub use name::{QName, RawName};
-pub use reader::{Attribute, OwnedEvent, XmlEvent, XmlReader};
+pub use reader::{Attribute, XmlEvent, XmlReader};
 pub use schema::{Schema, SchemaError};
 pub use writer::XmlWriter;
 pub use xpath::NodeSet;

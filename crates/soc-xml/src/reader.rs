@@ -12,10 +12,6 @@
 //! [`XmlReader::attributes`] — they live in a buffer the reader reuses
 //! across elements, so pulling events never allocates a `Vec` per tag.
 //!
-//! For consumers that want `'static` data (or a single value carrying
-//! both the name and the attributes), [`XmlReader::next_owned`] yields
-//! [`OwnedEvent`]s with the same semantics as the borrowed stream.
-//!
 //! ```
 //! use soc_xml::reader::{XmlReader, XmlEvent};
 //!
@@ -29,7 +25,7 @@ use std::borrow::Cow;
 
 use crate::error::{Position, XmlError, XmlResult};
 use crate::escape::unescape;
-use crate::name::{is_name_char, is_name_start, QName, RawName};
+use crate::name::{is_name_char, is_name_start, RawName};
 use crate::scan;
 
 /// A single attribute as it appeared on a start tag, value already
@@ -81,59 +77,6 @@ pub enum XmlEvent<'a> {
     },
     /// A `<!DOCTYPE …>` declaration, kept as raw text.
     Doctype(&'a str),
-    /// End of input; returned forever after the document closes.
-    EndDocument,
-}
-
-/// An owned attribute (see [`OwnedEvent`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedAttribute {
-    /// Attribute name, possibly prefixed.
-    pub name: QName,
-    /// Entity-expanded attribute value.
-    pub value: String,
-}
-
-/// Owned events: the allocation-paying twin of [`XmlEvent`], carrying
-/// `String` payloads and the start tag's attributes inline. Produced by
-/// [`XmlReader::next_owned`]; byte-identical in content to the borrowed
-/// stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OwnedEvent {
-    /// The `<?xml … ?>` declaration, if present.
-    StartDocument {
-        /// `version` pseudo-attribute (defaults to "1.0").
-        version: String,
-        /// `encoding` pseudo-attribute, if given.
-        encoding: Option<String>,
-    },
-    /// An opening tag with its attributes in document order.
-    StartElement {
-        /// Element name.
-        name: QName,
-        /// Attributes in document order.
-        attributes: Vec<OwnedAttribute>,
-    },
-    /// A closing tag (possibly synthetic, for `<x/>`).
-    EndElement {
-        /// Element name.
-        name: QName,
-    },
-    /// Character data between tags, entity-expanded.
-    Text(String),
-    /// A `<![CDATA[…]]>` section, verbatim.
-    CData(String),
-    /// A `<!-- … -->` comment, verbatim.
-    Comment(String),
-    /// A `<?target data?>` processing instruction (other than `<?xml?>`).
-    ProcessingInstruction {
-        /// PI target.
-        target: String,
-        /// Everything after the target, trimmed.
-        data: String,
-    },
-    /// A `<!DOCTYPE …>` declaration, kept as raw text.
-    Doctype(String),
     /// End of input; returned forever after the document closes.
     EndDocument,
 }
@@ -601,40 +544,6 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    /// Pull the next event with owned (`String`) payloads and the start
-    /// tag's attributes attached. Same stream, same order, same errors
-    /// as [`XmlReader::next_event`].
-    pub fn next_owned(&mut self) -> XmlResult<OwnedEvent> {
-        let ev = self.next_event()?;
-        Ok(match ev {
-            XmlEvent::StartDocument { version, encoding } => OwnedEvent::StartDocument {
-                version: version.to_string(),
-                encoding: encoding.map(str::to_string),
-            },
-            XmlEvent::StartElement { name } => OwnedEvent::StartElement {
-                name: name.to_qname(),
-                attributes: self
-                    .attrs
-                    .iter()
-                    .map(|a| OwnedAttribute {
-                        name: a.name.to_qname(),
-                        value: a.value.clone().into_owned(),
-                    })
-                    .collect(),
-            },
-            XmlEvent::EndElement { name } => OwnedEvent::EndElement { name: name.to_qname() },
-            XmlEvent::Text(t) => OwnedEvent::Text(t.into_owned()),
-            XmlEvent::CData(t) => OwnedEvent::CData(t.to_string()),
-            XmlEvent::Comment(t) => OwnedEvent::Comment(t.to_string()),
-            XmlEvent::ProcessingInstruction { target, data } => OwnedEvent::ProcessingInstruction {
-                target: target.to_string(),
-                data: data.to_string(),
-            },
-            XmlEvent::Doctype(t) => OwnedEvent::Doctype(t.to_string()),
-            XmlEvent::EndDocument => OwnedEvent::EndDocument,
-        })
-    }
-
     /// Drain the remaining events, checking well-formedness of the whole
     /// document. Useful for validation without building a DOM.
     pub fn validate_to_end(&mut self) -> XmlResult<()> {
@@ -853,24 +762,5 @@ mod tests {
     fn unicode_text_round_trips() {
         let ev = events("<a>中文 → ok</a>");
         assert!(matches!(&ev[1], XmlEvent::Text(t) if t == "中文 → ok"));
-    }
-
-    #[test]
-    fn owned_stream_matches_borrowed() {
-        let input = r#"<?xml version="1.0"?><a x="1&amp;2"><b>t</b><![CDATA[c]]></a>"#;
-        let mut r = XmlReader::new(input);
-        let mut owned = Vec::new();
-        loop {
-            let ev = r.next_owned().unwrap();
-            let done = matches!(ev, OwnedEvent::EndDocument);
-            owned.push(ev);
-            if done {
-                break;
-            }
-        }
-        assert!(matches!(&owned[1], OwnedEvent::StartElement { name, attributes }
-            if name.local == "a" && attributes[0].value == "1&2"));
-        assert!(matches!(&owned[3], OwnedEvent::Text(t) if t == "t"));
-        assert!(matches!(owned.last(), Some(OwnedEvent::EndDocument)));
     }
 }

@@ -8,8 +8,7 @@
 //! reader's event stream survives a writer round trip unchanged.
 
 use proptest::prelude::*;
-use soc_xml::reader::OwnedEvent;
-use soc_xml::{escape, scan, XmlReader};
+use soc_xml::{escape, scan, QName, XmlEvent, XmlReader};
 
 /// Assert all scan routines agree with their oracles on `hay`.
 fn assert_agrees(hay: &[u8]) {
@@ -117,60 +116,95 @@ proptest! {
 // Reader event-stream equivalence
 // ---------------------------------------------------------------------
 
-/// Pull the full owned-event stream of a document.
-fn events(input: &str) -> Vec<OwnedEvent> {
+/// One reader event with its payloads owned and a start tag's
+/// attributes attached, so a whole stream can be collected and
+/// compared.
+#[derive(Debug, PartialEq, Eq)]
+enum Event {
+    StartDocument { version: String, encoding: Option<String> },
+    StartElement { name: QName, attributes: Vec<(QName, String)> },
+    EndElement { name: QName },
+    Text(String),
+    CData(String),
+    Comment(String),
+    ProcessingInstruction { target: String, data: String },
+    Doctype(String),
+}
+
+/// Pull the full event stream of a document, up to `EndDocument`.
+fn events(input: &str) -> Vec<Event> {
     let mut reader = XmlReader::new(input);
     let mut out = Vec::new();
     loop {
-        match reader.next_owned().expect("event stream must parse") {
-            OwnedEvent::EndDocument => return out,
-            ev => out.push(ev),
-        }
+        let event = match reader.next_event().expect("event stream must parse") {
+            XmlEvent::StartDocument { version, encoding } => Event::StartDocument {
+                version: version.to_string(),
+                encoding: encoding.map(str::to_string),
+            },
+            XmlEvent::StartElement { name } => Event::StartElement {
+                name: name.to_qname(),
+                attributes: reader
+                    .attributes()
+                    .iter()
+                    .map(|a| (a.name.to_qname(), a.value.to_string()))
+                    .collect(),
+            },
+            XmlEvent::EndElement { name } => Event::EndElement { name: name.to_qname() },
+            XmlEvent::Text(t) => Event::Text(t.into_owned()),
+            XmlEvent::CData(t) => Event::CData(t.to_string()),
+            XmlEvent::Comment(t) => Event::Comment(t.to_string()),
+            XmlEvent::ProcessingInstruction { target, data } => {
+                Event::ProcessingInstruction { target: target.to_string(), data: data.to_string() }
+            }
+            XmlEvent::Doctype(t) => Event::Doctype(t.to_string()),
+            XmlEvent::EndDocument => return out,
+        };
+        out.push(event);
     }
 }
 
-/// Serialize an owned-event stream back to markup using the escape
+/// Serialize an event stream back to markup using the escape
 /// fast paths, so re-reading it exercises the same scanners.
-fn write_events(stream: &[OwnedEvent]) -> String {
+fn write_events(stream: &[Event]) -> String {
     let mut out = String::new();
     for ev in stream {
         match ev {
-            OwnedEvent::StartDocument { version, encoding } => {
+            Event::StartDocument { version, encoding } => {
                 out.push_str(&format!("<?xml version=\"{version}\""));
                 if let Some(e) = encoding {
                     out.push_str(&format!(" encoding=\"{e}\""));
                 }
                 out.push_str("?>");
             }
-            OwnedEvent::StartElement { name, attributes } => {
+            Event::StartElement { name, attributes } => {
                 out.push('<');
                 out.push_str(&name.to_string());
-                for a in attributes {
+                for (attr, value) in attributes {
                     out.push(' ');
-                    out.push_str(&a.name.to_string());
+                    out.push_str(&attr.to_string());
                     out.push_str("=\"");
-                    out.push_str(&escape::escape_attr(&a.value));
+                    out.push_str(&escape::escape_attr(value));
                     out.push('"');
                 }
                 out.push('>');
             }
-            OwnedEvent::EndElement { name } => {
+            Event::EndElement { name } => {
                 out.push_str("</");
                 out.push_str(&name.to_string());
                 out.push('>');
             }
-            OwnedEvent::Text(t) => out.push_str(&escape::escape_text(t)),
-            OwnedEvent::CData(c) => {
+            Event::Text(t) => out.push_str(&escape::escape_text(t)),
+            Event::CData(c) => {
                 out.push_str("<![CDATA[");
                 out.push_str(c);
                 out.push_str("]]>");
             }
-            OwnedEvent::Comment(c) => {
+            Event::Comment(c) => {
                 out.push_str("<!--");
                 out.push_str(c);
                 out.push_str("-->");
             }
-            OwnedEvent::ProcessingInstruction { target, data } => {
+            Event::ProcessingInstruction { target, data } => {
                 out.push_str("<?");
                 out.push_str(target);
                 if !data.is_empty() {
@@ -179,12 +213,11 @@ fn write_events(stream: &[OwnedEvent]) -> String {
                 }
                 out.push_str("?>");
             }
-            OwnedEvent::Doctype(d) => {
+            Event::Doctype(d) => {
                 out.push_str("<!DOCTYPE ");
                 out.push_str(d);
                 out.push('>');
             }
-            OwnedEvent::EndDocument => {}
         }
     }
     out

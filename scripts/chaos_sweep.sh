@@ -11,8 +11,6 @@
 # All flags after the script name are passed through to the chaos binary
 # (see `cargo run -p soc-chaos --bin chaos -- --help`). The defaults
 # here mirror the CI job: mem sweeps get 32 seeds, TCP sweeps 16.
-# `SOC_HTTP_TRANSPORT=threaded` replays a TCP sweep on the blocking
-# transport instead of the Linux-default reactor.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

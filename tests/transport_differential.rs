@@ -1,21 +1,23 @@
-//! Differential testing of the two server transports.
+//! The server's wire behaviour, pinned to golden transcripts.
 //!
-//! The reactor (epoll event loop) and threaded (blocking, one pool task
-//! per connection) transports share the codec, the `Handler` trait, and
-//! the connection-semantics rules — so for every wire-level scenario
-//! they must produce byte-equivalent *observable* behavior: same status,
-//! same body, same connection teardown decision. Each scenario below is
-//! executed against a server on each transport and the transcripts are
-//! compared, which catches semantics that drift into only one engine
-//! (e.g. a keep-alive rule implemented in the reactor's state machine
-//! but forgotten in the blocking loop).
+//! Each scenario below drives the server over a raw socket (or the
+//! high-level client) and renders what a client observes: status, body,
+//! the `Connection: close` decision and whether the server then hangs
+//! up. The whole battery runs once and every transcript must equal its
+//! golden string exactly, so a keep-alive rule, an error path or a
+//! teardown decision that drifts shows up as a diff naming the scenario.
+//! The goldens were recorded from the blocking thread-per-connection
+//! server this crate used to ship alongside the reactor; both produced
+//! these transcripts byte for byte.
+
+#![cfg(target_os = "linux")]
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use soc_http::codec;
-use soc_http::{HttpClient, HttpServer, Request, Response, ServerConfig, ServerTransport, Status};
+use soc_http::{HttpClient, HttpServer, Request, Response, Status};
 
 /// The scenario handler: a tiny service with enough variety to exercise
 /// methods, bodies, and error paths.
@@ -34,18 +36,9 @@ fn handler(req: Request) -> Response {
     }
 }
 
-fn bind(transport: ServerTransport) -> HttpServer {
-    HttpServer::bind_with(
-        "127.0.0.1:0",
-        ServerConfig { workers: 2, transport, ..ServerConfig::default() },
-        handler,
-    )
-    .expect("bind")
-}
-
 /// Read one response off a raw socket and render the parts a client can
-/// observe. `Connection` is normalized through the token test so header
-/// formatting differences don't count as divergence.
+/// observe. `Connection` is normalized through the token test, so only
+/// the close decision counts, not how the header is spelled.
 fn observe_response(reader: &mut BufReader<TcpStream>) -> String {
     match codec::read_response(reader, 1 << 20) {
         Ok(resp) => format!(
@@ -84,8 +77,8 @@ const BIG_BODY: usize = 4 * 1024 * 1024;
 /// One scenario: a name plus a transcript of what a client observed.
 type Scenario = (&'static str, String);
 
-fn run_battery(transport: ServerTransport) -> Vec<Scenario> {
-    let server = bind(transport);
+fn run_battery() -> Vec<Scenario> {
+    let server = HttpServer::bind("127.0.0.1:0", 2, handler).expect("bind");
     let mut out: Vec<Scenario> = Vec::new();
 
     // --- 1. Plain GET and POST echo through the high-level client. ---
@@ -262,63 +255,57 @@ fn run_battery(transport: ServerTransport) -> Vec<Scenario> {
     out
 }
 
-/// The battery, reactor vs threaded, scenario by scenario.
-#[test]
-fn reactor_and_threaded_transports_agree_on_the_wire() {
-    if !cfg!(target_os = "linux") {
-        // No reactor off Linux — nothing to differentiate.
-        return;
-    }
-    let reactor = run_battery(ServerTransport::Reactor);
-    let threaded = run_battery(ServerTransport::Threaded);
-    assert_eq!(reactor.len(), threaded.len());
-    let mut diffs = Vec::new();
-    for ((name, r), (_, t)) in reactor.iter().zip(threaded.iter()) {
-        if r != t {
-            diffs.push(format!("scenario {name}:\n  reactor:  {r}\n  threaded: {t}"));
-        }
-    }
-    assert!(diffs.is_empty(), "transports diverged:\n{}", diffs.join("\n"));
-}
+/// What a client observes in each scenario, in battery order.
+const GOLDEN: [(&str, &str); 13] = [
+    ("client_get_post", r#"get=200:"pong" post=200:"differential body""#),
+    ("chunked_upload", r#"status=200 close_token=false body="chunked payload crosses chunks""#),
+    (
+        "keep_alive",
+        r#"first[status=200 close_token=false body="pong"] second[status=200 close_token=false body="pong"]"#,
+    ),
+    (
+        "pipelined",
+        r#"first[status=200 close_token=false body="a"] second[status=200 close_token=false body="b"]"#,
+    ),
+    (
+        "garbage_request",
+        r#"resp[status=400 close_token=true body="malformed HTTP: bad request line: NONSENSE"] then=eof"#,
+    ),
+    (
+        "oversized_body",
+        r#"resp[status=400 close_token=true body="body exceeds 8388608 bytes"] then=eof"#,
+    ),
+    ("token_list_close", r#"resp[status=200 close_token=true body="pong"] then=eof"#),
+    ("http10_default_close", r#"resp[status=200 close_token=true body="pong"] then=eof"#),
+    (
+        "http10_keep_alive",
+        r#"first[status=200 close_token=false body="pong"] second[status=200 close_token=false body="pong"]"#,
+    ),
+    ("truncated_request", "error=connection closed mid-message"),
+    (
+        "large_response",
+        r#"big[status=200 len=4194304 intact=true] next[status=200 close_token=false body="pong"]"#,
+    ),
+    ("half_close_after_request", r#"resp[status=200 close_token=false body="pong"] then=eof"#),
+    (
+        "keep_alive_after_pause",
+        r#"status=200 close_token=false body="x" | status=200 close_token=false body="y" | status=200 close_token=false body="z""#,
+    ),
+];
 
-/// The scenarios themselves assert sane absolute behavior on the default
-/// transport (agreement alone would let both be wrong together).
+/// The battery, scenario by scenario, against the goldens.
 #[test]
-fn battery_baseline_expectations_hold() {
-    let results = run_battery(ServerTransport::default_for_platform());
-    let get = |name: &str| {
-        results.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone()).unwrap_or_default()
-    };
-    assert!(get("client_get_post").contains("get=200:\"pong\""), "{}", get("client_get_post"));
-    assert!(
-        get("chunked_upload").contains("body=\"chunked payload crosses chunks\""),
-        "{}",
-        get("chunked_upload")
-    );
-    assert!(get("pipelined").contains("first[status=200 close_token=false body=\"a\"]"));
-    assert!(get("pipelined").contains("second[status=200 close_token=false body=\"b\"]"));
-    assert!(get("garbage_request").contains("status=400"), "{}", get("garbage_request"));
-    assert!(get("garbage_request").contains("then=eof"), "{}", get("garbage_request"));
-    assert!(get("oversized_body").contains("status=400"), "{}", get("oversized_body"));
-    assert!(get("token_list_close").contains("close_token=true"), "{}", get("token_list_close"));
-    assert!(get("token_list_close").contains("then=eof"), "{}", get("token_list_close"));
-    assert!(get("http10_default_close").contains("then=eof"), "{}", get("http10_default_close"));
-    assert!(get("http10_keep_alive").contains("second[status=200"), "{}", get("http10_keep_alive"));
-    assert!(get("truncated_request").starts_with("error="), "{}", get("truncated_request"));
-    assert_eq!(
-        get("large_response"),
-        format!(
-            "big[status=200 len={BIG_BODY} intact=true] \
-             next[status=200 close_token=false body=\"pong\"]"
-        )
-    );
-    assert_eq!(
-        get("half_close_after_request"),
-        "resp[status=200 close_token=false body=\"pong\"] then=eof"
-    );
-    assert_eq!(
-        get("keep_alive_after_pause"),
-        "status=200 close_token=false body=\"x\" | status=200 close_token=false body=\"y\" | \
-         status=200 close_token=false body=\"z\""
-    );
+fn battery_matches_golden_transcripts() {
+    let observed = run_battery();
+    let names: Vec<&str> = observed.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, GOLDEN.map(|(name, _)| name), "scenarios ran out of order");
+    let diffs: Vec<String> = observed
+        .iter()
+        .zip(GOLDEN)
+        .filter(|((_, got), (_, want))| got != want)
+        .map(|((name, got), (_, want))| {
+            format!("scenario {name}:\n  got:    {got}\n  golden: {want}")
+        })
+        .collect();
+    assert!(diffs.is_empty(), "transcripts drifted from the goldens:\n{}", diffs.join("\n"));
 }

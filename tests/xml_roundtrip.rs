@@ -1,21 +1,10 @@
-//! Tier-1 properties of the zero-copy XML data plane.
-//!
-//! Two guarantees ride on these tests:
-//!
-//! 1. **Round-trip fidelity** — `parse(serialize(doc))` reproduces the
-//!    document (semantic tree equality), across entity-hostile text,
-//!    CDATA sections, attribute values, and deep nesting.
-//! 2. **Reader equivalence** — the borrowed event API and the owned
-//!    event API describe byte-identical event streams: the zero-copy
-//!    fast path changes performance, never meaning.
+//! Tier-1 properties of the zero-copy XML data plane: round-trip
+//! fidelity. `parse(serialize(doc))` reproduces the document (semantic
+//! tree equality), across entity-hostile text, CDATA sections,
+//! attribute values, and deep nesting.
 
 use proptest::prelude::*;
-use soc_xml::reader::OwnedAttribute;
-use soc_xml::{Document, NodeId, OwnedEvent, XmlEvent, XmlReader};
-
-// ---------------------------------------------------------------------
-// Round-trip: parse(serialize(doc)) == doc
-// ---------------------------------------------------------------------
+use soc_xml::{Document, NodeId};
 
 /// Document content with XML-hostile characters: `& < > ' "` all force
 /// entity escapes on the way out and expansion on the way back in.
@@ -145,103 +134,4 @@ fn entities_and_cdata_round_trip() {
     doc.set_attr(el, "q", "\"quoted\" & <angled>");
     let reparsed = Document::parse_str_keep_whitespace(&doc.to_xml()).unwrap();
     assert_eq!(reparsed, doc);
-}
-
-// ---------------------------------------------------------------------
-// Equivalence: borrowed events == owned events
-// ---------------------------------------------------------------------
-
-/// Convert one borrowed event (plus the reader's attribute buffer) into
-/// its owned form, mirroring what `next_owned` promises to produce.
-fn to_owned(ev: XmlEvent<'_>, reader: &XmlReader<'_>) -> OwnedEvent {
-    match ev {
-        XmlEvent::StartDocument { version, encoding } => OwnedEvent::StartDocument {
-            version: version.to_string(),
-            encoding: encoding.map(str::to_string),
-        },
-        XmlEvent::StartElement { name } => OwnedEvent::StartElement {
-            name: name.to_qname(),
-            attributes: reader
-                .attributes()
-                .iter()
-                .map(|a| OwnedAttribute { name: a.name.to_qname(), value: a.value.to_string() })
-                .collect(),
-        },
-        XmlEvent::EndElement { name } => OwnedEvent::EndElement { name: name.to_qname() },
-        XmlEvent::Text(t) => OwnedEvent::Text(t.into_owned()),
-        XmlEvent::CData(t) => OwnedEvent::CData(t.to_string()),
-        XmlEvent::Comment(t) => OwnedEvent::Comment(t.to_string()),
-        XmlEvent::ProcessingInstruction { target, data } => {
-            OwnedEvent::ProcessingInstruction { target: target.to_string(), data: data.to_string() }
-        }
-        XmlEvent::Doctype(t) => OwnedEvent::Doctype(t.to_string()),
-        XmlEvent::EndDocument => OwnedEvent::EndDocument,
-    }
-}
-
-fn borrowed_stream_as_owned(input: &str) -> Vec<OwnedEvent> {
-    let mut reader = XmlReader::new(input);
-    let mut events = Vec::new();
-    loop {
-        let ev = reader.next_event().unwrap();
-        let done = ev == XmlEvent::EndDocument;
-        events.push(to_owned(ev, &reader));
-        if done {
-            return events;
-        }
-    }
-}
-
-fn owned_stream(input: &str) -> Vec<OwnedEvent> {
-    let mut reader = XmlReader::new(input);
-    let mut events = Vec::new();
-    loop {
-        let ev = reader.next_owned().unwrap();
-        let done = ev == OwnedEvent::EndDocument;
-        events.push(ev);
-        if done {
-            return events;
-        }
-    }
-}
-
-/// Documents exercising every event kind and both `Cow` branches
-/// (borrowed clean text, owned entity-expanded text).
-const EQUIVALENCE_CORPUS: &[&str] = &[
-    "<a/>",
-    "<a x='1' y=\"two\"/>",
-    r#"<?xml version="1.0" encoding="UTF-8"?><root><child>text</child></root>"#,
-    "<r>plain then &amp; escaped &lt;text&gt;</r>",
-    "<r a='clean' b='with &quot;entities&quot; &amp; more'/>",
-    "<r><![CDATA[raw <markup> & text]]></r>",
-    "<!DOCTYPE note SYSTEM \"note.dtd\"><note>n</note>",
-    "<r><!-- a comment --><?target some data?></r>",
-    "<ns:outer xmlns:ns='urn:x'><ns:inner ns:attr='v'/></ns:outer>",
-    "<deep><a><b><c><d><e>leaf</e></d></c></b></a></deep>",
-    "<mixed>t1<el/>t2<![CDATA[c]]>t3</mixed>",
-    "<r>&#65;&#x42; numeric &apos;refs&apos;</r>",
-];
-
-#[test]
-fn borrowed_and_owned_streams_are_identical() {
-    for input in EQUIVALENCE_CORPUS {
-        assert_eq!(
-            borrowed_stream_as_owned(input),
-            owned_stream(input),
-            "event streams diverged for {input:?}"
-        );
-    }
-}
-
-proptest! {
-    /// The equivalence also holds for every serializable document, not
-    /// just the hand-picked corpus.
-    #[test]
-    fn borrowed_and_owned_streams_agree_on_generated_docs(tree in tree_strategy()) {
-        let mut doc = Document::new("root");
-        let root = doc.root();
-        build(&mut doc, root, &tree);
-        let xml = doc.to_xml();
-        prop_assert_eq!(borrowed_stream_as_owned(&xml), owned_stream(&xml));
-    }
 }
