@@ -23,7 +23,7 @@ pub mod ser;
 pub mod value;
 
 pub use borrow::ValueRef;
-pub use parse::{parse_ref, JsonError, JsonResult};
+pub use parse::{canonical, items_raw, members_raw, parse_ref, JsonError, JsonResult};
 pub use value::{Number, Value};
 
 /// Build a [`Value`] with JSON-like syntax. Supports objects, arrays,

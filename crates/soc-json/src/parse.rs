@@ -5,6 +5,13 @@
 //! batched scan ([`crate::scan::string_special`]) that simultaneously
 //! locates the closing quote and proves the text clean. [`parse`]
 //! wraps the same machinery and converts to owned [`Value`]s.
+//!
+//! The same parser also validates without building: [`members_raw`]
+//! and [`items_raw`] hand back the exact text of each member or
+//! element of an object or array, and [`canonical`] proves a document
+//! is already in [`Value::to_compact`]'s form (borrowing it) or
+//! rewrites it into that form. A consumer that stores JSON as text
+//! uses these to keep one canonical slice per value and no tree.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -38,6 +45,10 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Cleared by [`Parser::skip`] on anything `to_compact` would not
+    /// write: whitespace inside a value, a rewritable escape, a float
+    /// spelt another way.
+    canonical: bool,
 }
 
 const MAX_DEPTH: usize = 128;
@@ -52,17 +63,129 @@ pub fn parse(input: &str) -> JsonResult<Value> {
 /// `input`; trailing non-whitespace is an error. Escape-free strings
 /// are zero-copy slices of the input.
 pub fn parse_ref(input: &str) -> JsonResult<ValueRef<'_>> {
-    let mut p = Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
+    p.end()?;
     Ok(v)
 }
 
+/// Validate `input` as one JSON object and return its members in
+/// document order as `(name, text)`: `text` is the member's value
+/// exactly as written, without the whitespace around it. Nothing is
+/// built; names borrow unless an escape rewrote them. Duplicate names
+/// are all returned, so a caller that wants [`Value::get`]'s "last
+/// duplicate wins" takes the last. A document [`parse_ref`] refuses is
+/// refused here too, as is any document that is not an object.
+///
+/// ```
+/// let members = soc_json::members_raw(r#"{"op":"put", "value": {"n": [1, 2]} }"#).unwrap();
+/// assert_eq!(members[0], ("op".into(), r#""put""#));
+/// assert_eq!(members[1], ("value".into(), r#"{"n": [1, 2]}"#));
+/// ```
+pub fn members_raw(input: &str) -> JsonResult<Vec<(Cow<'_, str>, &str)>> {
+    raw_children(input, b'{', b'}', |p| {
+        let name = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        p.skip_ws();
+        Ok((name, p.raw()?))
+    })
+}
+
+/// Validate `input` as one JSON array and return the text of each
+/// element, as [`members_raw`] does for an object's members.
+pub fn items_raw(input: &str) -> JsonResult<Vec<&str>> {
+    raw_children(input, b'[', b']', Parser::raw)
+}
+
+/// The children of the one container `input` holds, between `open`
+/// and `close`, each read by `child` — at depth 1, as [`parse_ref`]
+/// counts the container itself.
+fn raw_children<'a, T>(
+    input: &'a str,
+    open: u8,
+    close: u8,
+    mut child: impl FnMut(&mut Parser<'a>) -> JsonResult<T>,
+) -> JsonResult<Vec<T>> {
+    let mut p = Parser::new(input);
+    let mut out = Vec::new();
+    p.skip_ws();
+    p.depth = 1;
+    p.expect(open)?;
+    p.skip_ws();
+    if p.peek() == Some(close) {
+        p.pos += 1;
+    } else {
+        loop {
+            p.skip_ws();
+            out.push(child(&mut p)?);
+            p.skip_ws();
+            if p.close(close)? {
+                break;
+            }
+        }
+    }
+    p.end()?;
+    Ok(out)
+}
+
+/// The text [`Value::to_compact`] writes for the document `input`:
+/// borrowed (trimmed of surrounding whitespace) when `input` already
+/// is that text, which one validating pass proves without building a
+/// value; otherwise parsed and written out again. Refuses what
+/// [`parse`] refuses.
+///
+/// ```
+/// use std::borrow::Cow;
+///
+/// assert!(matches!(soc_json::canonical(r#" {"a":[1,2.5]} "#), Ok(Cow::Borrowed(r#"{"a":[1,2.5]}"#))));
+/// assert_eq!(soc_json::canonical(r#"{ "a": "\u0041", "b": 1e2 }"#).unwrap(), r#"{"a":"A","b":100.0}"#);
+/// ```
+pub fn canonical(input: &str) -> JsonResult<Cow<'_, str>> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    let text = p.raw()?;
+    p.end()?;
+    if p.canonical {
+        Ok(Cow::Borrowed(text))
+    } else {
+        parse(text).map(|v| Cow::Owned(v.to_compact()))
+    }
+}
+
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0, canonical: true }
+    }
+
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> JsonResult<()> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
+    /// After a member or element: `true` on `close`, `false` on `,`.
+    fn close(&mut self, close: u8) -> JsonResult<bool> {
+        match self.bump() {
+            Some(b',') => Ok(false),
+            Some(b) if b == close => Ok(true),
+            _ => {
+                self.pos = self.pos.saturating_sub(1);
+                Err(self.err(format!("expected ',' or '{}'", close as char)))
+            }
+        }
+    }
+
+    /// Validate one value and return its text.
+    fn raw(&mut self) -> JsonResult<&'a str> {
+        let start = self.pos;
+        self.skip()?;
+        Ok(&self.input[start..self.pos])
+    }
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, message: msg.into() }
     }
@@ -99,9 +222,9 @@ impl<'a> Parser<'a> {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => self.string().map(ValueRef::String),
-            Some(b't') => self.keyword("true", ValueRef::Bool(true)),
-            Some(b'f') => self.keyword("false", ValueRef::Bool(false)),
-            Some(b'n') => self.keyword("null", ValueRef::Null),
+            Some(b't') => self.keyword("true").map(|()| ValueRef::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|()| ValueRef::Bool(false)),
+            Some(b'n') => self.keyword("null").map(|()| ValueRef::Null),
             Some(b'-' | b'0'..=b'9') => self.number().map(ValueRef::Number),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -110,10 +233,107 @@ impl<'a> Parser<'a> {
         out
     }
 
-    fn keyword(&mut self, word: &str, value: ValueRef<'a>) -> JsonResult<ValueRef<'a>> {
+    /// Validate one value exactly as [`Parser::value`] would — same
+    /// depth limit, same errors — without building it, clearing
+    /// `canonical` on any text `to_compact` would write differently.
+    fn skip(&mut self) -> JsonResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        let out = match self.peek() {
+            Some(b'{') => self.skip_object(),
+            Some(b'[') => self.skip_array(),
+            Some(b'"') => self.skip_string(),
+            Some(b't') => self.keyword("true"),
+            Some(b'f') => self.keyword("false"),
+            Some(b'n') => self.keyword("null"),
+            Some(b'-' | b'0'..=b'9') => self.skip_number(),
+            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        };
+        self.depth -= 1;
+        out
+    }
+
+    /// Whitespace inside a value: allowed, but never canonical.
+    fn skip_inner_ws(&mut self) {
+        let n = scan::skip_whitespace(&self.bytes[self.pos..]);
+        if n > 0 {
+            self.canonical = false;
+            self.pos += n;
+        }
+    }
+
+    fn skip_object(&mut self) -> JsonResult<()> {
+        self.expect(b'{')?;
+        self.skip_inner_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_inner_ws();
+            self.skip_string()?;
+            self.skip_inner_ws();
+            self.expect(b':')?;
+            self.skip_inner_ws();
+            self.skip()?;
+            self.skip_inner_ws();
+            if self.close(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    fn skip_array(&mut self) -> JsonResult<()> {
+        self.expect(b'[')?;
+        self.skip_inner_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_inner_ws();
+            self.skip()?;
+            self.skip_inner_ws();
+            if self.close(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// A string with no escape is canonical as written; one with an
+    /// escape is canonical only if the serializer would escape it
+    /// the same way (`\u0041` and `\/` it would not).
+    fn skip_string(&mut self) -> JsonResult<()> {
+        let start = self.pos;
+        if let Cow::Owned(s) = self.string()? {
+            if self.canonical {
+                let mut out = String::with_capacity(self.pos - start);
+                crate::ser::write_str(&s, &mut out);
+                self.canonical = out == self.input[start..self.pos];
+            }
+        }
+        Ok(())
+    }
+
+    /// An integer is canonical as written (the grammar already rules
+    /// out leading zeros, and `-0` parses as a float); a float only if
+    /// it reads back the way [`Number`]'s `Display` writes it.
+    fn skip_number(&mut self) -> JsonResult<()> {
+        let start = self.pos;
+        let n = self.number()?;
+        if self.canonical && matches!(n, Number::Float(_)) {
+            self.canonical = n.to_string() == self.input[start..self.pos];
+        }
+        Ok(())
+    }
+
+    fn keyword(&mut self, word: &str) -> JsonResult<()> {
         if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected {word:?}")))
         }
@@ -136,13 +356,8 @@ impl<'a> Parser<'a> {
             let val = self.value()?;
             members.push((key, val));
             self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(ValueRef::Object(members)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or '}'"));
-                }
+            if self.close(b'}')? {
+                return Ok(ValueRef::Object(members));
             }
         }
     }
@@ -159,13 +374,8 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             items.push(self.value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(ValueRef::Array(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or ']'"));
-                }
+            if self.close(b']')? {
+                return Ok(ValueRef::Array(items));
             }
         }
     }

@@ -27,7 +27,7 @@ fn write_value(v: &Value, pretty: bool, depth: usize, out: &mut String) {
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
         Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_string(s, out),
+        Value::String(s) => write_str(s, out),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -55,7 +55,7 @@ fn write_value(v: &Value, pretty: bool, depth: usize, out: &mut String) {
                     out.push(',');
                 }
                 newline_indent(pretty, depth + 1, out);
-                write_string(k, out);
+                write_str(k, out);
                 out.push(':');
                 if pretty {
                     out.push(' ');
@@ -77,7 +77,9 @@ fn newline_indent(pretty: bool, depth: usize, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal, escaped exactly as
+/// [`Value::to_compact`] escapes strings.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     let bytes = s.as_bytes();
     let mut i = 0;

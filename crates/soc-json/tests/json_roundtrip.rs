@@ -126,3 +126,177 @@ fn borrowed_strings_only_when_clean() {
     assert!(matches!(&members[0].1, ValueRef::String(std::borrow::Cow::Borrowed(_))));
     assert!(matches!(&members[1].1, ValueRef::String(std::borrow::Cow::Owned(_))));
 }
+
+/// Write `v` as valid JSON that `to_compact` need not write: `spell`
+/// decides, token by token, whether to add whitespace, to escape a
+/// character that needs none, or to spell a float in exponent form.
+fn respell(v: &Value, spell: &mut impl Iterator<Item = u8>, out: &mut String) {
+    let ws = |spell: &mut dyn Iterator<Item = u8>, out: &mut String| match spell.next() {
+        Some(0) => out.push(' '),
+        Some(1) => out.push_str("\n\t"),
+        _ => {}
+    };
+    ws(spell, out);
+    match v {
+        Value::Number(Number::Float(f)) if spell.next() == Some(0) => {
+            out.push_str(&format!("{f:e}"))
+        }
+        Value::String(s) => {
+            out.push('"');
+            for c in s.chars() {
+                match spell.next() {
+                    Some(0) => {
+                        let mut units = [0u16; 2];
+                        for unit in c.encode_utf16(&mut units) {
+                            out.push_str(&format!("\\u{unit:04X}"));
+                        }
+                    }
+                    Some(1) if c == '/' => out.push_str("\\/"),
+                    _ => {
+                        let one = Value::String(c.to_string()).to_compact();
+                        out.push_str(&one[1..one.len() - 1]);
+                    }
+                }
+            }
+            out.push('"');
+        }
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                respell(item, spell, out);
+            }
+            ws(spell, out);
+            out.push(']');
+        }
+        Value::Object(members) => {
+            out.push('{');
+            for (i, (k, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                respell(&Value::String(k.clone()), spell, out);
+                out.push(':');
+                respell(item, spell, out);
+            }
+            ws(spell, out);
+            out.push('}');
+        }
+        other => out.push_str(&other.to_compact()),
+    }
+    ws(spell, out);
+}
+
+fn respelled(v: &Value, spell: &[u8]) -> String {
+    let mut out = String::new();
+    respell(v, &mut spell.iter().map(|b| b % 4).cycle(), &mut out);
+    out
+}
+
+proptest! {
+    /// Compact text is canonical as it stands: borrowed back whole.
+    #[test]
+    fn canonical_borrows_compact_text(v in value_strategy()) {
+        let text = v.to_compact();
+        let got = soc_json::canonical(&text).unwrap();
+        prop_assert!(matches!(got, std::borrow::Cow::Borrowed(_)));
+        prop_assert_eq!(got, text.as_str());
+    }
+
+    /// Any other spelling of a document canonicalizes to what parse
+    /// then `to_compact` writes — the validating pass and the tree
+    /// agree on which spellings are canonical.
+    #[test]
+    fn canonical_is_parse_then_compact(
+        v in value_strategy(),
+        spell in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let text = respelled(&v, &spell);
+        let want = Value::parse(&text).unwrap().to_compact();
+        prop_assert_eq!(soc_json::canonical(&text).unwrap(), want.as_str(), "{}", text);
+    }
+
+    /// On byte soup the two accept and refuse the same inputs, with
+    /// the same errors.
+    #[test]
+    fn canonical_refuses_what_parse_refuses(s in "[ -~\t\n]{0,48}") {
+        let want = Value::parse(&s).map(|v| v.to_compact());
+        prop_assert_eq!(soc_json::canonical(&s).map(|c| c.into_owned()), want);
+    }
+
+    /// `members_raw` yields the members `parse_ref` builds, in order
+    /// and with duplicates, each as its value's exact trimmed text.
+    #[test]
+    fn members_raw_agrees_with_parse_ref(
+        members in proptest::collection::vec(("[a-c\"]{0,2}", value_strategy()), 0..6),
+        spell in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let text = respelled(&Value::Object(members), &spell);
+        let Ok(ValueRef::Object(want)) = parse_ref(&text) else { panic!("{text}") };
+        let got = soc_json::members_raw(&text).unwrap();
+        prop_assert_eq!(got.len(), want.len());
+        for ((name, raw), (want_name, want_value)) in got.iter().zip(want) {
+            prop_assert_eq!(name, &want_name);
+            prop_assert_eq!(raw.trim(), *raw);
+            prop_assert_eq!(parse_ref(raw).unwrap(), want_value);
+        }
+    }
+
+    /// `items_raw` does the same for an array's elements.
+    #[test]
+    fn items_raw_agrees_with_parse_ref(
+        items in proptest::collection::vec(value_strategy(), 0..6),
+        spell in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let text = respelled(&Value::Array(items), &spell);
+        let Ok(ValueRef::Array(want)) = parse_ref(&text) else { panic!("{text}") };
+        let got = soc_json::items_raw(&text).unwrap();
+        prop_assert_eq!(got.len(), want.len());
+        for (raw, want_value) in got.iter().zip(want) {
+            prop_assert_eq!(raw.trim(), *raw);
+            prop_assert_eq!(parse_ref(raw).unwrap(), want_value);
+        }
+    }
+}
+
+#[test]
+fn raw_decoding_keeps_the_parsers_limits() {
+    // The depth limit counts the container itself, as parse_ref does.
+    let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+    assert!(soc_json::canonical(&nest(128)).is_ok());
+    assert!(soc_json::canonical(&nest(129)).is_err());
+    assert!(soc_json::members_raw(&format!(r#"{{"v":{}}}"#, nest(127))).is_ok());
+    assert!(soc_json::members_raw(&format!(r#"{{"v":{}}}"#, nest(128))).is_err());
+    assert!(soc_json::items_raw(&format!("[{}]", nest(127))).is_ok());
+    assert!(soc_json::items_raw(&format!("[{}]", nest(128))).is_err());
+    // Wrong container, trailing text, and truncation are refused.
+    for bad in ["[1]", "1", r#"{"a":1} x"#, r#"{"a":1"#, r#"{"a" 1}"#, ""] {
+        assert!(soc_json::members_raw(bad).is_err(), "{bad:?}");
+    }
+    for bad in [r#"{"a":1}"#, "[1 2]", "[1,]", "[1] ]"] {
+        assert!(soc_json::items_raw(bad).is_err(), "{bad:?}");
+    }
+    // Spellings to_compact never writes.
+    for (text, want) in [
+        ("-0", "-0.0"),
+        ("1E2", "100.0"),
+        ("2.50", "2.5"),
+        ("1.5e-7", "0.00000015"),
+        ("99999999999999999999", "100000000000000000000"),
+        (r#""\/""#, r#""/""#),
+        (r#""\u001F""#, r#""\u001f""#),
+        (r#""\u0009""#, r#""\t""#),
+        ("[ ]", "[]"),
+    ] {
+        assert_eq!(soc_json::canonical(text).unwrap(), want, "{text}");
+    }
+    for same in [r#""\u001f\b\f\n\r\t\"\\""#, "-0.0", "0.00000015", "[{},[],null,true,false]"] {
+        assert!(
+            matches!(soc_json::canonical(same), Ok(std::borrow::Cow::Borrowed(_))),
+            "{same} is canonical: {:?}",
+            soc_json::canonical(same)
+        );
+    }
+}

@@ -1,8 +1,24 @@
 //! A versioned key-value [`StateMachine`] — the demo workload for the
 //! replicated store node, and the simplest possible consumer of the
 //! WAL's replay contract.
+//!
+//! The machine holds JSON *text*, not trees: each value is kept as the
+//! exact string [`Value::to_compact`] writes for it, one boxed `str`
+//! per key. `apply` takes the command's `value` member as a validated
+//! slice ([`soc_json::members_raw`]) and keeps it as it stands when it
+//! is already canonical — every command this crate writes is — so a
+//! put costs one copy and no tree; any other spelling (whitespace,
+//! `\u0041`, `1e2`) is rewritten to its canonical form first. That
+//! invariant is why snapshots stay byte-identical to a machine that
+//! holds `Value` trees: [`StateMachine::snapshot`] and the
+//! `GET /store/{key}` body splice the stored texts where a tree would
+//! be serialized, and a tree serializes to exactly that text — so the
+//! snapshot bytes, and the anti-entropy checksum over them, do not
+//! depend on how the value is held.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use soc_json::{Value, ValueRef};
 
@@ -11,9 +27,13 @@ use crate::wal::Lsn;
 
 /// Versioned KV state: every key remembers the LSN of its last write,
 /// which doubles as the version a read-your-writes client demands.
+///
+/// Values are held as canonical compact JSON text (see the module
+/// docs); [`KvMachine::get`] hands that text out, and a caller that
+/// wants a [`Value`] parses it.
 #[derive(Default)]
 pub struct KvMachine {
-    entries: HashMap<String, (Value, Lsn)>,
+    entries: HashMap<Box<str>, (Box<str>, Lsn)>,
 }
 
 impl KvMachine {
@@ -22,9 +42,10 @@ impl KvMachine {
         KvMachine::default()
     }
 
-    /// The value and version of `key`.
-    pub fn get(&self, key: &str) -> Option<(&Value, Lsn)> {
-        self.entries.get(key).map(|(v, l)| (v, *l))
+    /// The value of `key` as canonical compact JSON text, and its
+    /// version.
+    pub fn get(&self, key: &str) -> Option<(&str, Lsn)> {
+        self.entries.get(key).map(|(v, l)| (&**v, *l))
     }
 
     /// Number of live keys.
@@ -39,71 +60,97 @@ impl KvMachine {
 
     /// Sorted keys (tests and debugging).
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.entries.keys().cloned().collect();
+        let mut keys: Vec<String> = self.entries.keys().map(|k| k.to_string()).collect();
         keys.sort();
         keys
     }
 
     /// Serialize a `put` command.
     pub fn put_command(key: &str, value: &Value) -> Vec<u8> {
-        let mut cmd = Value::object();
-        cmd.set("op", "put");
-        cmd.set("key", key);
-        cmd.set("value", value.clone());
-        cmd.to_compact().into_bytes()
+        Self::put_text_command(key, &value.to_compact())
     }
 
-    /// Serialize a `put` that pins an explicit version — used by
-    /// failover promotion to adopt a dead primary's keys without
+    /// Serialize a `put` of `value`, JSON text — the same bytes
+    /// [`KvMachine::put_command`] writes when `value` is its value's
+    /// canonical text.
+    pub fn put_text_command(key: &str, value: &str) -> Vec<u8> {
+        put_json(key, value, None)
+    }
+
+    /// Serialize a `put` of `value`, JSON text, that pins an explicit
+    /// version — used by failover promotion to adopt a dead primary's
+    /// keys (their stored text, as [`KvMachine::get`] gives it) without
     /// regressing the versions its clients already hold.
-    pub fn put_versioned_command(key: &str, value: &Value, version: Lsn) -> Vec<u8> {
-        let mut cmd = Value::object();
-        cmd.set("op", "put");
-        cmd.set("key", key);
-        cmd.set("value", value.clone());
-        cmd.set("version", version as i64);
-        cmd.to_compact().into_bytes()
+    pub fn put_versioned_command(key: &str, value: &str, version: Lsn) -> Vec<u8> {
+        put_json(key, value, Some(version))
     }
 
     /// Serialize a `del` command.
     pub fn del_command(key: &str) -> Vec<u8> {
-        let mut cmd = Value::object();
-        cmd.set("op", "del");
-        cmd.set("key", key);
-        cmd.to_compact().into_bytes()
+        let mut cmd = String::with_capacity(key.len() + 24);
+        cmd.push_str(r#"{"op":"del","key":"#);
+        soc_json::ser::write_str(key, &mut cmd);
+        cmd.push('}');
+        cmd.into_bytes()
     }
+}
+
+/// `{"op":"put","key":K,"value":V[,"version":N]}` — member for member
+/// what `Value::to_compact` writes for the command object.
+fn put_json(key: &str, value: &str, version: Option<Lsn>) -> Vec<u8> {
+    let mut cmd = String::with_capacity(key.len() + value.len() + 48);
+    cmd.push_str(r#"{"op":"put","key":"#);
+    soc_json::ser::write_str(key, &mut cmd);
+    cmd.push_str(r#","value":"#);
+    cmd.push_str(value);
+    if let Some(version) = version {
+        let _ = write!(cmd, r#","version":{}"#, version as i64);
+    }
+    cmd.push('}');
+    cmd.into_bytes()
+}
+
+/// A small scalar member (`op`, `key`, `version`) decoded as `parse_ref`
+/// would have built it.
+fn scalar(raw: Option<&str>) -> Option<ValueRef<'_>> {
+    raw.and_then(|r| soc_json::parse_ref(r).ok())
+}
+
+/// The text to keep for a value slice: itself when canonical (no
+/// allocation beyond the box), its canonical rewrite otherwise.
+fn kept(raw: &str) -> Result<Box<str>, soc_json::JsonError> {
+    soc_json::canonical(raw).map(Cow::into_owned).map(String::into_boxed_str)
 }
 
 impl StateMachine for KvMachine {
     fn apply(&mut self, lsn: Lsn, command: &[u8]) -> Result<(), String> {
         let Ok(text) = std::str::from_utf8(command) else { return Ok(()) };
-        let Ok(cmd) = soc_json::parse_ref(text) else { return Ok(()) };
-        // Decode borrowed, last duplicate winning like `Value::get`:
-        // only the stored value (and a new key) is made owned.
+        // Unparseable and non-object commands are skipped. Members are
+        // decoded as raw slices, last duplicate winning like
+        // `Value::get`; only the stored value is copied.
+        let Ok(members) = soc_json::members_raw(text) else { return Ok(()) };
         let (mut op, mut key, mut value, mut version) = (None, None, None, None);
-        if let ValueRef::Object(members) = cmd {
-            for (name, field) in members {
-                match &*name {
-                    "op" => op = Some(field),
-                    "key" => key = Some(field),
-                    "value" => value = Some(field),
-                    "version" => version = Some(field),
-                    _ => {}
-                }
+        for (name, raw) in members {
+            match &*name {
+                "op" => op = Some(raw),
+                "key" => key = Some(raw),
+                "value" => value = Some(raw),
+                "version" => version = Some(raw),
+                _ => {}
             }
         }
+        let key = scalar(key);
         let key = key.as_ref().and_then(ValueRef::as_str).unwrap_or_default();
-        match op.as_ref().and_then(ValueRef::as_str) {
+        match scalar(op).as_ref().and_then(ValueRef::as_str) {
             Some("put") => {
-                // Cloning first sizes every string and array to its
-                // content: the parser's buffers grew past it, and the
-                // machine keeps the value for good.
-                let value = value.map_or(Value::Null, |v| v.clone().into_owned());
+                // The slice was validated with the command, so only a
+                // non-canonical spelling pays for a rewrite here.
+                let value = kept(value.unwrap_or("null")).map_err(|e| e.to_string())?;
                 // A pinned version (promotion re-log) wins; otherwise
                 // the LSN, floored so a key adopted at a high version
                 // never regresses when its new primary's log is short.
                 let prior = self.entries.get(key).map(|(_, l)| *l).unwrap_or(0);
-                let version = version
+                let version = scalar(version)
                     .as_ref()
                     .and_then(ValueRef::as_i64)
                     .map(|v| v as Lsn)
@@ -111,7 +158,7 @@ impl StateMachine for KvMachine {
                 match self.entries.get_mut(key) {
                     Some(entry) => *entry = (value, version),
                     None => {
-                        self.entries.insert(key.to_string(), (value, version));
+                        self.entries.insert(key.into(), (value, version));
                     }
                 }
             }
@@ -123,43 +170,57 @@ impl StateMachine for KvMachine {
         Ok(())
     }
 
+    /// `{"entries":[{"key":K,"value":V,"version":N},…]}` in key order,
+    /// spliced from the stored texts: the bytes `Value::to_compact`
+    /// writes for the same state built as a tree.
     fn snapshot(&self) -> Vec<u8> {
-        let mut keys: Vec<&String> = self.entries.keys().collect();
+        let mut keys: Vec<&str> = self.entries.keys().map(|k| &**k).collect();
         keys.sort();
-        let items: Vec<Value> = keys
-            .into_iter()
-            .map(|k| {
-                let (v, lsn) = &self.entries[k];
-                let mut item = Value::object();
-                item.set("key", k.as_str());
-                item.set("value", v.clone());
-                item.set("version", *lsn as i64);
-                item
-            })
-            .collect();
-        let mut snap = Value::object();
-        snap.set("entries", Value::Array(items));
-        snap.to_compact().into_bytes()
+        let size: usize = self.entries.iter().map(|(k, (v, _))| k.len() + v.len() + 56).sum();
+        let mut snap = String::with_capacity(size + 16);
+        snap.push_str(r#"{"entries":["#);
+        for (i, k) in keys.into_iter().enumerate() {
+            let (v, lsn) = &self.entries[k];
+            if i > 0 {
+                snap.push(',');
+            }
+            snap.push_str(r#"{"key":"#);
+            soc_json::ser::write_str(k, &mut snap);
+            snap.push_str(r#","value":"#);
+            snap.push_str(v);
+            let _ = write!(snap, r#","version":{}}}"#, *lsn as i64);
+        }
+        snap.push_str("]}");
+        snap.into_bytes()
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), String> {
         let text = std::str::from_utf8(snapshot).map_err(|e| e.to_string())?;
-        let snap = Value::parse(text).map_err(|e| e.to_string())?;
-        let items =
-            snap.get("entries").and_then(Value::as_array).ok_or("kv snapshot missing entries")?;
+        let members = soc_json::members_raw(text).map_err(|e| e.to_string())?;
+        let entries = members.iter().rev().find(|(name, _)| name == "entries");
+        let items = entries
+            .and_then(|(_, raw)| soc_json::items_raw(raw).ok())
+            .ok_or("kv snapshot missing entries")?;
         self.entries.clear();
         for item in items {
-            let key = item
-                .get("key")
-                .and_then(Value::as_str)
-                .ok_or("kv snapshot entry missing key")?
-                .to_string();
-            let value = item.get("value").cloned().unwrap_or(Value::Null);
-            let version = item
-                .get("version")
-                .and_then(Value::as_i64)
+            let (mut key, mut value, mut version) = (None, None, None);
+            for (name, raw) in soc_json::members_raw(item).unwrap_or_default() {
+                match &*name {
+                    "key" => key = Some(raw),
+                    "value" => value = Some(raw),
+                    "version" => version = Some(raw),
+                    _ => {}
+                }
+            }
+            let key = scalar(key);
+            let key =
+                key.as_ref().and_then(ValueRef::as_str).ok_or("kv snapshot entry missing key")?;
+            let value = kept(value.unwrap_or("null")).map_err(|e| e.to_string())?;
+            let version = scalar(version)
+                .as_ref()
+                .and_then(ValueRef::as_i64)
                 .ok_or("kv snapshot entry missing version")? as Lsn;
-            self.entries.insert(key, (value, version));
+            self.entries.insert(key.into(), (value, version));
         }
         Ok(())
     }
@@ -193,13 +254,17 @@ mod tests {
             m.apply(1, skipped).unwrap();
         }
         assert!(m.is_empty());
-        // Later duplicates win; the value keeps its escapes expanded.
+        // Later duplicates win; a canonical value is kept as written.
         m.apply(2, br#"{"op":"put","key":"a","key":"b","value":{"s":"x\ty"}}"#).unwrap();
         assert_eq!(m.keys(), vec!["b"]);
-        assert_eq!(m.get("b"), Some((&json!({"s": "x\ty"}), 2)));
+        assert_eq!(m.get("b"), Some((r#"{"s":"x\ty"}"#, 2)));
+        // Any other spelling is kept in its canonical form.
+        m.apply(3, b"{\"op\":\"put\",\"key\":\"c\",\"value\": [ \"\\u0041\", 1e2 ]\n}").unwrap();
+        assert_eq!(m.get("c"), Some((r#"["A",100.0]"#, 3)));
+        m.apply(3, br#"{"op":"del","key":"c"}"#).unwrap();
         // A put without a value stores null; a pinned version wins.
         m.apply(3, br#"{"op":"put","key":"b","version":40}"#).unwrap();
-        assert_eq!(m.get("b"), Some((&Value::Null, 40)));
+        assert_eq!(m.get("b"), Some(("null", 40)));
         m.apply(4, br#"{"op":"put","key":"b","value":1}"#).unwrap();
         assert_eq!(m.get("b").map(|(_, l)| l), Some(41), "versions never regress");
         m.apply(5, br#"{"op":"del","key":"b"}"#).unwrap();

@@ -50,6 +50,7 @@
 //! | `GET /store/status` | applied/durable LSNs, epoch, map version, checksums |
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -260,9 +261,17 @@ impl StoreNode {
     /// Write `value` under `key` (primary only, lease-fenced). Returns
     /// the version.
     pub fn put(&self, key: &str, value: &Value) -> StoreResult<Lsn> {
+        self.put_canonical(key, &value.to_compact())
+    }
+
+    /// [`StoreNode::put`] of `text`, which must be canonical compact
+    /// JSON ([`soc_json::canonical`] or [`Value::to_compact`] output):
+    /// the command is spliced around it, byte for byte the one a
+    /// `Value` would have produced.
+    fn put_canonical(&self, key: &str, text: &str) -> StoreResult<Lsn> {
         self.check_primary(key)?;
         self.check_fence()?;
-        let cmd = KvMachine::put_command(key, value);
+        let cmd = KvMachine::put_text_command(key, text);
         let lsn = self.inner.store.execute(&cmd)?;
         // The stored version can exceed the LSN after a promotion
         // re-log (versions never regress per key), so read it back —
@@ -287,31 +296,45 @@ impl StoreNode {
     /// the node's own state and its replica streams; the gate compares
     /// the reader's floor against the *key's authoritative stream* —
     /// our own log when we primary the key, otherwise the stream
-    /// shipped from the key's primary.
+    /// shipped from the key's primary, or (with no primary in the map)
+    /// the furthest stream. Each stream's lock is taken once, for its
+    /// copy and its applied LSN together. The machines hold canonical
+    /// JSON text, so this parses the winning copy into a [`Value`];
+    /// the `GET /store/{key}` route serves the text as it stands.
     pub fn get(&self, key: &str, min_version: Lsn) -> StoreResult<Option<(Value, Lsn)>> {
+        Ok(self.get_text(key, min_version)?.map(|(text, l)| {
+            (Value::parse(&text).expect("the KV machine holds validated JSON"), l)
+        }))
+    }
+
+    /// [`StoreNode::get`] without the parse: the winning copy's stored
+    /// text. Only a copy newer than the best so far is cloned.
+    fn get_text(&self, key: &str, min_version: Lsn) -> StoreResult<Option<(String, Lsn)>> {
         let map = self.map();
-        let mut best: Option<(Value, Lsn)> =
-            self.inner.store.query(|m| m.get(key).map(|(v, l)| (v.clone(), l)));
-        let mut max_watermark = self.inner.store.applied_lsn();
-        let replicas = self.inner.replicas.read();
-        for d in replicas.values() {
-            max_watermark = max_watermark.max(d.applied_lsn());
-            if let Some((v, l)) = d.query(|m| m.get(key).map(|(v, l)| (v.clone(), l))) {
-                if best.as_ref().map(|(_, bl)| l > *bl).unwrap_or(true) {
-                    best = Some((v, l));
-                }
+        let primary = map.primary(key).map(|p| p.id.as_str());
+        let newer = |best: &Option<(String, Lsn)>, m: &KvMachine| {
+            m.get(key)
+                .filter(|(_, l)| best.as_ref().is_none_or(|(_, bl)| l > bl))
+                .map(|(v, l)| (v.to_string(), l))
+        };
+        let (mut best, own_applied) =
+            self.inner.store.query_applied(|m, applied| (newer(&None, m), applied));
+        let (mut furthest, mut primary_applied) = (own_applied, 0);
+        for (source, d) in self.inner.replicas.read().iter() {
+            let (found, applied) = d.query_applied(|m, applied| (newer(&best, m), applied));
+            best = found.or(best);
+            furthest = furthest.max(applied);
+            if primary == Some(source.as_str()) {
+                primary_applied = applied;
             }
         }
-        let watermark = match map.primary(key) {
-            Some(p) if p.id != self.inner.id => {
-                replicas.get(&p.id).map(|d| d.applied_lsn()).unwrap_or(0)
-            }
-            // We primary the key — or the map is empty and the best
-            // cross-stream watermark is the honest answer.
-            Some(_) => self.inner.store.applied_lsn(),
-            None => max_watermark,
+        let watermark = match primary {
+            Some(p) if p != self.inner.id => primary_applied,
+            Some(_) => own_applied,
+            // No primary in the map: the furthest stream is the honest
+            // answer.
+            None => furthest,
         };
-        drop(replicas);
         match best {
             Some((v, l)) if l >= min_version => Ok(Some((v, l))),
             Some((_, l)) => Err(StoreError::Behind { have: l, want: min_version }),
@@ -516,8 +539,11 @@ impl StoreNode {
         let Some(stream) = self.inner.replicas.read().get(source).cloned() else {
             return Ok(0);
         };
-        let entries: Vec<(String, Value, Lsn)> = stream.query(|m| {
-            m.keys().into_iter().filter_map(|k| m.get(&k).map(|(v, l)| (k, v.clone(), l))).collect()
+        let entries: Vec<(String, String, Lsn)> = stream.query(|m| {
+            m.keys()
+                .into_iter()
+                .filter_map(|k| m.get(&k).map(|(v, l)| (k, v.to_string(), l)))
+                .collect()
         });
         let mut adopted = 0;
         for (key, value, version) in entries {
@@ -544,11 +570,13 @@ impl StoreNode {
         let node = self.clone();
         r.put("/store/{key}", move |req, p: PathParams| {
             let key = p.get("key").unwrap_or_default();
-            let value = match req.text().ok().and_then(|t| Value::parse(t).ok()) {
+            // Validated and held as text: no tree unless the body is
+            // spelt other than canonically.
+            let value = match req.text().ok().and_then(|t| soc_json::canonical(t).ok()) {
                 Some(v) => v,
                 None => return Response::error(Status::BAD_REQUEST, "body must be JSON"),
             };
-            match node.put(key, &value) {
+            match node.put_canonical(key, &value) {
                 Ok(lsn) => version_response(lsn),
                 Err(e) => store_error_response(e, node.map().version()),
             }
@@ -731,13 +759,9 @@ impl StoreNode {
         r.get("/store/{key}", move |req, p: PathParams| {
             let key = p.get("key").unwrap_or_default();
             let min = req.query("min_version").and_then(|v| v.parse().ok()).unwrap_or(0);
-            match node.get(key, min) {
+            match node.get_text(key, min) {
                 Ok(Some((value, version))) => {
-                    let mut body = Value::object();
-                    body.set("key", key);
-                    body.set("value", value);
-                    body.set("version", version as i64);
-                    Response::json_owned(body.to_compact())
+                    Response::json_owned(value_body(key, &value, version))
                 }
                 Ok(None) => Response::error(Status::NOT_FOUND, &format!("no key {key:?}")),
                 Err(e) => store_error_response(e, node.map().version()),
@@ -842,6 +866,18 @@ fn records_from_json(body: &Value) -> StoreResult<Vec<(Lsn, Vec<u8>)>> {
         out.push((lsn, cmd.as_bytes().to_vec()));
     }
     Ok(out)
+}
+
+/// `{"key":K,"value":V,"version":N}` spliced around the stored text:
+/// the bytes `Value::to_compact` writes for that object.
+fn value_body(key: &str, value: &str, version: Lsn) -> String {
+    let mut body = String::with_capacity(key.len() + value.len() + 40);
+    body.push_str(r#"{"key":"#);
+    soc_json::ser::write_str(key, &mut body);
+    body.push_str(r#","value":"#);
+    body.push_str(value);
+    let _ = write!(body, r#","version":{}}}"#, version as i64);
+    body
 }
 
 fn version_response(lsn: Lsn) -> Response {
@@ -1345,6 +1381,61 @@ mod tests {
         assert_eq!(status.get("id").and_then(Value::as_str), Some("s0"));
         assert_eq!(status.get("applied").and_then(Value::as_i64), Some(1));
         assert_eq!(status.get("keys").and_then(Value::as_i64), Some(1));
+    }
+
+    /// The text-holding machine serves what a `Value` would have: the
+    /// read body and the snapshot state are, byte for byte, the
+    /// `to_compact` of the objects the tree-holding node built.
+    #[test]
+    fn served_bodies_are_the_bytes_a_value_writes() {
+        let c = cluster(3, 2);
+        let cl = client(&c);
+        let written: Vec<(&str, Value)> = vec![
+            ("cart-1", json!({"owner": "Ann", "items": [{"sku": "bk-101", "unit_price": 1299}]})),
+            ("q\"ü", json!("tab\tquote\" slash/ é 😀 \u{1}")),
+            ("floats", json!([1.5, (-0.0), 1e20, 2.0, null, true, {}, []])),
+            ("n", json!(42)),
+        ];
+        let mut versions = HashMap::new();
+        for (key, value) in &written {
+            versions.insert(*key, cl.put(key, value).unwrap());
+        }
+        let map = c.nodes[0].map();
+        for (key, value) in &written {
+            let mut want = Value::object();
+            want.set("key", *key);
+            want.set("value", value.clone());
+            want.set("version", versions[key] as i64);
+            for owner in map.owners(key) {
+                let url = format!("{}/store/{}", owner.endpoint, percent_encode(key));
+                let resp = c.net.send(soc_http::Request::get(url)).unwrap();
+                assert_eq!(resp.text_body().unwrap(), want.to_compact(), "{key} from {}", owner.id);
+            }
+        }
+        for node in &c.nodes {
+            let mut mine: Vec<&(&str, Value)> = written
+                .iter()
+                .filter(|(k, _)| map.primary(k).map(|p| p.id.as_str()) == Some(node.id()))
+                .collect();
+            mine.sort_by_key(|(k, _)| *k);
+            let entries = mine
+                .into_iter()
+                .map(|(k, v)| {
+                    let mut item = Value::object();
+                    item.set("key", *k);
+                    item.set("value", v.clone());
+                    item.set("version", versions[k] as i64);
+                    item
+                })
+                .collect();
+            let mut want = Value::object();
+            want.set("entries", Value::Array(entries));
+            let url = format!("mem://{}/store/snapshot", node.id());
+            let resp = c.net.send(soc_http::Request::get(url)).unwrap();
+            let body = Value::parse(resp.text_body().unwrap()).unwrap();
+            let state = body.get("state").and_then(Value::as_str);
+            assert_eq!(state, Some(want.to_compact().as_str()), "snapshot of {}", node.id());
+        }
     }
 
     #[test]

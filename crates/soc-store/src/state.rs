@@ -176,6 +176,13 @@ impl<M: StateMachine> Durable<M> {
         f(&self.machine.lock().0)
     }
 
+    /// Read the machine and its applied LSN under one lock acquisition
+    /// — what a version-gated read needs from each stream.
+    pub(crate) fn query_applied<R>(&self, f: impl FnOnce(&M, Lsn) -> R) -> R {
+        let m = self.machine.lock();
+        f(&m.0, m.1)
+    }
+
     /// Highest LSN applied to the machine.
     pub fn applied_lsn(&self) -> Lsn {
         self.machine.lock().1
