@@ -106,7 +106,7 @@ pub struct ChaosReport {
     pub seed: u64,
     /// Per-run outcomes.
     pub outcomes: Vec<RunOutcome>,
-    /// Per-run deadline plus the straggler-join slack.
+    /// Per-run deadline plus slack for compensation.
     pub run_budget: Duration,
     /// Worst duplication factor across logical applications
     /// (invariant: ≤ 1).
@@ -656,8 +656,9 @@ fn fill_report(
     ChaosReport {
         seed: cfg.seed,
         outcomes: results.into_iter().map(|(o, _)| o).collect(),
-        // Slack on top of the forward deadline: compensation and
-        // straggler joins legitimately run past it.
+        // Slack on top of the forward deadline: compensation, and an
+        // attempt judged timed out only when it returns, legitimately
+        // run past it.
         run_budget: cfg.deadline + Duration::from_secs(5),
         max_app_executions_per_content: app_ledger.max_executions_per_content(),
         open_applications: app_ledger.open_applications(),
@@ -674,7 +675,8 @@ fn fill_report(
 }
 
 /// Run one chaos campaign over the in-memory network. Deterministic
-/// per `(seed, config)` up to thread scheduling of straggler joins.
+/// per `(seed, config)` up to wall-clock timing: gateway hedges and
+/// saga attempt timeouts read real time.
 pub fn run_mem_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let started = Instant::now();
     let net = MemNetwork::new();

@@ -123,8 +123,8 @@ pub struct ProxyStats {
 }
 
 /// A running TCP fault proxy; dropping it (or calling
-/// [`FaultProxy::shutdown`]) stops the accept loop and joins every
-/// tunnel.
+/// [`FaultProxy::shutdown`]) stops the accept loop, cuts every open
+/// tunnel and joins it.
 pub struct FaultProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -147,7 +147,8 @@ impl FaultProxy {
             .name("soc-chaos-proxy".into())
             .spawn(move || {
                 let rng = Arc::new(Mutex::new(FaultRng::new(faults.seed)));
-                let mut tunnels: Vec<std::thread::JoinHandle<()>> = Vec::new();
+                // Each tunnel's thread and a handle on its client socket.
+                let mut tunnels: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
                 // Same blocking-accept + self-connect wake-up shutdown
                 // protocol as HttpServer.
                 while let Ok((client, _peer)) = listener.accept() {
@@ -155,18 +156,27 @@ impl FaultProxy {
                         break;
                     }
                     stats2.connections.fetch_add(1, Ordering::Relaxed);
+                    let Ok(cut) = client.try_clone() else { continue };
                     let stats = stats2.clone();
                     let faults = faults.clone();
                     let rng = rng.clone();
                     stats.open.fetch_add(1, Ordering::AcqRel);
-                    tunnels.push(std::thread::spawn(move || {
+                    let t = std::thread::spawn(move || {
                         tunnel(client, upstream, &faults, &rng, &stats);
                         stats.open.fetch_sub(1, Ordering::AcqRel);
-                    }));
+                    });
+                    tunnels.push((t, cut));
                     // Reap finished tunnels so the vec stays bounded.
-                    tunnels.retain(|t| !t.is_finished());
+                    tunnels.retain(|(t, _)| !t.is_finished());
                 }
-                for t in tunnels {
+                // Cut every open tunnel before joining it: a pooled
+                // keep-alive connection otherwise idles in `read` until
+                // its socket timeout. The upstream then sees the request
+                // path close and ends the response path.
+                for (_, client) in &tunnels {
+                    let _ = client.shutdown(Shutdown::Both);
+                }
+                for (t, _) in tunnels {
                     let _ = t.join();
                 }
             })
@@ -195,7 +205,8 @@ impl FaultProxy {
         self.stats.open.load(Ordering::Acquire)
     }
 
-    /// Stop accepting and join the accept loop and every tunnel.
+    /// Stop accepting, cut every open tunnel, and join the accept loop
+    /// and every tunnel.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
@@ -334,7 +345,15 @@ mod tests {
         // proxied connection.
         assert_eq!(proxy.stats().connections.load(Ordering::Relaxed), 1);
         assert_eq!(client.pool_stats().reused, 2);
+        // The pooled connection idles in its tunnel: shutdown must cut
+        // it rather than wait out the tunnel's socket timeout.
+        let started = std::time::Instant::now();
         proxy.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
         assert_eq!(proxy.open_tunnels(), 0, "tunnels must drain on shutdown");
     }
 

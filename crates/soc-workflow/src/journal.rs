@@ -506,6 +506,7 @@ impl WorkflowGraph {
 mod tests {
     use super::*;
     use crate::activity::{Compute, Const};
+    use crate::saga::ResiliencePolicy;
     use soc_store::TempDir;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
@@ -669,6 +670,76 @@ mod tests {
             other => panic!("expected compensation, got {other:?}"),
         }
         assert!(journal.incomplete().is_empty());
+    }
+
+    /// A [`SagaJournal`] that also lists the nodes it journals.
+    struct ListingJournal {
+        inner: SagaJournal,
+        nodes: parking_lot::Mutex<Vec<String>>,
+    }
+
+    impl Journal for ListingJournal {
+        fn log_begin(&self, saga: &str) {
+            self.inner.log_begin(saga);
+        }
+        fn log_node(&self, saga: &str, node: &str, outputs: &Ports) {
+            self.nodes.lock().push(node.to_string());
+            self.inner.log_node(saga, node, outputs);
+        }
+        fn log_end(&self, saga: &str) {
+            self.inner.log_end(saga);
+        }
+        fn record(&self, saga: &str) -> Option<SagaRecord> {
+            self.inner.record(saga)
+        }
+        fn incomplete(&self) -> Vec<String> {
+            self.inner.incomplete()
+        }
+    }
+
+    #[test]
+    fn durable_saga_journals_and_compensates_a_late_success_once() {
+        let tmp = TempDir::new("saga-late");
+        let mut g = WorkflowGraph::new();
+        let a = g.add("a", Const::new(1));
+        let slow = g.add(
+            "slow",
+            Compute::new(&["x"], |p| {
+                std::thread::sleep(Duration::from_millis(40));
+                Ok(p["x"].clone())
+            }),
+        );
+        g.connect(a, "out", slow, "x").unwrap();
+        g.set_policy(slow, ResiliencePolicy::retries(2).with_timeout(Duration::from_millis(5)))
+            .unwrap();
+        let undone = Arc::new(AtomicU32::new(0));
+        let u = undone.clone();
+        g.set_compensation(
+            slow,
+            Compute::new(&[], move |_| {
+                u.fetch_add(1, Ordering::SeqCst);
+                Ok(Value::Null)
+            }),
+        )
+        .unwrap();
+        let journal = ListingJournal {
+            inner: SagaJournal::open(tmp.path(), WalConfig::default()).unwrap(),
+            nodes: parking_lot::Mutex::new(Vec::new()),
+        };
+        let out =
+            g.run_saga_durable(&journal, "late", &HashMap::new(), &SagaConfig::default()).unwrap();
+        match out {
+            WorkflowOutcome::Compensated { failed_at, compensated, .. } => {
+                assert_eq!(failed_at, "slow");
+                assert_eq!(compensated, vec!["slow".to_string()]);
+            }
+            other => panic!("expected compensation, got {other:?}"),
+        }
+        assert_eq!(*journal.nodes.lock(), vec!["a".to_string(), "slow".to_string()]);
+        assert_eq!(undone.load(Ordering::SeqCst), 1);
+        drop(journal);
+        let reopened = SagaJournal::open(tmp.path(), WalConfig::default()).unwrap();
+        assert!(reopened.incomplete().is_empty());
     }
 
     /// A two-node replicated store fleet plus a client with the map

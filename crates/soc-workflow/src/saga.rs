@@ -11,11 +11,11 @@
 //!
 //! - **[`ResiliencePolicy`]** — bounded retries with exponential
 //!   backoff and seeded jitter under a whole-run deadline budget, plus
-//!   an optional per-attempt timeout. A timed-out attempt is *not*
-//!   retried (a second attempt could duplicate a side effect while the
-//!   first is still running); the abandoned attempt is joined before
-//!   the run returns, and if it turns out to have succeeded its node
-//!   is compensated like any other completed step.
+//!   an optional per-attempt timeout. Every attempt runs on the thread
+//!   that fires its node, and one that returns after its timeout is
+//!   judged timed out. A timed-out attempt is *not* retried (it may
+//!   have had its side effect); if it succeeded late, its node is
+//!   compensated like any other completed step.
 //! - **Fallbacks** — an alternate activity that runs once with the
 //!   same inputs after the primary exhausts its policy.
 //! - **Compensation** — any node may register a compensator
@@ -30,16 +30,13 @@
 //! recovery path is inspectable at `/observe/traces`.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use soc_http::FaultRng;
 use soc_json::Value;
 use soc_parallel::ThreadPool;
 
-use crate::activity::{Activity, ActivityError, Ports};
+use crate::activity::{ActivityError, Ports};
 use crate::graph::{WorkflowError, WorkflowGraph};
 
 /// Retry/timeout policy for one node, honoured by every entry point
@@ -52,8 +49,9 @@ pub struct ResiliencePolicy {
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Per-attempt wall-clock budget. Timeouts are terminal for the
-    /// node (no retry) but a registered fallback still runs.
+    /// Per-attempt wall-clock budget, judged when the attempt returns:
+    /// an attempt that took longer timed out. Timeouts are terminal
+    /// for the node (no retry) but a registered fallback still runs.
     pub timeout: Option<Duration>,
 }
 
@@ -155,24 +153,15 @@ fn jitter(rng: &mut FaultRng) -> f64 {
 pub(crate) struct SagaHook<'a> {
     /// `node name -> outputs` completed before this run started.
     pub(crate) completed: HashMap<String, Ports>,
-    /// Called as each node completes (including joined stragglers).
+    /// Called as each node completes, including a node whose attempt
+    /// succeeded after its timeout (once, before compensation).
     pub(crate) on_complete: &'a (dyn Fn(&str, &Ports) + Sync),
 }
 
-/// One attempt's result, distinguishing a timeout (terminal, attempt
-/// still running) from the activity's own verdict.
-enum Attempt {
-    Done(Result<Ports, ActivityError>),
-    TimedOut,
-}
-
-/// A timed-out attempt still running on its thread. Joined before the
-/// saga returns so no work is leaked.
-struct Straggler {
-    node: usize,
-    rx: mpsc::Receiver<Result<Ports, ActivityError>>,
-    handle: std::thread::JoinHandle<()>,
-}
+/// A fired node's verdict, plus the outputs of a primary attempt that
+/// succeeded after its timeout when no fallback completed the node: its
+/// side effects happened, so a rollback must compensate them.
+type Fired = (Result<Ports, ActivityError>, Option<Ports>);
 
 impl WorkflowGraph {
     /// Run the workflow under saga semantics. Activity failures are
@@ -224,7 +213,6 @@ impl WorkflowGraph {
         // Every node that completed, with its outputs kept only when a
         // compensator will read them.
         let mut completed: Vec<(usize, Ports)> = Vec::new();
-        let stragglers: Mutex<Vec<Straggler>> = Mutex::new(Vec::new());
 
         // Resume: nodes a crashed run already completed (per the
         // journal) are seeded as fired and their recorded outputs
@@ -246,10 +234,8 @@ impl WorkflowGraph {
             if ready.is_empty() {
                 break None;
             }
-            let exec = |i: usize| {
-                self.fire_resilient(i, &pending[i], run_ctx, deadline, config, &stragglers)
-            };
-            let mut outputs: Vec<(usize, Result<Ports, ActivityError>)> = match pool {
+            let exec = |i: usize| self.fire_resilient(i, &pending[i], run_ctx, deadline, config);
+            let mut outputs: Vec<(usize, Fired)> = match pool {
                 Some(pool) if ready.len() > 1 => {
                     let wave = parking_lot::Mutex::new(Vec::new());
                     pool.scope(|s| {
@@ -271,7 +257,7 @@ impl WorkflowGraph {
             // saga compensates is exactly what ran.
             outputs.sort_by_key(|(i, _)| *i);
             let mut wave_error: Option<(usize, ActivityError)> = None;
-            for (i, out) in outputs {
+            for (i, (out, late)) in outputs {
                 fired[i] = true;
                 match out {
                     Ok(ports) => {
@@ -287,6 +273,12 @@ impl WorkflowGraph {
                         self.route(i, ports, &mut pending, &mut results);
                     }
                     Err(error) => {
+                        if let Some(ports) = late {
+                            if let Some(hook) = hook {
+                                (hook.on_complete)(&self.nodes[i].name, &ports);
+                            }
+                            completed.push((i, ports));
+                        }
                         if wave_error.is_none() {
                             wave_error = Some((i, error));
                         }
@@ -297,24 +289,6 @@ impl WorkflowGraph {
                 break wave_error;
             }
         };
-
-        // Join abandoned (timed-out) attempts: nothing may outlive the
-        // run. One that eventually succeeded performed its side
-        // effects, so it joins the completed set — unless its node
-        // already completed via fallback (compensators must run at
-        // most once per node).
-        for s in stragglers.into_inner() {
-            let res = s.rx.recv();
-            let _ = s.handle.join();
-            if let Ok(Ok(ports)) = res {
-                if !completed.iter().any(|(i, _)| *i == s.node) {
-                    if let Some(hook) = hook {
-                        (hook.on_complete)(&self.nodes[s.node].name, &ports);
-                    }
-                    completed.push((s.node, ports));
-                }
-            }
-        }
 
         match failure {
             None => {
@@ -374,8 +348,7 @@ impl WorkflowGraph {
         run_ctx: soc_observe::TraceContext,
         deadline: Option<Instant>,
         config: &SagaConfig,
-        stragglers: &Mutex<Vec<Straggler>>,
-    ) -> Result<Ports, ActivityError> {
+    ) -> Fired {
         let policy = self.policies.get(&i).cloned().unwrap_or_default();
         // Per-node RNG derived from the run seed: deterministic no
         // matter how pool threads interleave.
@@ -383,11 +356,11 @@ impl WorkflowGraph {
             FaultRng::new(config.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let name = self.nodes[i].name.as_str();
         let mut attempt = 0u32;
-        let primary = loop {
+        let (primary, late) = loop {
             let remaining =
                 deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             if remaining.is_zero() {
-                break Err(ActivityError::Failed("saga deadline exhausted".into()));
+                break (Err(ActivityError::Failed("saga deadline exhausted".into())), None);
             }
             let mut span = soc_observe::child_span(
                 run_ctx,
@@ -398,29 +371,24 @@ impl WorkflowGraph {
             if attempt > 0 {
                 span.set_attr("attempt", attempt);
             }
-            let res = match policy.timeout {
-                Some(t) => self.fire_timed(i, ports, t.min(remaining), span.context(), stragglers),
-                None => {
-                    let _in_span = span.activate();
-                    Attempt::Done(self.nodes[i].activity.execute(ports))
-                }
+            let started = Instant::now();
+            let res = {
+                let _in_span = span.activate();
+                self.nodes[i].activity.execute(ports)
             };
+            if let Some(t) = policy.timeout.filter(|t| started.elapsed() > (*t).min(remaining)) {
+                let e = ActivityError::Failed(format!("timed out after {t:?}"));
+                span.set_error(e.to_string());
+                // Terminal: a timed-out attempt may have had its side
+                // effect, so a retry could duplicate it.
+                break (Err(e), res.ok());
+            }
             match res {
-                Attempt::Done(Ok(out)) => break Ok(out),
-                Attempt::TimedOut => {
-                    let e = ActivityError::Failed(format!(
-                        "timed out after {:?}",
-                        policy.timeout.unwrap_or_default()
-                    ));
-                    span.set_error(e.to_string());
-                    // Terminal: retrying while the first attempt may
-                    // still be running risks duplicated side effects.
-                    break Err(e);
-                }
-                Attempt::Done(Err(e)) => {
+                Ok(out) => break (Ok(out), None),
+                Err(e) => {
                     span.set_error(e.to_string());
                     if attempt >= policy.max_retries {
-                        break Err(e);
+                        break (Err(e), None);
                     }
                     attempt += 1;
                     let exp = policy
@@ -435,10 +403,10 @@ impl WorkflowGraph {
             }
         };
         match primary {
-            Ok(out) => Ok(out),
+            Ok(out) => (Ok(out), None),
             Err(primary_err) => {
                 let Some(fallback) = self.fallbacks.get(&i) else {
-                    return Err(primary_err);
+                    return (Err(primary_err), late);
                 };
                 let mut span = soc_observe::child_span(
                     run_ctx,
@@ -451,49 +419,18 @@ impl WorkflowGraph {
                     fallback.execute(ports)
                 };
                 match res {
-                    Ok(out) => Ok(out),
+                    // The fallback completed the node, so a late
+                    // success is not compensated: compensators run at
+                    // most once per node.
+                    Ok(out) => (Ok(out), None),
                     Err(fe) => {
                         span.set_error(fe.to_string());
-                        Err(ActivityError::Failed(format!(
+                        let e = ActivityError::Failed(format!(
                             "{primary_err}; fallback also failed: {fe}"
-                        )))
+                        ));
+                        (Err(e), late)
                     }
                 }
-            }
-        }
-    }
-
-    /// Run one attempt on its own thread with a wall-clock budget. On
-    /// timeout the attempt keeps running and is parked as a straggler
-    /// for the run to join later.
-    fn fire_timed(
-        &self,
-        i: usize,
-        ports: &Ports,
-        timeout: Duration,
-        span_ctx: soc_observe::TraceContext,
-        stragglers: &Mutex<Vec<Straggler>>,
-    ) -> Attempt {
-        let act: Arc<dyn Activity> = self.nodes[i].activity.clone();
-        let ports = ports.clone();
-        let (tx, rx) = mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name(format!("saga-{}", self.nodes[i].name))
-            .spawn(move || {
-                // Thread-locals don't cross threads: re-establish the
-                // attempt span so nested service spans parent onto it.
-                let _ctx = soc_observe::context::set_current(span_ctx);
-                let _ = tx.send(act.execute(&ports));
-            })
-            .expect("spawn saga activity thread");
-        match rx.recv_timeout(timeout) {
-            Ok(res) => {
-                let _ = handle.join();
-                Attempt::Done(res)
-            }
-            Err(_) => {
-                stragglers.lock().push(Straggler { node: i, rx, handle });
-                Attempt::TimedOut
             }
         }
     }
@@ -519,10 +456,9 @@ impl WorkflowGraph {
             // because a request whose response was lost may still have
             // landed its side effect; its compensator must undo by an
             // identifier known before execution (e.g. the idempotency
-            // key) and be safe to run when nothing landed. A node that
-            // timed out but whose straggler later succeeded is in
-            // `completed` by now and takes the normal path, exactly
-            // once.
+            // key) and be safe to run when nothing landed. A node whose
+            // attempt timed out but succeeded is in `completed` and
+            // takes the normal path, exactly once.
             let ports = match by_node.get(&i) {
                 Some(ports) => *ports,
                 None if failed == Some(i) => &empty,
@@ -556,6 +492,7 @@ mod tests {
     use super::*;
     use crate::activity::{Compute, Const};
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     fn counter_activity(counter: Arc<AtomicU32>, fail_first: u32) -> Compute {
         Compute::new(&["x"], move |p| {
@@ -663,14 +600,65 @@ mod tests {
         match out {
             WorkflowOutcome::Compensated { failed_at, compensated, .. } => {
                 assert_eq!(failed_at, "slow");
-                // The straggler was joined, ran exactly once, and —
-                // having succeeded after abandonment — was compensated.
+                // The late attempt ran exactly once and, having
+                // succeeded after its timeout, was compensated.
                 assert_eq!(effects.load(Ordering::SeqCst), 1);
                 assert_eq!(compensated, vec!["slow".to_string()]);
                 assert_eq!(undo.load(Ordering::SeqCst), 1);
             }
             other => panic!("expected compensation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_timed_attempt_runs_on_the_callers_thread() {
+        let mut g = WorkflowGraph::new();
+        let c = g.add("c", Const::new(1));
+        let ran_on = Arc::new(parking_lot::Mutex::new(None));
+        let ran_on2 = ran_on.clone();
+        let timed = g.add(
+            "timed",
+            Compute::new(&["x"], move |p| {
+                *ran_on2.lock() = Some(std::thread::current().id());
+                Ok(p["x"].clone())
+            }),
+        );
+        g.connect(c, "out", timed, "x").unwrap();
+        g.set_policy(timed, ResiliencePolicy::default().with_timeout(Duration::from_secs(30)))
+            .unwrap();
+        let out = g.run_saga(&HashMap::new(), &SagaConfig::default()).unwrap();
+        assert!(out.is_completed());
+        assert_eq!(*ran_on.lock(), Some(std::thread::current().id()));
+    }
+
+    #[test]
+    fn fallback_completes_a_timed_out_node_without_compensating_it() {
+        let mut g = WorkflowGraph::new();
+        let c = g.add("c", Const::new(1));
+        let slow = g.add(
+            "slow",
+            Compute::new(&["x"], |p| {
+                std::thread::sleep(Duration::from_millis(30));
+                Ok(p["x"].clone())
+            }),
+        );
+        g.connect(c, "out", slow, "x").unwrap();
+        g.set_policy(slow, ResiliencePolicy::retries(3).with_timeout(Duration::from_millis(5)))
+            .unwrap();
+        g.set_fallback(slow, Compute::new(&["x"], |_| Ok(Value::from("fallback")))).unwrap();
+        let undo = Arc::new(AtomicU32::new(0));
+        let undo2 = undo.clone();
+        g.set_compensation(
+            slow,
+            Compute::new(&[], move |_| {
+                undo2.fetch_add(1, Ordering::SeqCst);
+                Ok(Value::Null)
+            }),
+        )
+        .unwrap();
+        let out = g.run_saga(&HashMap::new(), &SagaConfig::default()).unwrap();
+        assert_eq!(out.outputs().unwrap()["slow.out"].as_str(), Some("fallback"));
+        assert_eq!(undo.load(Ordering::SeqCst), 0);
     }
 
     #[test]

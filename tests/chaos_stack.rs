@@ -146,10 +146,11 @@ fn tcp_chaos_upholds_invariants_without_leaking_tunnels() {
     assert!(ratio >= 0.99, "TCP success-or-clean-compensation {ratio:.4} below 0.99");
 }
 
-/// A campaign must not leak threads: every activity thread, straggler,
-/// hedge arm, and proxy tunnel is joined by the time the report is in
-/// hand. (Other tests run concurrently in this binary, so the check
-/// polls — the count must *settle* back to the baseline.)
+/// A campaign must not leak threads: every hedge arm and proxy tunnel
+/// is joined by the time the report is in hand, and saga attempts run
+/// on the caller's thread. (Other tests run concurrently in this
+/// binary, so the check polls — the count must *settle* back to the
+/// baseline.)
 #[test]
 fn chaos_campaign_does_not_leak_threads() {
     let Some(before) = live_threads() else {
