@@ -7,8 +7,8 @@
 //! is slow or down. The index therefore scores
 //! `relevance × health`, where health is read at query time from a
 //! [`QosFeed`] — in production, [`GatewayQos`] taps the gateway's own
-//! QoS monitor and outlier ejector, so the ranking reflects the last
-//! few seconds of real traffic, not a static registration.
+//! replica records and outlier ejector, so the ranking reflects the
+//! last few seconds of real traffic, not a static registration.
 //!
 //! The same index answers the planner's narrower question — *who can
 //! produce a `score: int`?* — via [`SearchIndex::producers_of`], which
@@ -67,8 +67,8 @@ impl QosFeed for NoQos {
     }
 }
 
-/// Live QoS from a [`Gateway`]: recent p95 and error rate from its
-/// [`QosMonitor`](soc_registry::monitor::QosMonitor) (keyed per replica
+/// Live QoS from a [`Gateway`]: recent p95 and error rate from each
+/// replica's window ([`Gateway::replica_qos`], keyed per replica
 /// endpoint, exactly as the gateway records them) plus the outlier
 /// ejector's verdict.
 pub struct GatewayQos {
@@ -76,7 +76,7 @@ pub struct GatewayQos {
 }
 
 impl GatewayQos {
-    /// A feed over `gateway`'s monitor and ejector.
+    /// A feed over `gateway`'s replica records and ejector.
     pub fn new(gateway: Gateway) -> Self {
         GatewayQos { gateway }
     }
@@ -84,15 +84,14 @@ impl GatewayQos {
 
 impl QosFeed for GatewayQos {
     fn snapshot(&self, service_id: &str, replicas: &[String]) -> QosSnapshot {
-        let monitor = self.gateway.monitor();
         let mut best_p95: Option<f64> = None;
         let mut worst_err: Option<f64> = None;
-        for replica in replicas {
-            if let Some(p95) = monitor.recent_p95(replica) {
+        for recent in replicas.iter().filter_map(|r| self.gateway.replica_qos(r)) {
+            if let Some(p95) = recent.p95 {
                 let ms = p95.as_secs_f64() * 1_000.0;
                 best_p95 = Some(best_p95.map_or(ms, |b: f64| b.min(ms)));
             }
-            if let Some(err) = monitor.recent_error_rate(replica) {
+            if let Some(err) = recent.error_rate {
                 worst_err = Some(worst_err.map_or(err, |w: f64| w.max(err)));
             }
         }

@@ -14,8 +14,8 @@
 //!   crawling resilient and traced.
 //! - **[`index`]** — an inverted index over everything crawled, ranked
 //!   by `relevance × live QoS`: recent p95 and error rate from the
-//!   gateway's monitor, and outlier-ejection state, demote services
-//!   that look good on paper but are bad on the wire.
+//!   gateway's replica records, and outlier-ejection state, demote
+//!   services that look good on paper but are bad on the wire.
 //! - **[`planner`] / [`check`](mod@check) / [`execute`]** — goal-directed
 //!   composition: `have {ssn, amount, income} → want {approved}`
 //!   backward-chains through discovered signatures into a [`Plan`],
@@ -177,7 +177,8 @@ impl Discovery {
     }
 
     /// A discovery stack sharing an existing gateway (and therefore
-    /// its breakers, monitor, and ejection state).
+    /// its replica records — breakers, recent windows — and ejection
+    /// state).
     pub fn with_gateway(gateway: Gateway, crawl: CrawlConfig) -> Self {
         let catalog = Catalog::new();
         let index = SearchIndex::build(&catalog);

@@ -7,21 +7,25 @@
 //!   less loaded one. The "power of two choices" gets most of the
 //!   benefit of full load tracking at a fraction of the coordination.
 //! * **Least-latency** — send to the replica with the lowest observed
-//!   mean latency, as measured by the shared [`QosMonitor`] that the
-//!   gateway feeds with every proxied request.
+//!   mean latency, as its record measures it from every proxied
+//!   request.
 //!
 //! Orthogonal to the policy, the [`OutlierEjector`] removes replicas
 //! whose recent error rate or p95 latency sits far above the replica
 //! set's median — the "one slow machine dictates the tail" problem —
-//! and re-admits them after a cool-off so recovery is discovered.
+//! and re-admits them after a cool-off so recovery is discovered. Both
+//! read each candidate's [`UpstreamStats`] record, which the candidate's
+//! [`UpstreamView`] carries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use soc_http::FaultRng;
-use soc_registry::monitor::QosMonitor;
+
+use crate::stats::UpstreamStats;
 
 /// Which balancing policy a gateway runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,13 +51,13 @@ impl Policy {
 }
 
 /// What the balancer knows about one candidate replica at pick time.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct UpstreamView {
-    /// The replica's endpoint URL.
-    pub endpoint: String,
+    /// The replica's record.
+    pub replica: Arc<UpstreamStats>,
     /// Requests currently in flight to it through this gateway.
     pub in_flight: usize,
-    /// Mean latency observed by the QoS monitor, when any.
+    /// Mean latency over its successes, when any.
     pub mean_latency: Option<Duration>,
 }
 
@@ -93,10 +97,14 @@ impl Balancer {
         match self.policy {
             Policy::RoundRobin => {
                 let mut cursors = self.cursors.lock();
-                let cursor = cursors.entry(service.to_string()).or_insert(0);
-                let i = *cursor % candidates.len();
-                *cursor = cursor.wrapping_add(1);
-                Some(i)
+                let turn = match cursors.get_mut(service) {
+                    Some(cursor) => std::mem::replace(cursor, cursor.wrapping_add(1)),
+                    None => {
+                        cursors.insert(service.to_string(), 1);
+                        0
+                    }
+                };
+                Some(turn % candidates.len())
             }
             Policy::RandomTwoChoice => {
                 let (a, b) = {
@@ -248,29 +256,30 @@ impl OutlierEjector {
     }
 
     /// Partition `candidates` into (kept, ejected-endpoint-names) for
-    /// `service`, re-evaluating outlier status against `monitor` when
-    /// the cached decision is stale. Fails open: if every candidate
-    /// would be ejected, all are kept.
+    /// `service`, re-evaluating outlier status against the candidates'
+    /// recent windows when the cached decision is stale. Fails open: if
+    /// every candidate would be ejected, all are kept.
     pub fn filter(
         &self,
         service: &str,
         candidates: Vec<UpstreamView>,
-        monitor: &QosMonitor,
     ) -> (Vec<UpstreamView>, Vec<String>) {
         if !self.config.enabled || candidates.len() < 2 {
             return (candidates, Vec::new());
         }
         let now = Instant::now();
         let mut services = self.services.lock();
-        let state = services
-            .entry(service.to_string())
-            .or_insert_with(|| ServiceEjections { last_eval: None, ejected: HashMap::new() });
+        if !services.contains_key(service) {
+            let fresh = ServiceEjections { last_eval: None, ejected: HashMap::new() };
+            services.insert(service.to_string(), fresh);
+        }
+        let state = services.get_mut(service).expect("inserted above");
 
         let stale =
             state.last_eval.is_none_or(|t| now.duration_since(t) >= self.config.eval_interval);
         if stale {
             state.last_eval = Some(now);
-            self.evaluate(state, &candidates, monitor, now);
+            self.evaluate(state, &candidates, now);
         }
 
         // Expired ejections fall out of the map here: the replica
@@ -280,7 +289,7 @@ impl OutlierEjector {
 
         // Fail open: an empty replica set is strictly worse than a
         // suspect one, so if ejection would remove everyone, keep all.
-        if candidates.iter().all(|c| state.ejected.contains_key(&c.endpoint)) {
+        if candidates.iter().all(|c| state.ejected.contains_key(c.replica.endpoint())) {
             state.ejected.clear();
             return (candidates, Vec::new());
         }
@@ -288,8 +297,8 @@ impl OutlierEjector {
         let mut kept = Vec::with_capacity(candidates.len());
         let mut out = Vec::new();
         for c in candidates {
-            if state.ejected.contains_key(&c.endpoint) {
-                out.push(c.endpoint);
+            if state.ejected.contains_key(c.replica.endpoint()) {
+                out.push(c.replica.endpoint().to_string());
             } else {
                 kept.push(c);
             }
@@ -298,33 +307,23 @@ impl OutlierEjector {
     }
 
     /// Re-judge `candidates`, adding fresh ejections to `state`.
-    fn evaluate(
-        &self,
-        state: &mut ServiceEjections,
-        candidates: &[UpstreamView],
-        monitor: &QosMonitor,
-        now: Instant,
-    ) {
-        #[derive(Clone)]
-        struct Judged {
-            endpoint: String,
-            /// `None` when the replica has produced no successful
-            /// (latency-sampled) answers — an all-failing replica.
+    fn evaluate(&self, state: &mut ServiceEjections, candidates: &[UpstreamView], now: Instant) {
+        #[derive(Clone, Copy)]
+        struct Judged<'a> {
+            endpoint: &'a str,
+            /// `None` when the replica's window holds no successful
+            /// (latency-sampled) answer — an all-failing replica.
             p95: Option<Duration>,
             err: f64,
         }
         let mut judged: Vec<Judged> = Vec::new();
         for c in candidates {
-            let samples = monitor.recent_observations(&c.endpoint);
-            if samples < self.config.min_samples {
+            let recent = c.replica.recent();
+            if recent.observations < self.config.min_samples {
                 continue;
             }
-            let Some(err) = monitor.recent_error_rate(&c.endpoint) else { continue };
-            judged.push(Judged {
-                endpoint: c.endpoint.clone(),
-                p95: monitor.recent_p95(&c.endpoint),
-                err,
-            });
+            let Some(err) = recent.error_rate else { continue };
+            judged.push(Judged { endpoint: c.replica.endpoint(), p95: recent.p95, err });
         }
         if judged.len() < 2 {
             return; // no peer group to compare against
@@ -367,7 +366,7 @@ impl OutlierEjector {
                     (Some(p95), true) => p95.as_secs_f64() / median_p95.as_secs_f64() + j.err,
                     _ => 1.0 + j.err,
                 };
-                Some((j.clone(), severity))
+                Some((*j, severity))
             })
             .collect();
         offenders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -379,7 +378,7 @@ impl OutlierEjector {
             }
             let until = now + self.config.eject_duration;
             let fresh =
-                state.ejected.insert(j.endpoint.clone(), until).is_none_or(|prev| prev <= now);
+                state.ejected.insert(j.endpoint.to_string(), until).is_none_or(|prev| prev <= now);
             if fresh {
                 self.ejections.fetch_add(1, Ordering::Relaxed);
             }
@@ -390,10 +389,16 @@ impl OutlierEjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GatewayStats;
 
-    fn view(endpoint: &str, in_flight: usize, latency_ms: Option<u64>) -> UpstreamView {
+    fn view(
+        stats: &GatewayStats,
+        endpoint: &str,
+        in_flight: usize,
+        latency_ms: Option<u64>,
+    ) -> UpstreamView {
         UpstreamView {
-            endpoint: endpoint.to_string(),
+            replica: stats.upstream(endpoint),
             in_flight,
             mean_latency: latency_ms.map(Duration::from_millis),
         }
@@ -401,8 +406,13 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_per_service() {
+        let stats = GatewayStats::default();
         let b = Balancer::new(Policy::RoundRobin, 7);
-        let c = vec![view("a", 0, None), view("b", 0, None), view("c", 0, None)];
+        let c = vec![
+            view(&stats, "a", 0, None),
+            view(&stats, "b", 0, None),
+            view(&stats, "c", 0, None),
+        ];
         let picks: Vec<usize> = (0..6).map(|_| b.pick("svc", &c).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
         // Another service has its own cursor.
@@ -411,43 +421,52 @@ mod tests {
 
     #[test]
     fn two_choice_prefers_the_less_loaded() {
+        let stats = GatewayStats::default();
         let b = Balancer::new(Policy::RandomTwoChoice, 42);
         // One idle replica among loaded ones: with two random probes it
         // must win every comparison it appears in, so it gets picked
         // far more often than 1/3 of the time.
-        let c = vec![view("busy1", 10, None), view("idle", 0, None), view("busy2", 10, None)];
+        let c = vec![
+            view(&stats, "busy1", 10, None),
+            view(&stats, "idle", 0, None),
+            view(&stats, "busy2", 10, None),
+        ];
         let idle_picks = (0..300).filter(|_| b.pick("svc", &c) == Some(1)).count();
         assert!(idle_picks > 120, "idle replica picked only {idle_picks}/300");
     }
 
     #[test]
     fn least_latency_picks_the_fastest_known() {
+        let stats = GatewayStats::default();
         let b = Balancer::new(Policy::LeastLatency, 1);
-        let c = vec![view("slow", 0, Some(80)), view("fast", 0, Some(5)), view("mid", 0, Some(20))];
+        let c = vec![
+            view(&stats, "slow", 0, Some(80)),
+            view(&stats, "fast", 0, Some(5)),
+            view(&stats, "mid", 0, Some(20)),
+        ];
         assert_eq!(b.pick("svc", &c), Some(1));
     }
 
     #[test]
     fn least_latency_explores_unmeasured_replicas() {
+        let stats = GatewayStats::default();
         let b = Balancer::new(Policy::LeastLatency, 1);
-        let c = vec![view("fast", 0, Some(5)), view("new", 0, None)];
+        let c = vec![view(&stats, "fast", 0, Some(5)), view(&stats, "new", 0, None)];
         assert_eq!(b.pick("svc", &c), Some(1));
     }
 
     #[test]
     fn empty_and_singleton_candidate_sets() {
+        let stats = GatewayStats::default();
         let b = Balancer::new(Policy::RoundRobin, 1);
         assert_eq!(b.pick("svc", &[]), None);
-        assert_eq!(b.pick("svc", &[view("only", 3, None)]), Some(0));
+        assert_eq!(b.pick("svc", &[view(&stats, "only", 3, None)]), Some(0));
     }
 
-    fn test_monitor() -> QosMonitor {
-        QosMonitor::new(std::sync::Arc::new(soc_http::mem::MemNetwork::new()))
-    }
-
-    fn feed(monitor: &QosMonitor, endpoint: &str, n: usize, ok: bool, latency: Duration) {
+    fn feed(stats: &GatewayStats, endpoint: &str, n: usize, ok: bool, latency: Duration) {
+        let replica = stats.upstream(endpoint);
         for _ in 0..n {
-            monitor.record(endpoint, ok, latency);
+            replica.observe(ok, latency);
         }
     }
 
@@ -463,13 +482,17 @@ mod tests {
 
     #[test]
     fn slow_outlier_is_ejected_and_counted() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "b", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow", 32, true, Duration::from_millis(20));
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "b", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow", 32, true, Duration::from_millis(20));
         let ej = OutlierEjector::new(eager_config());
-        let views = vec![view("a", 0, Some(1)), view("b", 0, Some(1)), view("slow", 0, Some(20))];
-        let (kept, out) = ej.filter("svc", views, &monitor);
+        let views = vec![
+            view(&stats, "a", 0, Some(1)),
+            view(&stats, "b", 0, Some(1)),
+            view(&stats, "slow", 0, Some(20)),
+        ];
+        let (kept, out) = ej.filter("svc", views);
         assert_eq!(out, vec!["slow".to_string()]);
         assert_eq!(kept.len(), 2);
         assert_eq!(ej.total_ejections(), 1);
@@ -478,25 +501,29 @@ mod tests {
 
     #[test]
     fn erroring_outlier_is_ejected() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "b", 32, true, Duration::from_millis(1));
-        feed(&monitor, "bad", 32, false, Duration::from_millis(1));
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "b", 32, true, Duration::from_millis(1));
+        feed(&stats, "bad", 32, false, Duration::from_millis(1));
         let ej = OutlierEjector::new(eager_config());
-        let views = vec![view("a", 0, None), view("b", 0, None), view("bad", 0, None)];
-        let (kept, out) = ej.filter("svc", views, &monitor);
+        let views = vec![
+            view(&stats, "a", 0, None),
+            view(&stats, "b", 0, None),
+            view(&stats, "bad", 0, None),
+        ];
+        let (kept, out) = ej.filter("svc", views);
         assert_eq!(out, vec!["bad".to_string()]);
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
     fn thin_evidence_never_ejects() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow", 4, true, Duration::from_millis(50)); // < min_samples
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow", 4, true, Duration::from_millis(50)); // < min_samples
         let ej = OutlierEjector::new(eager_config());
-        let views = vec![view("a", 0, None), view("slow", 0, None)];
-        let (kept, out) = ej.filter("svc", views, &monitor);
+        let views = vec![view(&stats, "a", 0, None), view(&stats, "slow", 0, None)];
+        let (kept, out) = ej.filter("svc", views);
         assert!(out.is_empty());
         assert_eq!(kept.len(), 2);
         assert_eq!(ej.total_ejections(), 0);
@@ -504,22 +531,22 @@ mod tests {
 
     #[test]
     fn max_eject_fraction_bounds_ejections() {
-        let monitor = test_monitor();
-        feed(&monitor, "good", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow1", 32, true, Duration::from_millis(40));
-        feed(&monitor, "slow2", 32, true, Duration::from_millis(50));
-        feed(&monitor, "slow3", 32, true, Duration::from_millis(60));
+        let stats = GatewayStats::default();
+        feed(&stats, "good", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow1", 32, true, Duration::from_millis(40));
+        feed(&stats, "slow2", 32, true, Duration::from_millis(50));
+        feed(&stats, "slow3", 32, true, Duration::from_millis(60));
         let ej = OutlierEjector::new(OutlierConfig {
             max_eject_fraction: 0.25, // of 4 replicas → at most 1 out
             ..eager_config()
         });
         let views = vec![
-            view("good", 0, None),
-            view("slow1", 0, None),
-            view("slow2", 0, None),
-            view("slow3", 0, None),
+            view(&stats, "good", 0, None),
+            view(&stats, "slow1", 0, None),
+            view(&stats, "slow2", 0, None),
+            view(&stats, "slow3", 0, None),
         ];
-        let (kept, out) = ej.filter("svc", views, &monitor);
+        let (kept, out) = ej.filter("svc", views);
         // Only the single worst offender goes; the median (a slow one)
         // protects the rest anyway, but the budget is the hard cap.
         assert!(out.len() <= 1, "ejected {out:?}");
@@ -528,38 +555,38 @@ mod tests {
 
     #[test]
     fn fails_open_when_everyone_is_an_outlier() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow", 32, true, Duration::from_millis(30));
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow", 32, true, Duration::from_millis(30));
         let ej = OutlierEjector::new(OutlierConfig { max_eject_fraction: 1.0, ..eager_config() });
         // First pass ejects "slow"; present only "slow" next — filter
         // must fail open rather than return an empty set.
-        let views = vec![view("a", 0, None), view("slow", 0, None)];
-        let (_, out) = ej.filter("svc", views, &monitor);
+        let views = vec![view(&stats, "a", 0, None), view(&stats, "slow", 0, None)];
+        let (_, out) = ej.filter("svc", views);
         assert_eq!(out, vec!["slow".to_string()]);
-        let (kept, out) = ej.filter("svc", vec![view("slow", 0, None)], &monitor);
+        let (kept, out) = ej.filter("svc", vec![view(&stats, "slow", 0, None)]);
         assert!(out.is_empty());
         assert_eq!(kept.len(), 1);
     }
 
     #[test]
     fn disabled_ejector_keeps_everyone() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow", 32, true, Duration::from_millis(30));
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow", 32, true, Duration::from_millis(30));
         let ej = OutlierEjector::new(OutlierConfig { enabled: false, ..eager_config() });
-        let views = vec![view("a", 0, None), view("slow", 0, None)];
-        let (kept, out) = ej.filter("svc", views, &monitor);
+        let views = vec![view(&stats, "a", 0, None), view(&stats, "slow", 0, None)];
+        let (kept, out) = ej.filter("svc", views);
         assert!(out.is_empty());
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
     fn ejection_lapses_after_eject_duration() {
-        let monitor = test_monitor();
-        feed(&monitor, "a", 32, true, Duration::from_millis(1));
-        feed(&monitor, "b", 32, true, Duration::from_millis(1));
-        feed(&monitor, "slow", 32, true, Duration::from_millis(30));
+        let stats = GatewayStats::default();
+        feed(&stats, "a", 32, true, Duration::from_millis(1));
+        feed(&stats, "b", 32, true, Duration::from_millis(1));
+        feed(&stats, "slow", 32, true, Duration::from_millis(30));
         let ej = OutlierEjector::new(OutlierConfig {
             eject_duration: Duration::from_millis(30),
             // Long eval interval: the lapse is observed between evals,
@@ -567,11 +594,17 @@ mod tests {
             eval_interval: Duration::from_secs(60),
             ..eager_config()
         });
-        let mk = || vec![view("a", 0, None), view("b", 0, None), view("slow", 0, None)];
-        let (_, out) = ej.filter("svc", mk(), &monitor);
+        let mk = || {
+            vec![
+                view(&stats, "a", 0, None),
+                view(&stats, "b", 0, None),
+                view(&stats, "slow", 0, None),
+            ]
+        };
+        let (_, out) = ej.filter("svc", mk());
         assert_eq!(out, vec!["slow".to_string()]);
         std::thread::sleep(Duration::from_millis(60));
-        let (kept, out) = ej.filter("svc", mk(), &monitor);
+        let (kept, out) = ej.filter("svc", mk());
         assert!(out.is_empty(), "lapsed ejection must re-admit");
         assert_eq!(kept.len(), 3);
         assert!(ej.ejected_endpoints("svc").is_empty());

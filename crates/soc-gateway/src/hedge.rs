@@ -18,9 +18,9 @@
 //! Cancellation is cooperative-by-neglect: the blocking transports
 //! here cannot abort an in-flight send, so the losing arm simply runs
 //! to completion on the pool and its result is dropped. Each arm
-//! therefore carries its *own* accounting (breaker, monitor, stats)
-//! inside its closure — a loser still reports its outcome, it just
-//! doesn't answer the caller.
+//! therefore carries its replica's record (breaker, counters, recent
+//! window) inside its closure and does its own accounting there — a
+//! loser still reports its outcome, it just doesn't answer the caller.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -39,8 +39,9 @@ pub struct HedgeConfig {
     /// host a cores-sized pool could never run a backup while a parked
     /// primary blocks.
     pub threads: usize,
-    /// Observed-latency samples a replica needs before its p95 is
-    /// trusted as a hedge trigger. Below this, no hedge arms.
+    /// Successes among a replica's recent observations it needs
+    /// before its p95 is trusted as a hedge trigger. Below this, no
+    /// hedge arms.
     pub min_samples: usize,
     /// Floor on the hedge delay: even a microsecond-fast replica set
     /// waits at least this long before spending a backup request.

@@ -9,7 +9,7 @@
 //! * **endpoint resolution** against the service directory, cached per
 //!   lease interval ([`resolver`]);
 //! * **load balancing** — round-robin, random-two-choice, or
-//!   least-latency fed by the shared QoS monitor ([`balance`]);
+//!   least-latency fed by each replica's own record ([`balance`]);
 //! * **circuit breaking** per upstream replica ([`breaker`]);
 //! * **retries** with exponential backoff, jitter, and a per-request
 //!   deadline budget — idempotent methods only, by default;
@@ -25,6 +25,10 @@
 //! * **observability** — per-upstream counters, breaker states,
 //!   hedge/ejection counters, and latency histograms on
 //!   `/gateway/stats` ([`stats`]).
+//!
+//! Each replica has one record ([`UpstreamStats`]): its counters,
+//! histogram, breaker and recent window. An attempt resolves it once
+//! and every layer above reads it there.
 //!
 //! The gateway is itself a [`Handler`], so it runs anywhere a service
 //! does: hosted on a [`MemNetwork`](soc_http::MemNetwork) for
@@ -66,7 +70,6 @@ use soc_http::mem::Transport;
 use soc_http::{FaultRng, Handler, Request, Response, Sent, Status};
 use soc_json::Value;
 use soc_observe::{SpanKind, TraceContext};
-use soc_registry::monitor::QosMonitor;
 use soc_store::ShardMap;
 
 pub use balance::{Balancer, OutlierConfig, OutlierEjector, Policy, UpstreamView};
@@ -74,7 +77,7 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Pass};
 pub use hedge::{HedgeConfig, HedgeOutcome};
 pub use limit::{ConcurrencyLimit, ConcurrencyPermit, KeyedBuckets, TokenBucket};
 pub use resolver::{RegistryResolver, Resolve, StaticResolver};
-pub use stats::{GatewayStats, LatencyHistogram, UpstreamStats};
+pub use stats::{GatewayStats, LatencyHistogram, RecentQos, UpstreamStats, RECENT_WINDOW};
 
 /// Everything tunable about a gateway.
 #[derive(Debug, Clone)]
@@ -173,14 +176,12 @@ struct Inner {
     static_resolver: Option<Arc<StaticResolver>>,
     config: GatewayConfig,
     balancer: Balancer,
-    breakers: RwLock<HashMap<String, Arc<CircuitBreaker>>>,
     bucket: TokenBucket,
     service_buckets: KeyedBuckets,
     limit: ConcurrencyLimit,
     ejector: OutlierEjector,
     stats: GatewayStats,
     obs: ObsMetrics,
-    monitor: Arc<QosMonitor>,
     /// Per-service shard maps for key-affine routing: a request that
     /// carries `X-Shard-Key` against a mapped service goes to the
     /// key's owners (writes: primary only) instead of the balancer's
@@ -199,17 +200,6 @@ impl Inner {
     fn hedge_pool(&self) -> &soc_parallel::ThreadPool {
         self.hedge_pool
             .get_or_init(|| soc_parallel::ThreadPool::new(self.config.hedge.threads.max(2)))
-    }
-
-    fn breaker_for(&self, endpoint: &str) -> Arc<CircuitBreaker> {
-        if let Some(b) = self.breakers.read().get(endpoint) {
-            return b.clone();
-        }
-        self.breakers
-            .write()
-            .entry(endpoint.to_string())
-            .or_insert_with(|| Arc::new(CircuitBreaker::new(self.config.breaker)))
-            .clone()
     }
 }
 
@@ -253,7 +243,6 @@ impl Gateway {
         static_resolver: Option<Arc<StaticResolver>>,
         config: GatewayConfig,
     ) -> Self {
-        let monitor = Arc::new(QosMonitor::new(transport.clone()));
         Gateway {
             inner: Arc::new(Inner {
                 transport,
@@ -267,12 +256,10 @@ impl Gateway {
                 ),
                 limit: ConcurrencyLimit::new(config.max_concurrent),
                 ejector: OutlierEjector::new(config.outlier.clone()),
-                stats: GatewayStats::new(),
+                stats: GatewayStats::new(config.breaker),
                 obs: ObsMetrics::new(),
-                monitor,
                 shard_maps: RwLock::new(HashMap::new()),
                 rng: Mutex::new(FaultRng::new(config.seed ^ 0xBACC_0FF5)),
-                breakers: RwLock::new(HashMap::new()),
                 hedge_pool: std::sync::OnceLock::new(),
                 config,
             }),
@@ -293,11 +280,11 @@ impl Gateway {
             .set(service, endpoints);
     }
 
-    /// The QoS monitor fed by every proxied request — share it to see
-    /// live per-replica latency, or to drive a least-latency policy
-    /// from external probes too.
-    pub fn monitor(&self) -> Arc<QosMonitor> {
-        self.inner.monitor.clone()
+    /// The recent window of one replica endpoint, if it has been seen:
+    /// live p95 and error rate over its last [`RECENT_WINDOW`]
+    /// attempts.
+    pub fn replica_qos(&self, endpoint: &str) -> Option<RecentQos> {
+        self.inner.stats.get(endpoint).map(|r| r.recent())
     }
 
     /// Publish (or replace) the shard map for `service`. From then on
@@ -393,7 +380,7 @@ impl Gateway {
     /// The breaker state for one upstream endpoint, if it has been
     /// seen.
     pub fn breaker_state(&self, endpoint: &str) -> Option<BreakerState> {
-        self.inner.breakers.read().get(endpoint).map(|b| b.state())
+        self.inner.stats.get(endpoint).map(|r| r.breaker.state())
     }
 
     /// Replicas of `service` currently held out of balancing by the
@@ -404,20 +391,11 @@ impl Gateway {
 
     /// Gateway counters as JSON (the `/gateway/stats` payload).
     pub fn stats_json(&self) -> Value {
-        // The ejector owns the authoritative event count; mirror it
-        // into the stats snapshot.
-        self.inner.stats.ejections.store(self.inner.ejector.total_ejections(), Ordering::Relaxed);
+        let ejector = &self.inner.ejector;
         self.inner.stats.to_json(
             self.inner.config.policy.as_str(),
-            |endpoint| {
-                self.inner
-                    .breakers
-                    .read()
-                    .get(endpoint)
-                    .map(|b| b.state().as_str())
-                    .unwrap_or("closed")
-            },
-            |endpoint| self.inner.ejector.is_ejected(endpoint),
+            ejector.total_ejections(),
+            |endpoint| ejector.is_ejected(endpoint),
         )
     }
 
@@ -432,10 +410,6 @@ impl Gateway {
     pub fn call(&self, service: &str, req: Request) -> Response {
         let rest = req.target.trim_start_matches('/').to_string();
         self.dispatch(service, &rest, req)
-    }
-
-    fn breaker_for(&self, endpoint: &str) -> Arc<CircuitBreaker> {
-        self.inner.breaker_for(endpoint)
     }
 
     fn shed(&self, reason: &str) -> Response {
@@ -533,11 +507,13 @@ impl Gateway {
                     &format!("no upstream registered for '{service}'"),
                 );
             }
-            let mut admitted: Vec<(String, Arc<CircuitBreaker>, Pass)> = endpoints
-                .into_iter()
+            // Each candidate's record is resolved once here and carried
+            // through the views, the backup list and the arm.
+            let mut admitted: Vec<(Arc<UpstreamStats>, Pass)> = endpoints
+                .iter()
                 .filter_map(|ep| {
-                    let b = self.breaker_for(&ep);
-                    b.try_pass().map(|pass| (ep, b, pass))
+                    let replica = inner.stats.upstream(ep);
+                    replica.breaker.try_pass().map(|pass| (replica, pass))
                 })
                 .collect();
             if admitted.is_empty() {
@@ -558,23 +534,20 @@ impl Gateway {
 
             let views: Vec<UpstreamView> = admitted
                 .iter()
-                .map(|(ep, _, _)| {
-                    let s = inner.stats.upstream(ep);
-                    UpstreamView {
-                        endpoint: ep.clone(),
-                        in_flight: s.in_flight.load(Ordering::Relaxed),
-                        mean_latency: inner.monitor.mean_latency(ep),
-                    }
+                .map(|(replica, _)| UpstreamView {
+                    replica: replica.clone(),
+                    in_flight: replica.in_flight.load(Ordering::Relaxed),
+                    mean_latency: replica.mean_latency(),
                 })
                 .collect();
             // Statistical outliers leave the candidate set; their
             // claimed passes go straight back. `filter` fails open, so
             // `views` stays non-empty while `admitted` is.
-            let (views, ejected) = inner.ejector.filter(service, views, &inner.monitor);
+            let (views, ejected) = inner.ejector.filter(service, views);
             if !ejected.is_empty() {
-                admitted.retain(|(ep, b, pass)| {
-                    if ejected.contains(ep) {
-                        b.release_pass(*pass);
+                admitted.retain(|(replica, pass)| {
+                    if ejected.iter().any(|ep| ep == replica.endpoint()) {
+                        replica.breaker.release_pass(*pass);
                         false
                     } else {
                         true
@@ -584,8 +557,8 @@ impl Gateway {
             let Some(idx) = inner.balancer.pick(service, &views) else {
                 // No viable pick: hand back every claimed pass rather
                 // than wedging half-open breakers, then retry.
-                for (_, b, pass) in &admitted {
-                    b.release_pass(*pass);
+                for (replica, pass) in &admitted {
+                    replica.breaker.release_pass(*pass);
                 }
                 if attempt + 1 < attempts {
                     self.backoff(attempt, deadline);
@@ -595,16 +568,14 @@ impl Gateway {
             // Unpicked candidates hand back any half-open probe slot
             // their try_pass claimed; a hedge backup re-admits itself
             // at hedge time instead of squatting on a slot.
-            let mut backup_pool = Vec::with_capacity(admitted.len() - 1);
-            for (i, (ep, b, pass)) in admitted.iter().enumerate() {
-                if i != idx {
-                    b.release_pass(*pass);
-                    backup_pool.push(ep.clone());
-                }
+            let (replica, pass) = admitted.remove(idx);
+            let mut backup_pool = Vec::with_capacity(admitted.len());
+            for (other, other_pass) in admitted {
+                other.breaker.release_pass(other_pass);
+                backup_pool.push(other);
             }
-            let (endpoint, breaker, pass) = admitted.swap_remove(idx);
             let mut upstream_req = req.clone();
-            upstream_req.target = join_target(&endpoint, rest);
+            upstream_req.target = join_target(replica.endpoint(), rest);
 
             // Hedge only when the request can be replayed safely, the
             // picked replica has earned a p95, and a second replica
@@ -613,10 +584,8 @@ impl Gateway {
             let hedge_delay = if backup_pool.is_empty() || !retryable {
                 None
             } else {
-                inner.config.hedge.hedge_delay(
-                    inner.monitor.recent_p95(&endpoint),
-                    inner.monitor.success_samples(&endpoint),
-                )
+                let recent = replica.recent();
+                inner.config.hedge.hedge_delay(recent.p95, recent.successes)
             };
             // The primary runs on this thread and yields at the hedge
             // point, or at the deadline when no hedge can arm; then no
@@ -628,42 +597,31 @@ impl Gateway {
                     deadline
                 }
             };
-            let arm =
-                Arm::start(inner, &permit, attempt_parent, attempt, false, endpoint, breaker, pass);
+            let arm = Arm::start(&permit, attempt_parent, attempt, false, replica, pass);
             let sent = {
                 // Active while the transport runs, so the client
                 // injects the arm's span id as the outgoing traceparent.
                 let _active = arm.span.activate();
                 soc_http::send_until(at, || inner.transport.send(upstream_req))
             };
-            let (used_endpoint, result) = match sent {
+            let (used, result) = match sent {
                 Sent::Done(result) => arm.finish(result),
                 Sent::Parked(parked) => {
                     // Runs on this thread at the hedge point: admit a
                     // backup replica through its breaker *then*, when
                     // the primary is known to be slow.
                     let backup_factory = || {
-                        for ep in backup_pool {
-                            let b = inner.breaker_for(&ep);
-                            let Some(bpass) = b.try_pass() else { continue };
+                        for backup in backup_pool {
+                            let Some(bpass) = backup.breaker.try_pass() else { continue };
                             inner.stats.hedges_launched.fetch_add(1, Ordering::Relaxed);
                             inner.obs.hedges_launched.inc();
                             let mut breq = req.clone();
-                            breq.target = join_target(&ep, rest);
-                            let inner = inner.clone();
+                            breq.target = join_target(backup.endpoint(), rest);
+                            let transport = inner.transport.clone();
                             let permit = permit.clone();
                             return Some(move || {
-                                Arm::start(
-                                    &inner,
-                                    &permit,
-                                    attempt_parent,
-                                    attempt,
-                                    true,
-                                    ep,
-                                    b,
-                                    bpass,
-                                )
-                                .run(|| inner.transport.send(breq))
+                                Arm::start(&permit, attempt_parent, attempt, true, backup, bpass)
+                                    .run(|| transport.send(breq))
                             });
                         }
                         None
@@ -716,7 +674,7 @@ impl Gateway {
                 Err(e) => {
                     last = Some(Response::error(
                         Status(502),
-                        &format!("upstream {used_endpoint} unreachable: {e}"),
+                        &format!("upstream {} unreachable: {e}", used.endpoint()),
                     ));
                 }
             }
@@ -731,17 +689,18 @@ impl Gateway {
     }
 }
 
-/// What one attempt arm produced: the endpoint it went to and the
+/// What one attempt arm produced: the replica it went to and the
 /// transport's result.
-type ArmResult = (String, soc_http::HttpResult<Response>);
+type ArmResult = (Arc<UpstreamStats>, soc_http::HttpResult<Response>);
 
 /// One attempt arm, from its start to its accounting. Every piece of
 /// per-attempt accounting — in-flight gauge, histogram, breaker
-/// verdict, QoS record, success/failure tally — happens in the arm, so
-/// a hedge loser nobody is waiting on still reports its outcome; it
-/// just doesn't answer the caller. It holds the request's concurrency
-/// permit until it finishes, so upstream work nobody waits on still
-/// counts against `max_concurrent`.
+/// verdict, success/failure tally and recent window, all in the
+/// replica's record — happens in the arm, so a hedge loser nobody is
+/// waiting on still reports its outcome; it just doesn't answer the
+/// caller. It holds the request's concurrency permit until it
+/// finishes, so upstream work nobody waits on still counts against
+/// `max_concurrent`.
 ///
 /// Each arm is its own client span under `parent` (passed explicitly:
 /// backups and parked primaries finish on pool threads where no
@@ -750,48 +709,32 @@ type ArmResult = (String, soc_http::HttpResult<Response>);
 /// `gateway.request`.
 struct Arm {
     span: soc_observe::Span,
-    endpoint: String,
-    breaker: Arc<CircuitBreaker>,
+    replica: Arc<UpstreamStats>,
     pass: Pass,
-    ustats: Arc<UpstreamStats>,
     start: Instant,
-    inner: Arc<Inner>,
     _permit: Arc<ConcurrencyPermit>,
 }
 
 impl Arm {
     /// Open the arm's span, count its request and start its clock.
-    #[allow(clippy::too_many_arguments)]
     fn start(
-        inner: &Arc<Inner>,
         permit: &Arc<ConcurrencyPermit>,
         parent: TraceContext,
         attempt: u32,
         hedge: bool,
-        endpoint: String,
-        breaker: Arc<CircuitBreaker>,
+        replica: Arc<UpstreamStats>,
         pass: Pass,
     ) -> Arm {
         let mut span = soc_observe::child_span(parent, "gateway.attempt", SpanKind::Client);
-        span.set_text("upstream", &endpoint);
+        span.set_text("upstream", replica.endpoint());
         span.set_attr("attempt", attempt);
         span.set_attr("hedge", hedge);
-        let ustats = inner.stats.upstream(&endpoint);
-        ustats.requests.fetch_add(1, Ordering::Relaxed);
+        replica.requests.fetch_add(1, Ordering::Relaxed);
         if attempt > 0 && !hedge {
-            ustats.retries.fetch_add(1, Ordering::Relaxed);
+            replica.retries.fetch_add(1, Ordering::Relaxed);
         }
-        ustats.in_flight.fetch_add(1, Ordering::Relaxed);
-        Arm {
-            span,
-            endpoint,
-            breaker,
-            pass,
-            ustats,
-            start: Instant::now(),
-            inner: inner.clone(),
-            _permit: permit.clone(),
-        }
+        replica.in_flight.fetch_add(1, Ordering::Relaxed);
+        Arm { span, replica, pass, start: Instant::now(), _permit: permit.clone() }
     }
 
     /// Run the rest of the arm's exchange — a whole blocking send, or a
@@ -807,8 +750,8 @@ impl Arm {
     /// Stop the clock and record the outcome everywhere it is counted.
     fn finish(mut self, result: soc_http::HttpResult<Response>) -> ArmResult {
         let elapsed = self.start.elapsed();
-        self.ustats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.ustats.histogram.record(elapsed);
+        self.replica.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.replica.histogram.record(elapsed);
 
         let ok = matches!(&result, Ok(r) if r.status.0 < 500);
         match &result {
@@ -820,14 +763,9 @@ impl Arm {
             }
             Err(e) => self.span.set_error(e.to_string()),
         }
-        self.breaker.on_result(self.pass, ok);
-        self.inner.monitor.record(&self.endpoint, ok, elapsed);
-        if ok {
-            self.ustats.successes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ustats.failures.fetch_add(1, Ordering::Relaxed);
-        }
-        (self.endpoint, result)
+        self.replica.breaker.on_result(self.pass, ok);
+        self.replica.observe(ok, elapsed);
+        (self.replica, result)
     }
 }
 
@@ -1079,9 +1017,10 @@ mod tests {
         for _ in 0..4 {
             gw.call("ping", Request::get("/x"));
         }
-        let report = gw.monitor().report("mem://r0").unwrap();
-        assert_eq!(report.probes, 2);
-        assert_eq!(report.successes, 2);
+        let recent = gw.replica_qos("mem://r0").unwrap();
+        assert_eq!(recent.observations, 2);
+        assert_eq!(recent.successes, 2);
+        assert_eq!(gw.stats().upstream("mem://r0").successes.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1177,8 +1116,8 @@ mod tests {
             assert!(gw.call("svc", Request::get("/warm")).status.is_success());
         }
         let min = HedgeConfig::default().min_samples;
-        assert!(gw.monitor().success_samples("mem://r0") >= min);
-        assert!(gw.monitor().success_samples("mem://r1") >= min);
+        assert!(gw.replica_qos("mem://r0").unwrap().successes >= min);
+        assert!(gw.replica_qos("mem://r1").unwrap().successes >= min);
         seen.lock().clear();
         for _ in 0..4 {
             assert!(gw.call("svc", Request::get("/x")).status.is_success());
@@ -1226,14 +1165,16 @@ mod tests {
         }
         assert_eq!(gw.stats().deadline_exceeded.load(Ordering::Relaxed), 2);
         // The abandoned attempts finish detached and still report.
-        let landed = |ep: &str| gw.monitor().report(ep).is_some_and(|r| r.probes == 1);
+        let landed = |ep: &str| gw.replica_qos(ep).is_some_and(|r| r.observations == 1);
         let until = Instant::now() + Duration::from_secs(5);
         while !(landed("mem://slow0") && landed("mem://slow1")) && Instant::now() < until {
             std::thread::sleep(Duration::from_millis(20));
         }
         for ep in ["mem://slow0", "mem://slow1"] {
-            let report = gw.monitor().report(ep).expect("the late outcome landed");
-            assert_eq!((report.probes, report.successes), (1, 0), "{ep}");
+            assert!(landed(ep), "the late outcome landed at {ep}");
+            let replica = gw.stats().upstream(ep);
+            let counts = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
+            assert_eq!((counts(&replica.successes), counts(&replica.failures)), (0, 1), "{ep}");
             assert_eq!(gw.breaker_state(ep), Some(BreakerState::Open), "{ep}");
         }
         assert_eq!(net.hits("slow0") + net.hits("slow1"), 2, "each attempt was sent once");

@@ -1,5 +1,11 @@
-//! Gateway observability: per-upstream counters and latency
-//! histograms, snapshotted as JSON on `/gateway/stats`.
+//! The gateway's per-replica records, snapshotted as JSON on
+//! `/gateway/stats`.
+//!
+//! One [`UpstreamStats`] per replica endpoint holds everything the
+//! gateway knows about it: counters, latency histogram, circuit
+//! breaker, recent [`Window`] and cumulative success-latency mean. An
+//! attempt resolves its replica's record once and reads and writes
+//! only that record from then on.
 //!
 //! The histogram implementation lives in [`soc_observe`] — the gateway
 //! was its first customer and the type moved down the stack when the
@@ -12,15 +18,35 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use soc_json::Value;
+use soc_registry::monitor::{OutcomeSeries, Window};
+
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 
 pub use soc_observe::{Histogram as LatencyHistogram, LATENCY_BUCKETS_US};
 
-/// Counters for one upstream replica.
-#[derive(Default)]
+/// Observations each replica's recent window keeps: the evidence for
+/// hedge delays, outlier ejection and discovery ranking.
+pub const RECENT_WINDOW: usize = 256;
+
+/// One read of a replica's recent window, taken under its lock.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecentQos {
+    /// Observations in the window, successes and failures.
+    pub observations: usize,
+    /// Successes among them: the samples `p95` ranks.
+    pub successes: usize,
+    /// Nearest-rank p95 latency of those successes, if any.
+    pub p95: Option<Duration>,
+    /// Failure fraction over the window, if it holds anything.
+    pub error_rate: Option<f64>,
+}
+
+/// Everything the gateway tracks about one upstream replica.
 pub struct UpstreamStats {
     /// Proxied requests sent (including retries).
     pub requests: AtomicU64,
@@ -35,12 +61,78 @@ pub struct UpstreamStats {
     /// Latency of every proxied request; shared with the global metrics
     /// registry.
     pub histogram: Arc<LatencyHistogram>,
+    /// The replica's circuit breaker.
+    pub breaker: CircuitBreaker,
+    endpoint: String,
+    /// Latency summed over every success, for the cumulative mean.
+    success_nanos: AtomicU64,
+    recent: Mutex<Window>,
+    /// `soc_qos_observations_total{service=<endpoint>}`, registered at
+    /// the first observation, so only attempted replicas export it.
+    outcomes: OnceLock<OutcomeSeries>,
 }
 
-/// Gateway-wide counters plus the per-upstream table.
+impl UpstreamStats {
+    fn new(endpoint: &str, breaker: BreakerConfig) -> Self {
+        UpstreamStats {
+            requests: AtomicU64::new(0),
+            successes: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            in_flight: AtomicUsize::new(0),
+            histogram: soc_observe::metrics()
+                .histogram("soc_gateway_upstream_latency_us", &[("upstream", endpoint)]),
+            breaker: CircuitBreaker::new(breaker),
+            endpoint: endpoint.to_string(),
+            success_nanos: AtomicU64::new(0),
+            recent: Mutex::new(Window::new(RECENT_WINDOW)),
+            outcomes: OnceLock::new(),
+        }
+    }
+
+    /// The replica's endpoint URL.
+    pub(crate) fn endpoint(&self) -> &str {
+        &self.endpoint
+    }
+
+    /// Count one finished attempt: a success (with its latency) or a
+    /// failure.
+    pub(crate) fn observe(&self, ok: bool, latency: Duration) {
+        if ok {
+            let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
+            self.success_nanos.fetch_add(nanos, Ordering::Relaxed);
+            self.successes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
+        self.recent.lock().record(ok, latency);
+        self.outcomes.get_or_init(|| OutcomeSeries::new(&self.endpoint)).count(ok);
+    }
+
+    /// Mean latency over every success, or `None` before the first.
+    pub(crate) fn mean_latency(&self) -> Option<Duration> {
+        let n = self.successes.load(Ordering::Relaxed);
+        (n > 0).then(|| Duration::from_nanos(self.success_nanos.load(Ordering::Relaxed) / n))
+    }
+
+    /// The recent window's figures.
+    pub(crate) fn recent(&self) -> RecentQos {
+        let mut window = self.recent.lock();
+        RecentQos {
+            observations: window.len(),
+            successes: window.successes(),
+            p95: window.percentile(0.95),
+            error_rate: window.error_rate(),
+        }
+    }
+}
+
+/// Gateway-wide counters plus the per-replica table.
 #[derive(Default)]
 pub struct GatewayStats {
     upstreams: RwLock<HashMap<String, Arc<UpstreamStats>>>,
+    /// Tuning for the breaker each new record gets.
+    breaker: BreakerConfig,
     /// Requests admitted past rate limiting and the concurrency cap.
     pub admitted: AtomicU64,
     /// Requests shed by the token bucket.
@@ -58,9 +150,6 @@ pub struct GatewayStats {
     pub hedges_launched: AtomicU64,
     /// Hedged requests where the backup's answer won the race.
     pub hedges_won: AtomicU64,
-    /// Outlier-ejection events (re-ejections after re-admission count
-    /// again).
-    pub ejections: AtomicU64,
     /// Shard-map publishes rejected because their version was older
     /// than the map already routing (a delayed rebalance publish).
     pub shard_map_rejects: AtomicU64,
@@ -69,27 +158,27 @@ pub struct GatewayStats {
 }
 
 impl GatewayStats {
-    /// Fresh, all-zero stats.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh, all-zero stats whose replicas get breakers tuned by
+    /// `breaker`.
+    pub fn new(breaker: BreakerConfig) -> Self {
+        GatewayStats { breaker, ..Self::default() }
     }
 
-    /// The stats cell for `endpoint`, created on first use.
+    /// The record for `endpoint`, created on first use.
     pub fn upstream(&self, endpoint: &str) -> Arc<UpstreamStats> {
-        if let Some(s) = self.upstreams.read().get(endpoint) {
-            return s.clone();
+        if let Some(s) = self.get(endpoint) {
+            return s;
         }
         self.upstreams
             .write()
             .entry(endpoint.to_string())
-            .or_insert_with(|| {
-                Arc::new(UpstreamStats {
-                    histogram: soc_observe::metrics()
-                        .histogram("soc_gateway_upstream_latency_us", &[("upstream", endpoint)]),
-                    ..UpstreamStats::default()
-                })
-            })
+            .or_insert_with(|| Arc::new(UpstreamStats::new(endpoint, self.breaker)))
             .clone()
+    }
+
+    /// The record for `endpoint`, if it has been seen.
+    pub fn get(&self, endpoint: &str) -> Option<Arc<UpstreamStats>> {
+        self.upstreams.read().get(endpoint).cloned()
     }
 
     /// Endpoints seen so far, sorted.
@@ -106,15 +195,10 @@ impl GatewayStats {
             + self.shed_service.load(Ordering::Relaxed)
     }
 
-    /// Snapshot as JSON. `breaker_label` supplies each upstream's
-    /// breaker state ("closed" / "open" / "half-open"); `ejected`
-    /// whether the replica is currently held out of balancing.
-    pub fn to_json(
-        &self,
-        policy: &str,
-        breaker_label: impl Fn(&str) -> &'static str,
-        ejected: impl Fn(&str) -> bool,
-    ) -> Value {
+    /// Snapshot as JSON. `ejections` is the outlier ejector's event
+    /// count; `ejected` says whether a replica is currently held out of
+    /// balancing.
+    pub fn to_json(&self, policy: &str, ejections: u64, ejected: impl Fn(&str) -> bool) -> Value {
         let mut shed = Value::Object(vec![]);
         shed.set("rate", self.shed_rate.load(Ordering::Relaxed) as i64);
         shed.set("load", self.shed_load.load(Ordering::Relaxed) as i64);
@@ -134,7 +218,7 @@ impl GatewayStats {
             u.set("failures", s.failures.load(Ordering::Relaxed) as i64);
             u.set("retries", s.retries.load(Ordering::Relaxed) as i64);
             u.set("in_flight", s.in_flight.load(Ordering::Relaxed) as i64);
-            u.set("breaker", breaker_label(&name));
+            u.set("breaker", s.breaker.state().as_str());
             u.set("ejected", ejected(&name));
             u.set("mean_latency_us", s.histogram.mean_us() as i64);
             if let Some(p50) = s.histogram.quantile_us(0.50) {
@@ -165,7 +249,7 @@ impl GatewayStats {
         root.set("deadline_exceeded", self.deadline_exceeded.load(Ordering::Relaxed) as i64);
         root.set("no_upstream", self.no_upstream.load(Ordering::Relaxed) as i64);
         root.set("hedges", hedges);
-        root.set("ejections", self.ejections.load(Ordering::Relaxed) as i64);
+        root.set("ejections", ejections as i64);
         let mut shard = Value::Object(vec![]);
         shard.set("map_rejects", self.shard_map_rejects.load(Ordering::Relaxed) as i64);
         shard.set("redirects", self.shard_redirects.load(Ordering::Relaxed) as i64);
@@ -215,19 +299,18 @@ mod tests {
 
     #[test]
     fn stats_json_snapshot() {
-        let stats = GatewayStats::new();
+        let stats = GatewayStats::default();
         stats.admitted.fetch_add(3, Ordering::Relaxed);
         stats.shed_rate.fetch_add(1, Ordering::Relaxed);
         stats.shed_service.fetch_add(2, Ordering::Relaxed);
         stats.hedges_launched.fetch_add(4, Ordering::Relaxed);
         stats.hedges_won.fetch_add(1, Ordering::Relaxed);
-        stats.ejections.fetch_add(1, Ordering::Relaxed);
         let up = stats.upstream("mem://a");
         up.requests.fetch_add(3, Ordering::Relaxed);
         up.successes.fetch_add(2, Ordering::Relaxed);
         up.failures.fetch_add(1, Ordering::Relaxed);
         up.histogram.record(Duration::from_millis(2));
-        let v = stats.to_json("round-robin", |_| "closed", |_| true);
+        let v = stats.to_json("round-robin", 1, |_| true);
         let text = v.to_string();
         assert!(text.contains("\"policy\""));
         let parsed = Value::parse(&text).unwrap();

@@ -153,7 +153,10 @@ fn traceparent_encodes_in_one_allocation_and_parses_in_none() {
 
 /// One gateway → REST request over the in-memory transport: the
 /// gateway's server span, `gateway.request`, `gateway.attempt`, the
-/// replica's server span and `rest.dispatch`.
+/// replica's server span and `rest.dispatch`. Sent once to a service
+/// with one replica and once to a service with two, where every pick
+/// runs the balancer and the outlier ejector, and every GET past the
+/// warm-up arms a hedge (answered in time, so no backup launches).
 #[test]
 fn gateway_to_rest_request_allocation_report() {
     use soc_gateway::{Gateway, GatewayConfig};
@@ -161,18 +164,21 @@ fn gateway_to_rest_request_allocation_report() {
 
     let _serial = serial();
     let net = MemNetwork::new();
-    let mut router = soc_rest::Router::new();
-    router.get("/score/{id}", |_req, _params| Response::json("{\"score\":700}"));
-    net.host("rest0", router);
+    for host in ["rest0", "rest1"] {
+        let mut router = soc_rest::Router::new();
+        router.get("/score/{id}", |_req, _params| Response::json("{\"score\":700}"));
+        net.host(host, router);
+    }
     let gw = Gateway::new(Arc::new(net.clone()), GatewayConfig::default());
     gw.register("credit", &["mem://rest0"]);
+    gw.register("credit2", &["mem://rest0", "mem://rest1"]);
     net.host("gw", gw);
 
-    let per_request = |rate: f64| {
+    let per_request = |target: &str, rate: f64| {
         const N: u64 = 200;
         soc_observe::set_sample_rate(rate);
         let send = || {
-            let resp = net.send(Request::get("mem://gw/svc/credit/score/7")).unwrap();
+            let resp = net.send(Request::get(target)).unwrap();
             assert_eq!(resp.status.0, 200);
         };
         for _ in 0..N {
@@ -184,13 +190,26 @@ fn gateway_to_rest_request_allocation_report() {
         }
         (ALL_ALLOCS.load(Ordering::Relaxed) - before) as f64 / N as f64
     };
-    let sampled = per_request(1.0);
-    let unsampled = per_request(0.0);
+    let one = "mem://gw/svc/credit/score/7";
+    let two = "mem://gw/svc/credit2/score/7";
+    let sampled = per_request(one, 1.0);
+    let unsampled = per_request(one, 0.0);
+    let two_sampled = per_request(two, 1.0);
+    let two_unsampled = per_request(two, 0.0);
     soc_observe::set_sample_rate(1.0);
     println!(
         "gateway -> REST over mem: {sampled:.1} allocations/request at rate 1.0, \
          {unsampled:.1} at rate 0.0 (tracing: {:.1})",
         sampled - unsampled
     );
+    println!(
+        "gateway -> REST over mem, two replicas: {two_sampled:.1} allocations/request at \
+         rate 1.0, {two_unsampled:.1} at rate 0.0 (+{:.1} over one replica)",
+        two_unsampled - unsampled
+    );
     assert!(unsampled < sampled, "recording spans must cost something: {unsampled} vs {sampled}");
+    assert!(
+        two_unsampled <= unsampled + 5.0,
+        "picking among two replicas costs at most 5 allocations: {two_unsampled} vs {unsampled}"
+    );
 }

@@ -22,9 +22,11 @@
 //!   ([`directory::DirectoryClient`]): register, list, get, search,
 //!   leases, and the federation referral other directories are
 //!   crawled through.
-//! - [`monitor`] — [`monitor::QosMonitor`]: availability/latency
-//!   probing and lease-based liveness, reproducing the paper's
-//!   availability complaints measurably.
+//! - [`monitor`] — the §V probe monitor, [`monitor::QosMonitor`]:
+//!   availability/latency probing and lease-based liveness, reproducing
+//!   the paper's availability complaints measurably; and
+//!   [`monitor::Window`], the one latency window (the gateway keeps one
+//!   per replica).
 //! - [`ontology`] — [`ontology::Ontology`]: a triple store with
 //!   `subClassOf` subsumption, giving the directory semantic category
 //!   matching (CSE446 unit 6, "Ontology and Semantic Web").

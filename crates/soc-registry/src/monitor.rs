@@ -1,4 +1,5 @@
-//! QoS / availability monitoring of published services.
+//! The §V probe monitor: QoS / availability monitoring of published
+//! services.
 //!
 //! Section V motivates the ASU repository with the failure modes of free
 //! public services: *"The performance of some of the services is not
@@ -7,6 +8,9 @@
 //! notice."* The monitor measures exactly those properties: per-service
 //! probe success rate, latency statistics, and lease-based liveness for
 //! providers that are supposed to heartbeat.
+//!
+//! [`Window`] is the stack's one latency window: the monitor keeps one
+//! per service, and the gateway one per replica.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,101 +43,123 @@ pub struct QosReport {
     pub p99_latency: Duration,
 }
 
-/// Cap on retained latency samples per service; past it, the oldest
-/// samples are overwritten so the percentile window slides forward.
+/// Observations a service's [`Window`] keeps; past it, the oldest are
+/// overwritten so the percentiles slide forward.
 const SAMPLE_CAP: usize = 8_192;
 
-/// Window for the cheap "recent" accessors ([`QosMonitor::recent_percentile`],
-/// [`QosMonitor::recent_error_rate`]) that load balancers consult on the
-/// hot path: small enough to sort per call, fresh enough to track a
-/// replica that just turned slow or flaky.
-pub const RECENT_WINDOW: usize = 256;
+/// The last `cap` observations of one service or replica, oldest
+/// overwritten first: each a failure, or a success with its latency.
+/// Reads allocate nothing once the selection buffer has grown to the
+/// window's success count.
+#[derive(Debug)]
+pub struct Window {
+    /// A success's latency in nanoseconds, `None` for a failure.
+    ring: Vec<Option<u64>>,
+    cap: usize,
+    /// Slot overwritten next once the ring is full (the oldest).
+    next: usize,
+    failures: usize,
+    /// Reused by [`Window::percentile`] to select over the successes.
+    scratch: Vec<u64>,
+}
+
+impl Window {
+    /// An empty window over the last `cap` observations.
+    ///
+    /// # Panics
+    /// When `cap` is zero.
+    pub fn new(cap: usize) -> Window {
+        assert!(cap > 0, "a window holds at least one observation");
+        Window { ring: Vec::new(), cap, next: 0, failures: 0, scratch: Vec::new() }
+    }
+
+    /// Add one observation, evicting the oldest when full. A failure's
+    /// latency is not kept.
+    pub fn record(&mut self, ok: bool, latency: Duration) {
+        let observation = ok.then(|| latency.as_nanos().min(u64::MAX as u128) as u64);
+        if self.ring.len() < self.cap {
+            self.ring.push(observation);
+        } else {
+            let evicted = std::mem::replace(&mut self.ring[self.next], observation);
+            self.failures -= usize::from(evicted.is_none());
+            self.next = (self.next + 1) % self.cap;
+        }
+        self.failures += usize::from(!ok);
+    }
+
+    /// Observations held, successes and failures alike.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Whether nothing has been observed.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Successes among the held observations: the latency samples
+    /// [`Window::percentile`] ranks.
+    pub fn successes(&self) -> usize {
+        self.ring.len() - self.failures
+    }
+
+    /// Failure fraction over the held observations, or `None` when
+    /// empty.
+    pub fn error_rate(&self) -> Option<f64> {
+        (!self.is_empty()).then(|| self.failures as f64 / self.ring.len() as f64)
+    }
+
+    /// Nearest-rank `q`-quantile (`q` in [0, 1]) of the successes'
+    /// latencies, or `None` when the window holds no success. Failures
+    /// are left out: a timeout's latency says nothing about service
+    /// time.
+    pub fn percentile(&mut self, q: f64) -> Option<Duration> {
+        self.scratch.clear();
+        self.scratch.extend(self.ring.iter().flatten());
+        let n = self.scratch.len();
+        if n == 0 {
+            return None;
+        }
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        Some(Duration::from_nanos(*self.scratch.select_nth_unstable(rank - 1).1))
+    }
+}
+
+/// One service's `soc_qos_observations_total{outcome="ok"}` and
+/// `{outcome="error"}` series, resolved once so that counting an
+/// observation never touches the registry. The monitor and the
+/// gateway's replica records feed the same family.
+pub struct OutcomeSeries {
+    ok: soc_observe::Counter,
+    error: soc_observe::Counter,
+}
+
+impl OutcomeSeries {
+    /// Register (or find) the pair for `service`.
+    pub fn new(service: &str) -> OutcomeSeries {
+        let series = |outcome| {
+            soc_observe::metrics().counter(
+                "soc_qos_observations_total",
+                &[("service", service), ("outcome", outcome)],
+            )
+        };
+        OutcomeSeries { ok: series("ok"), error: series("error") }
+    }
+
+    /// Count one observation.
+    pub fn count(&self, ok: bool) {
+        let series = if ok { &self.ok } else { &self.error };
+        series.inc();
+    }
+}
 
 struct Track {
-    /// This service's `soc_qos_observations_total{outcome="ok"}` and
-    /// `{outcome="error"}` series, resolved once when the track is
-    /// created so recording an observation never touches the registry.
-    ok_total: soc_observe::Counter,
-    error_total: soc_observe::Counter,
+    series: OutcomeSeries,
     probes: u64,
     successes: u64,
     total_latency: Duration,
     max_latency: Duration,
-    /// Success latencies in nanoseconds, a bounded sliding window.
-    samples: Vec<u64>,
-    /// Next overwrite position once `samples` hits [`SAMPLE_CAP`].
-    next_slot: usize,
-    /// Outcomes (ok / failed) of the last [`RECENT_WINDOW`] observations.
-    recent_outcomes: std::collections::VecDeque<bool>,
-}
-
-impl Track {
-    fn new(id: &str) -> Track {
-        let series = |outcome| {
-            soc_observe::metrics()
-                .counter("soc_qos_observations_total", &[("service", id), ("outcome", outcome)])
-        };
-        Track {
-            ok_total: series("ok"),
-            error_total: series("error"),
-            probes: 0,
-            successes: 0,
-            total_latency: Duration::ZERO,
-            max_latency: Duration::ZERO,
-            samples: Vec::new(),
-            next_slot: 0,
-            recent_outcomes: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn push_sample(&mut self, latency: Duration) {
-        let nanos = latency.as_nanos().min(u64::MAX as u128) as u64;
-        if self.samples.len() < SAMPLE_CAP {
-            self.samples.push(nanos);
-        } else {
-            self.samples[self.next_slot] = nanos;
-            self.next_slot = (self.next_slot + 1) % SAMPLE_CAP;
-        }
-    }
-
-    fn push_outcome(&mut self, ok: bool) {
-        self.recent_outcomes.push_back(ok);
-        while self.recent_outcomes.len() > RECENT_WINDOW {
-            self.recent_outcomes.pop_front();
-        }
-    }
-
-    /// Nearest-rank percentile (`q` in [0, 1]) over the sample window.
-    fn percentile(&self, q: f64) -> Duration {
-        Self::percentile_of(&self.samples, q)
-    }
-
-    fn percentile_of(samples: &[u64], q: f64) -> Duration {
-        if samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Duration::from_nanos(sorted[rank - 1])
-    }
-
-    /// The last up-to-[`RECENT_WINDOW`] success latencies, in insertion
-    /// order (the ring buffer makes "last" a two-segment walk).
-    fn recent_samples(&self) -> Vec<u64> {
-        if self.samples.len() < SAMPLE_CAP {
-            let start = self.samples.len().saturating_sub(RECENT_WINDOW);
-            return self.samples[start..].to_vec();
-        }
-        // Full ring: `next_slot` is the oldest entry; the freshest
-        // RECENT_WINDOW entries end just before it.
-        let mut out = Vec::with_capacity(RECENT_WINDOW);
-        for i in 0..RECENT_WINDOW {
-            let idx = (self.next_slot + SAMPLE_CAP - RECENT_WINDOW + i) % SAMPLE_CAP;
-            out.push(self.samples[idx]);
-        }
-        out
-    }
+    window: Window,
 }
 
 /// Probes service endpoints and accumulates QoS statistics.
@@ -162,26 +188,31 @@ impl QosMonitor {
 
     /// Record an externally observed outcome for service `id` — the same
     /// bookkeeping as [`QosMonitor::probe`] but with the caller supplying
-    /// the result. Lets a gateway or client feed live traffic into the
-    /// same QoS statistics the monitor's own probes populate.
+    /// the result.
     pub fn record(&self, id: &str, ok: bool, latency: Duration) {
         let mut tracks = self.tracks.lock();
         if !tracks.contains_key(id) {
-            tracks.insert(id.to_string(), Track::new(id));
+            let track = Track {
+                series: OutcomeSeries::new(id),
+                probes: 0,
+                successes: 0,
+                total_latency: Duration::ZERO,
+                max_latency: Duration::ZERO,
+                window: Window::new(SAMPLE_CAP),
+            };
+            tracks.insert(id.to_string(), track);
         }
         let t = tracks.get_mut(id).expect("track inserted above");
         // Mirror every observation into the process-wide metrics plane
         // so `/observe/metrics` reports availability next to the
         // gateway's latency histograms.
-        let series = if ok { &t.ok_total } else { &t.error_total };
-        series.inc();
+        t.series.count(ok);
         t.probes += 1;
-        t.push_outcome(ok);
+        t.window.record(ok, latency);
         if ok {
             t.successes += 1;
             t.total_latency += latency;
             t.max_latency = t.max_latency.max(latency);
-            t.push_sample(latency);
         }
     }
 
@@ -192,10 +223,11 @@ impl QosMonitor {
         }
     }
 
-    /// Report for one service, if it has ever been probed.
+    /// Report for one service, if it has ever been probed. Percentiles
+    /// rank the successes among its last 8,192 observations.
     pub fn report(&self, id: &str) -> Option<QosReport> {
-        let tracks = self.tracks.lock();
-        let t = tracks.get(id)?;
+        let mut tracks = self.tracks.lock();
+        let t = tracks.get_mut(id)?;
         Some(QosReport {
             id: id.to_string(),
             probes: t.probes,
@@ -207,71 +239,10 @@ impl QosMonitor {
                 t.total_latency / t.successes as u32
             },
             max_latency: t.max_latency,
-            p50_latency: t.percentile(0.50),
-            p95_latency: t.percentile(0.95),
-            p99_latency: t.percentile(0.99),
+            p50_latency: t.window.percentile(0.50).unwrap_or_default(),
+            p95_latency: t.window.percentile(0.95).unwrap_or_default(),
+            p99_latency: t.window.percentile(0.99).unwrap_or_default(),
         })
-    }
-
-    /// Mean latency over successful observations of `id`, without the
-    /// percentile computation a full [`QosMonitor::report`] pays for —
-    /// cheap enough to consult on every load-balancing decision.
-    pub fn mean_latency(&self, id: &str) -> Option<Duration> {
-        let tracks = self.tracks.lock();
-        let t = tracks.get(id)?;
-        if t.successes == 0 {
-            None
-        } else {
-            Some(t.total_latency / t.successes as u32)
-        }
-    }
-
-    /// Nearest-rank `q`-quantile latency over the last
-    /// [`RECENT_WINDOW`] *successful* observations of `id`, or `None`
-    /// when none were recorded. Cheap enough (sorts at most
-    /// [`RECENT_WINDOW`] numbers) to consult per request — this is the
-    /// feed for hedged-request triggers and outlier ejection.
-    pub fn recent_percentile(&self, id: &str, q: f64) -> Option<Duration> {
-        let tracks = self.tracks.lock();
-        let t = tracks.get(id)?;
-        let recent = t.recent_samples();
-        if recent.is_empty() {
-            None
-        } else {
-            Some(Track::percentile_of(&recent, q))
-        }
-    }
-
-    /// 95th-percentile latency over the recent success window — the
-    /// hedging trigger's "this should have answered by now" threshold.
-    pub fn recent_p95(&self, id: &str) -> Option<Duration> {
-        self.recent_percentile(id, 0.95)
-    }
-
-    /// Failure fraction over the last [`RECENT_WINDOW`] observations
-    /// (successes *and* failures), or `None` when `id` has never been
-    /// observed. Unlike cumulative availability, this tracks a replica
-    /// that just started failing.
-    pub fn recent_error_rate(&self, id: &str) -> Option<f64> {
-        let tracks = self.tracks.lock();
-        let t = tracks.get(id)?;
-        if t.recent_outcomes.is_empty() {
-            return None;
-        }
-        let failures = t.recent_outcomes.iter().filter(|ok| !**ok).count();
-        Some(failures as f64 / t.recent_outcomes.len() as f64)
-    }
-
-    /// Successful latency samples currently retained for `id` (bounded
-    /// by the sliding window cap). Gates percentile-driven decisions so
-    /// one lucky sample cannot steer them.
-    pub fn success_samples(&self, id: &str) -> usize {
-        self.tracks.lock().get(id).map(|t| t.samples.len()).unwrap_or(0)
-    }
-
-    /// Observations (success or failure) in the recent outcome window.
-    pub fn recent_observations(&self, id: &str) -> usize {
-        self.tracks.lock().get(id).map(|t| t.recent_outcomes.len()).unwrap_or(0)
     }
 
     /// Reports for every probed service, sorted by id.
@@ -533,59 +504,90 @@ mod tests {
         assert_eq!(r.p99_latency, Duration::from_millis(1));
     }
 
+    /// The window the gateway keeps per replica.
+    const RECENT: usize = 256;
+
+    fn feed(window: &mut Window, n: usize, ok: bool, latency: Duration) {
+        for _ in 0..n {
+            window.record(ok, latency);
+        }
+    }
+
     #[test]
-    fn recent_percentile_tracks_the_fresh_window() {
+    fn window_percentile_tracks_the_fresh_window() {
         let monitor = QosMonitor::new(Arc::new(net()));
-        assert_eq!(monitor.recent_percentile("svc", 0.95), None);
+        let mut recent = Window::new(RECENT);
+        assert_eq!(recent.percentile(0.95), None);
         // Fill far beyond the recent window with slow samples, then
         // exactly one recent window of fast ones: the recent view must
         // see only the fast tail while the full report still remembers
         // the slow past.
-        for _ in 0..(RECENT_WINDOW * 3) {
-            monitor.record("svc", true, Duration::from_millis(50));
+        for (n, ms) in [(RECENT * 3, 50), (RECENT, 2)] {
+            feed(&mut recent, n, true, Duration::from_millis(ms));
+            for _ in 0..n {
+                monitor.record("svc", true, Duration::from_millis(ms));
+            }
         }
-        for _ in 0..RECENT_WINDOW {
-            monitor.record("svc", true, Duration::from_millis(2));
-        }
-        assert_eq!(monitor.recent_p95("svc"), Some(Duration::from_millis(2)));
+        assert_eq!(recent.percentile(0.95), Some(Duration::from_millis(2)));
         assert_eq!(monitor.report("svc").unwrap().p95_latency, Duration::from_millis(50));
-        assert_eq!(monitor.success_samples("svc"), RECENT_WINDOW * 4);
+        assert_eq!(monitor.report("svc").unwrap().successes, RECENT as u64 * 4);
     }
 
     #[test]
-    fn recent_percentile_spans_the_ring_wraparound() {
-        let monitor = QosMonitor::new(Arc::new(net()));
-        // Overfill the full sample cap, then add half a recent window of
-        // fast samples: the recent window must straddle old and new.
-        for _ in 0..SAMPLE_CAP {
-            monitor.record("svc", true, Duration::from_millis(10));
-        }
-        for _ in 0..(RECENT_WINDOW / 2) {
-            monitor.record("svc", true, Duration::from_millis(1));
-        }
-        // Median of the recent window: half 10 ms, half 1 ms → 1 ms at
-        // q=0.5 by nearest rank (rank 128 of 256 lands on the fast half).
-        assert_eq!(monitor.recent_percentile("svc", 0.5), Some(Duration::from_millis(1)));
-        assert_eq!(monitor.recent_p95("svc"), Some(Duration::from_millis(10)));
+    fn window_percentile_spans_the_ring_wraparound() {
+        let mut recent = Window::new(RECENT);
+        // Overfill the ring, then add half a ring of fast samples: the
+        // window must straddle old and new.
+        feed(&mut recent, RECENT, true, Duration::from_millis(10));
+        feed(&mut recent, RECENT / 2, true, Duration::from_millis(1));
+        // Median of the window: half 10 ms, half 1 ms → 1 ms at q=0.5
+        // by nearest rank (rank 128 of 256 lands on the fast half).
+        assert_eq!(recent.percentile(0.5), Some(Duration::from_millis(1)));
+        assert_eq!(recent.percentile(0.95), Some(Duration::from_millis(10)));
     }
 
     #[test]
-    fn recent_error_rate_sees_a_replica_turn_sick() {
+    fn window_error_rate_sees_a_replica_turn_sick() {
         let monitor = QosMonitor::new(Arc::new(net()));
-        assert_eq!(monitor.recent_error_rate("svc"), None);
-        for _ in 0..RECENT_WINDOW {
-            monitor.record("svc", true, Duration::from_millis(1));
-        }
-        assert_eq!(monitor.recent_error_rate("svc"), Some(0.0));
+        let mut recent = Window::new(RECENT);
+        assert_eq!(recent.error_rate(), None);
+        feed(&mut recent, RECENT, true, Duration::from_millis(1));
+        monitor.record("svc", true, Duration::from_millis(1));
+        assert_eq!(recent.error_rate(), Some(0.0));
         // The replica turns fully sick: a full window of failures must
         // drive the recent rate to 1.0 even though cumulative
         // availability is still 0.5.
-        for _ in 0..RECENT_WINDOW {
-            monitor.record("svc", false, Duration::ZERO);
-        }
-        assert_eq!(monitor.recent_error_rate("svc"), Some(1.0));
+        feed(&mut recent, RECENT, false, Duration::ZERO);
+        monitor.record("svc", false, Duration::ZERO);
+        assert_eq!(recent.error_rate(), Some(1.0));
         assert!((monitor.report("svc").unwrap().availability - 0.5).abs() < 1e-9);
-        assert_eq!(monitor.recent_observations("svc"), RECENT_WINDOW);
+        assert_eq!(recent.len(), RECENT);
+    }
+
+    #[test]
+    fn window_leaves_failures_out_of_percentiles_but_counts_them() {
+        let mut window = Window::new(8);
+        // ok 1 ms, fail 900 ms, ok 2 ms, fail 900 ms, ok 3 ms.
+        for (ok, ms) in [(true, 1), (false, 900), (true, 2), (false, 900), (true, 3)] {
+            window.record(ok, Duration::from_millis(ms));
+        }
+        assert_eq!(window.len(), 5);
+        assert_eq!(window.successes(), 3);
+        assert_eq!(window.error_rate(), Some(0.4));
+        assert_eq!(window.percentile(0.5), Some(Duration::from_millis(2)));
+        assert_eq!(window.percentile(1.0), Some(Duration::from_millis(3)));
+        // Wrap past the cap: seven more failures fill the ring, then
+        // evict ok 1 ms, the first failure, ok 2 ms and the second
+        // failure.
+        feed(&mut window, 7, false, Duration::from_millis(900));
+        assert_eq!(window.len(), 8);
+        assert_eq!(window.successes(), 1);
+        assert_eq!(window.error_rate(), Some(7.0 / 8.0));
+        assert_eq!(window.percentile(0.0), Some(Duration::from_millis(3)));
+        assert_eq!(window.percentile(1.0), Some(Duration::from_millis(3)));
+        feed(&mut window, 1, false, Duration::ZERO);
+        assert_eq!((window.successes(), window.percentile(0.5)), (0, None));
+        assert_eq!(window.error_rate(), Some(1.0));
     }
 
     #[test]

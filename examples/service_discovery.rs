@@ -22,7 +22,8 @@ fn main() {
     let federation = demo::host_mem(&net);
 
     // One Discovery stack over one gateway: crawling, searching, and
-    // executing all share the same breakers, QoS monitor, and traces.
+    // executing all share the same replica records (breakers, recent
+    // windows) and traces.
     let mut disc = Discovery::new(
         Arc::new(UniClient::new(net.clone())),
         GatewayConfig::default(),
