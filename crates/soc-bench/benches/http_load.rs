@@ -21,7 +21,6 @@
 //! `cargo bench --bench http_load` asserts their budgets and records
 //! them in `BENCH_http_load.json`.
 
-#[cfg(target_os = "linux")]
 mod load {
     use std::collections::VecDeque;
     use std::io::{Read, Write};
@@ -398,7 +397,6 @@ mod load {
     }
 }
 
-#[cfg(target_os = "linux")]
 fn main() {
     let mut rec = soc_bench::Record::new("http_load");
     println!("== C10K: parked keep-alive connections on the reactor ==");
@@ -408,9 +406,4 @@ fn main() {
     println!("== peak at 6k rps offered (32 conns, 2 workers) ==");
     load::peak(&mut rec);
     rec.finish();
-}
-
-#[cfg(not(target_os = "linux"))]
-fn main() {
-    println!("http_load: reactor transport is Linux-only; nothing to measure");
 }

@@ -10,8 +10,8 @@
 //! - [`codec`] — wire encode/decode: request/response lines, headers,
 //!   `Content-Length` and `chunked` bodies.
 //! - [`server`] — the [`Handler`] trait every service binding
-//!   implements, and on Linux a TCP server ([`HttpServer`]) running one
-//!   on its worker threads, with keep-alive and graceful shutdown. Its
+//!   implements, and a TCP server ([`HttpServer`]) running one on its
+//!   worker threads, with keep-alive and graceful shutdown. Its
 //!   one transport is a readiness-driven epoll reactor (see [`poller`]):
 //!   every connection is multiplexed over one-shot epoll, and the
 //!   worker handed a connection's readiness serves its request.
@@ -55,28 +55,27 @@
 //! assert_eq!(resp.body, b"hi");
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("soc-http is Linux-only: its server and client sit on epoll, poll and MSG_PEEK");
+
 pub mod client;
 pub mod codec;
 pub mod cookies;
 pub mod fault;
 pub mod mem;
 pub mod observe;
-#[cfg(target_os = "linux")]
 pub mod poller;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod server;
 pub mod types;
 pub mod url;
 pub mod yield_point;
 
-pub use client::{ClientPoolStats, HttpClient, PoolConfig};
+pub use client::{ClientPoolStats, HttpClient};
 pub use fault::{FaultConfig, FaultRng, FaultVerdict, FaultWindow};
 pub use mem::{MemNetwork, Transport};
 pub use observe::ObserveEndpoints;
-pub use server::Handler;
-#[cfg(target_os = "linux")]
-pub use server::{HttpServer, ServerConfig, ServerTransport};
+pub use server::{Handler, HttpServer, ServerConfig, ServerTransport};
 pub use types::{
     fresh_idempotency_key, Headers, HttpError, HttpResult, Method, Request, Response, Status,
     Version, IDEMPOTENCY_KEY,

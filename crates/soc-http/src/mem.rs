@@ -274,12 +274,6 @@ impl UniClient {
     pub fn new(net: MemNetwork) -> Self {
         UniClient { net, http: HttpClient::new() }
     }
-
-    /// Override the TCP client (timeouts, body limits).
-    pub fn with_http(mut self, http: HttpClient) -> Self {
-        self.http = http;
-        self
-    }
 }
 
 impl Transport for UniClient {

@@ -63,26 +63,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use soc_observe::{Counter, Gauge};
 
-use crate::codec::{self, BodyFraming};
+use crate::codec::{self, BodyFraming, DEFAULT_BODY_LIMIT};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::server::{Handler, ServerStats};
+use crate::server::{Handler, ServerConfig, ServerStats};
 use crate::types::{Headers, HttpError, HttpResult, Method, Request, Response, Status, Version};
-
-/// Reactor tunables, copied out of `ServerConfig` by `bind_with`.
-#[derive(Debug, Clone)]
-pub(crate) struct ReactorConfig {
-    pub workers: usize,
-    pub max_connections: usize,
-    pub io_timeout: Duration,
-    pub keep_alive_timeout: Duration,
-    pub body_limit: usize,
-}
 
 /// The listener's token on the loop's poller.
 const TOKEN_LISTENER: u64 = 0;
 /// The shutdown waker's token on both pollers. No connection token
 /// reaches it: a slot index stays below `u32::MAX` (see [`SEGMENTS`]).
 const TOKEN_WAKER: u64 = u64::MAX;
+
+/// How long a read or write may stall mid-message before the
+/// connection is dropped.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How often the loop wakes to sweep deadlines when nothing is ready.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(250);
@@ -504,7 +498,7 @@ struct Shared {
     slots: Slots,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
-    cfg: ReactorConfig,
+    cfg: ServerConfig,
     stop: Arc<AtomicBool>,
     open: Gauge,
     closed: Counter,
@@ -558,7 +552,7 @@ impl Shared {
         loop {
             if conn.unsent() {
                 if !conn.flush()? {
-                    conn.deadline = Instant::now() + self.cfg.io_timeout;
+                    conn.deadline = Instant::now() + IO_TIMEOUT;
                     return Some(Interest::WRITE);
                 }
                 writes.inc();
@@ -593,7 +587,7 @@ impl Shared {
             }
             // Bound buffered-but-unparsed bytes: past this a peer is
             // over a limit the parser would have rejected.
-            if conn.parser.buffered() > self.cfg.body_limit + codec::HEADER_LIMIT + READ_CHUNK {
+            if conn.parser.buffered() > DEFAULT_BODY_LIMIT + codec::HEADER_LIMIT + READ_CHUNK {
                 return None;
             }
             match conn.fill(scratch) {
@@ -612,8 +606,7 @@ impl Shared {
     /// window between requests, the I/O timeout inside one — and
     /// return the interest that waits for them.
     fn await_read(&self, conn: &mut Conn) -> Interest {
-        let wait =
-            if conn.parser.is_idle() { self.cfg.keep_alive_timeout } else { self.cfg.io_timeout };
+        let wait = if conn.parser.is_idle() { self.cfg.keep_alive_timeout } else { IO_TIMEOUT };
         conn.deadline = Instant::now() + wait;
         Interest::READ
     }
@@ -684,7 +677,7 @@ struct Acceptor {
 /// is immediate.
 pub(crate) fn spawn(
     listener: TcpListener,
-    cfg: ReactorConfig,
+    cfg: ServerConfig,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
@@ -828,12 +821,12 @@ impl Acceptor {
         *guard = Some(Conn {
             stream,
             gen: self.gen,
-            parser: RequestParser::new(shared.cfg.body_limit),
+            parser: RequestParser::new(DEFAULT_BODY_LIMIT),
             write_buf: Vec::new(),
             written: 0,
             close_after_write: false,
             peer_closed: false,
-            deadline: Instant::now() + shared.cfg.io_timeout,
+            deadline: Instant::now() + IO_TIMEOUT,
         });
         shared.slots.live.fetch_add(1, Ordering::Relaxed);
         shared.open.add(1);

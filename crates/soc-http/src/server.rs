@@ -1,24 +1,20 @@
-//! An HTTP/1.1 server over TCP, on the epoll reactor (Linux).
+//! An HTTP/1.1 server over TCP, on the epoll reactor.
 //!
 //! [`HttpServer`] multiplexes every connection over the readiness-driven
 //! event loop in `reactor`: one loop thread accepts, sheds at the
 //! connection cap and sweeps deadlines, and the worker the kernel hands
 //! a connection's readiness reads, handles and answers its request. An
 //! idle keep-alive connection costs a file descriptor, not a thread.
-//!
-//! [`Handler`], the interface every service binding implements, is
-//! available on every platform, because the in-memory network
-//! ([`crate::mem`]) serves it without sockets.
-
-// Everything here but `Handler` is Linux-only, like the reactor.
-#![cfg_attr(not(target_os = "linux"), allow(unused_imports))]
+//! A read or write that stalls mid-message for 30 s drops the
+//! connection, and a request body over 8 MiB
+//! ([`DEFAULT_BODY_LIMIT`](crate::codec::DEFAULT_BODY_LIMIT)) is
+//! refused before it is buffered.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::codec::DEFAULT_BODY_LIMIT;
 use crate::types::{HttpResult, Request, Response};
 
 /// A request handler: the single interface every service binding
@@ -41,7 +37,6 @@ where
 /// Server statistics (exposed so availability experiments can watch a
 /// provider's load, per the paper's complaints about overloaded free
 /// services).
-#[cfg(target_os = "linux")]
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Requests fully served.
@@ -55,7 +50,6 @@ pub struct ServerStats {
 /// The I/O engine a server runs on. There is one: the type and
 /// [`ServerConfig::transport`] remain only because the benchmark
 /// harness names `ServerTransport::Reactor`, and go once it stops.
-#[cfg(target_os = "linux")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerTransport {
     /// Readiness-driven epoll transport: one loop thread accepts, and
@@ -65,7 +59,6 @@ pub enum ServerTransport {
 }
 
 /// Tunables for [`HttpServer::bind_with`].
-#[cfg(target_os = "linux")]
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads reading connections and running handlers.
@@ -75,33 +68,24 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// I/O engine; always [`ServerTransport::Reactor`].
     pub transport: ServerTransport,
-    /// How long a read or write may stall mid-message before the
-    /// connection is dropped.
-    pub io_timeout: Duration,
     /// How long an idle keep-alive connection is retained between
     /// requests.
     pub keep_alive_timeout: Duration,
-    /// Maximum accepted request-body size.
-    pub body_limit: usize,
 }
 
-#[cfg(target_os = "linux")]
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
             max_connections: 1024,
             transport: ServerTransport::Reactor,
-            io_timeout: Duration::from_secs(30),
             keep_alive_timeout: Duration::from_secs(30),
-            body_limit: DEFAULT_BODY_LIMIT,
         }
     }
 }
 
 /// A running HTTP server; dropping it (or calling
 /// [`HttpServer::shutdown`]) stops the event loop and its workers.
-#[cfg(target_os = "linux")]
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -112,7 +96,6 @@ pub struct HttpServer {
     waker: Arc<crate::poller::Waker>,
 }
 
-#[cfg(target_os = "linux")]
 impl HttpServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// serve `handler` on `workers` threads with the default connection
@@ -131,16 +114,14 @@ impl HttpServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let reactor_cfg = crate::reactor::ReactorConfig {
+        let config = ServerConfig {
             workers: config.workers.max(1),
             max_connections: config.max_connections.max(1),
-            io_timeout: config.io_timeout,
-            keep_alive_timeout: config.keep_alive_timeout,
-            body_limit: config.body_limit,
+            ..config
         };
         let (thread, waker) = crate::reactor::spawn(
             listener,
-            reactor_cfg,
+            config,
             Arc::new(handler),
             stats.clone(),
             stop.clone(),
@@ -184,21 +165,20 @@ impl HttpServer {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use std::io::BufReader;
     use std::net::TcpStream;
 
     use super::*;
     use crate::client::HttpClient;
-    use crate::codec;
+    use crate::codec::{self, DEFAULT_BODY_LIMIT};
     use crate::types::{Method, Status};
 
     fn echo_server() -> HttpServer {

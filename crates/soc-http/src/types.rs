@@ -21,8 +21,6 @@ pub enum HttpError {
         /// The limit that was exceeded.
         limit: usize,
     },
-    /// A per-request deadline expired before the response arrived.
-    DeadlineExceeded,
     /// Placeholder a transport returns when it parked the exchange at
     /// its [`send_until`](crate::send_until) yield point; the exchange
     /// itself is still in flight and finishes through the parked
@@ -39,7 +37,6 @@ impl fmt::Display for HttpError {
             HttpError::UnknownHost(h) => write!(f, "unknown in-memory host: {h}"),
             HttpError::UnexpectedEof => write!(f, "connection closed mid-message"),
             HttpError::BodyTooLarge { limit } => write!(f, "body exceeds {limit} bytes"),
-            HttpError::DeadlineExceeded => write!(f, "request deadline exceeded"),
             HttpError::Parked => write!(f, "exchange parked at its yield point"),
         }
     }

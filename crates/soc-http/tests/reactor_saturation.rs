@@ -7,8 +7,6 @@
 //! one token at a time. The connection metrics live in the
 //! process-wide registry, so the tests here run one at a time.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -7,8 +7,6 @@
 //! counters live in the process-wide registry, so this binary holds
 //! this one test alone and can compare exact deltas.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -130,7 +130,6 @@ fn a_mem_handler_runs_on_the_callers_thread_and_never_parks() {
 
 /// Set `listener`'s accept backlog. `std` fixes it at bind; calling
 /// `listen` again on a listening socket changes it.
-#[cfg(target_os = "linux")]
 fn set_backlog(listener: &TcpListener, backlog: i32) {
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
@@ -141,7 +140,6 @@ fn set_backlog(listener: &TcpListener, backlog: i32) {
     assert_eq!(rc, 0, "listen: {}", std::io::Error::last_os_error());
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn a_connect_not_done_by_the_yield_point_parks_and_the_rest_starts_over() {
     // A full accept queue drops further SYNs, so a connect hangs there

@@ -157,6 +157,7 @@ fn traceparent_encodes_in_one_allocation_and_parses_in_none() {
 /// with one replica and once to a service with two, where every pick
 /// runs the balancer and the outlier ejector, and every GET past the
 /// warm-up arms a hedge (answered in time, so no backup launches).
+/// Each of the four per-request counts has an upper budget.
 #[test]
 fn gateway_to_rest_request_allocation_report() {
     use soc_gateway::{Gateway, GatewayConfig};
@@ -212,4 +213,22 @@ fn gateway_to_rest_request_allocation_report() {
         two_unsampled <= unsampled + 5.0,
         "picking among two replicas costs at most 5 allocations: {two_unsampled} vs {unsampled}"
     );
+    // Budgets at the counts measured when they were set, in debug and
+    // release alike: a cut passes, a new allocation on the path fails.
+    // Each count is a mean over `N` requests on every thread, so a
+    // stray allocation elsewhere in the process meanwhile (the harness
+    // reporting another test, when this file runs whole) shows as a
+    // fraction, such as 44.01; whole allocations per request are what
+    // is budgeted.
+    for (what, measured, budget) in [
+        ("one replica, rate 0.0", unsampled, 34.0),
+        ("one replica, rate 1.0", sampled, 41.0),
+        ("two replicas, rate 0.0", two_unsampled, 37.0),
+        ("two replicas, rate 1.0", two_sampled, 44.0),
+    ] {
+        assert!(
+            measured.round() <= budget,
+            "{what}: {measured} allocations per request, over the budget of {budget}"
+        );
+    }
 }

@@ -10,8 +10,6 @@
 //! server this crate used to ship alongside the reactor; both produced
 //! these transcripts byte for byte.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
