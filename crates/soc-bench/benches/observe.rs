@@ -22,13 +22,15 @@ fn main() {
     let mut rec = Record::new("observe");
 
     // A span that loses the sampling coin toss: carries context for
-    // propagation but must never allocate or touch the store.
+    // propagation but must never allocate or touch the store. Eight
+    // full runs on a 2-vCPU KVM guest read 15.5–23.2 ns; the budget is
+    // about 4.3× the slowest.
     soc_observe::set_sample_rate(0.0);
     rec.time("span_sampled_out", || {
         let span = soc_observe::span(black_box("bench.noop"), SpanKind::Internal);
         black_box(span.context());
     })
-    .max(1_000.0);
+    .max(100.0);
 
     soc_observe::set_sample_rate(1.0);
     while soc_observe::store().len() < DEFAULT_SHARDS * DEFAULT_SHARD_CAPACITY {

@@ -146,6 +146,13 @@ fn less_loaded(candidates: &[UpstreamView], a: usize, b: usize) -> usize {
     }
 }
 
+/// Eject when a replica's recent p95 exceeds this multiple of the
+/// replica-set median p95 (and [`OutlierConfig::min_latency`]).
+const LATENCY_FACTOR: f64 = 3.0;
+/// Eject when a replica's recent error rate exceeds the set's median
+/// error rate by this margin (absolute, 0.0–1.0).
+const ERROR_MARGIN: f64 = 0.5;
+
 /// Tuning for [`OutlierEjector`]. The defaults are deliberately
 /// conservative: a replica must look *much* worse than its peers, over
 /// a meaningful sample, before it is pulled from rotation.
@@ -158,15 +165,11 @@ pub struct OutlierConfig {
     /// Minimum recent observations a replica needs before it can be
     /// judged — thin evidence never ejects.
     pub min_samples: usize,
-    /// Eject when recent p95 exceeds `latency_factor ×` the replica-set
-    /// median p95 …
-    pub latency_factor: f64,
-    /// … and is also at least this large in absolute terms, so µs-scale
-    /// jitter between healthy replicas never triggers ejection.
+    /// A replica is ejected for latency only when its recent p95 is
+    /// also at least this large in absolute terms (as well as exceeding
+    /// three times the set's median p95), so µs-scale jitter between
+    /// healthy replicas never triggers ejection.
     pub min_latency: Duration,
-    /// Eject when recent error rate exceeds the set's median error rate
-    /// by this margin (absolute, 0.0–1.0).
-    pub error_margin: f64,
     /// How long an ejected replica stays out before re-admission.
     /// After expiry it rejoins rotation — live traffic is the probe —
     /// and is re-ejected if still an outlier at the next evaluation.
@@ -182,9 +185,7 @@ impl Default for OutlierConfig {
             enabled: true,
             eval_interval: Duration::from_millis(100),
             min_samples: 16,
-            latency_factor: 3.0,
             min_latency: Duration::from_millis(2),
-            error_margin: 0.5,
             eject_duration: Duration::from_secs(5),
             max_eject_fraction: 0.5,
         }
@@ -355,10 +356,10 @@ impl OutlierEjector {
             .filter_map(|j| {
                 let latency_out = j.p95.is_some_and(|p95| {
                     median_p95 > Duration::ZERO
-                        && p95.as_secs_f64() > median_p95.as_secs_f64() * self.config.latency_factor
+                        && p95.as_secs_f64() > median_p95.as_secs_f64() * LATENCY_FACTOR
                         && p95 >= self.config.min_latency
                 });
-                let error_out = j.err > median_err + self.config.error_margin;
+                let error_out = j.err > median_err + ERROR_MARGIN;
                 if !(latency_out || error_out) {
                     return None;
                 }

@@ -27,39 +27,27 @@ use std::time::{Duration, Instant};
 
 use soc_parallel::ThreadPool;
 
+/// Floor on the hedge delay: even a microsecond-fast replica set waits
+/// at least this long before spending a backup request.
+const MIN_DELAY: Duration = Duration::from_millis(1);
+/// Ceiling on the hedge delay, so one pathological p95 cannot defer
+/// hedging past the request deadline.
+const MAX_DELAY: Duration = Duration::from_millis(250);
+
 /// Tuning for request hedging.
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
     /// Master switch; `false` never hedges.
     pub enabled: bool,
-    /// Worker threads in the gateway's hedge pool, which runs backups
-    /// and the rests of parked primaries. Those *block* on their sends,
-    /// so this is sized for concurrent parked or backup arms (including
-    /// losers sleeping out a stall), not for CPU cores — on a 1-core
-    /// host a cores-sized pool could never run a backup while a parked
-    /// primary blocks.
-    pub threads: usize,
     /// Successes among a replica's recent observations it needs
     /// before its p95 is trusted as a hedge trigger. Below this, no
     /// hedge arms.
     pub min_samples: usize,
-    /// Floor on the hedge delay: even a microsecond-fast replica set
-    /// waits at least this long before spending a backup request.
-    pub min_delay: Duration,
-    /// Ceiling on the hedge delay, so one pathological p95 cannot
-    /// defer hedging past the request deadline.
-    pub max_delay: Duration,
 }
 
 impl Default for HedgeConfig {
     fn default() -> Self {
-        HedgeConfig {
-            enabled: true,
-            threads: 8,
-            min_samples: 8,
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(250),
-        }
+        HedgeConfig { enabled: true, min_samples: 8 }
     }
 }
 
@@ -71,7 +59,7 @@ impl HedgeConfig {
         if !self.enabled || samples < self.min_samples {
             return None;
         }
-        Some(p95?.clamp(self.min_delay, self.max_delay))
+        Some(p95?.clamp(MIN_DELAY, MAX_DELAY))
     }
 }
 
@@ -306,8 +294,8 @@ mod tests {
         assert_eq!(cfg.hedge_delay(p95, 3), None, "thin evidence must not arm a hedge");
         assert_eq!(cfg.hedge_delay(None, 100), None);
         // Clamping at both ends.
-        assert_eq!(cfg.hedge_delay(Some(Duration::from_micros(5)), 100), Some(cfg.min_delay));
-        assert_eq!(cfg.hedge_delay(Some(Duration::from_secs(5)), 100), Some(cfg.max_delay));
+        assert_eq!(cfg.hedge_delay(Some(Duration::from_micros(5)), 100), Some(MIN_DELAY));
+        assert_eq!(cfg.hedge_delay(Some(Duration::from_secs(5)), 100), Some(MAX_DELAY));
         let off = HedgeConfig { enabled: false, ..cfg };
         assert_eq!(off.hedge_delay(p95, 100), None);
     }

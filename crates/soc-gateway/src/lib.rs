@@ -170,6 +170,14 @@ impl ObsMetrics {
     }
 }
 
+/// Worker threads in the gateway's hedge pool, which runs backups and
+/// the rests of parked primaries. Those *block* on their sends, so this
+/// is sized for concurrent parked or backup arms (including losers
+/// sleeping out a stall), not for CPU cores: on a 1-core host a
+/// cores-sized pool could never run a backup while a parked primary
+/// blocks.
+const HEDGE_POOL_THREADS: usize = 8;
+
 struct Inner {
     transport: Arc<dyn Transport>,
     resolver: Arc<dyn Resolve>,
@@ -189,17 +197,13 @@ struct Inner {
     shard_maps: RwLock<HashMap<String, Arc<ShardMap>>>,
     rng: Mutex<FaultRng>,
     /// Lazily built on the first parked primary: most gateways (and
-    /// most requests) never pay for it. Sized by `config.hedge.threads`,
-    /// NOT by cores — arms block in sends, and on a small host a
-    /// cores-sized pool could never run a backup beside a parked
-    /// primary's rest.
+    /// most requests) never pay for it. Sized by [`HEDGE_POOL_THREADS`].
     hedge_pool: std::sync::OnceLock<soc_parallel::ThreadPool>,
 }
 
 impl Inner {
     fn hedge_pool(&self) -> &soc_parallel::ThreadPool {
-        self.hedge_pool
-            .get_or_init(|| soc_parallel::ThreadPool::new(self.config.hedge.threads.max(2)))
+        self.hedge_pool.get_or_init(|| soc_parallel::ThreadPool::new(HEDGE_POOL_THREADS))
     }
 }
 

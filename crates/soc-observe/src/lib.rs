@@ -6,8 +6,7 @@
 //! - a **tracing core** — [`TraceId`]/[`SpanId`], [`Span`] guards with
 //!   timed start/stop, status and key/value attributes, recorded into a
 //!   sharded ring-buffer [`SpanStore`] with head-based probabilistic
-//!   sampling and optional tail sampling that keeps error traces even
-//!   when head sampling dropped them ([`set_tail_keep_errors`]);
+//!   sampling ([`set_sample_rate`]);
 //! - **context propagation** — a W3C-`traceparent`-style header
 //!   ([`TraceContext::to_traceparent`] /
 //!   [`TraceContext::parse_traceparent`]) plus a thread-local current
@@ -29,22 +28,19 @@
 //! copy per run-time text attribute; `traceparent` encodes into one
 //! allocation and parses into none. The `observe` bench budgets a
 //! recorded span at 250 ns, a whole traced server hop at 800 ns, a
-//! `traceparent` round trip at 150 ns and a sampled-out span at 1 µs,
+//! `traceparent` round trip at 150 ns and a sampled-out span at 100 ns,
 //! and `tests/alloc_count.rs` pins the allocation counts.
 
 pub mod context;
 pub mod metrics;
-pub mod otlp;
 pub mod span;
 pub mod store;
-pub mod tail;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 pub use context::{ContextGuard, SpanId, TraceContext, TraceId, TRACEPARENT};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
-pub use otlp::OtlpExporter;
 pub use span::{
     child_span, root_span, span, AttrValue, Attrs, Span, SpanKind, SpanRecord, SpanStatus,
 };
@@ -57,10 +53,6 @@ pub struct Observability {
     metrics: MetricsRegistry,
     /// f64 bits of the sampling probability in `[0, 1]`.
     sample_rate: AtomicU64,
-    /// Tail sampling: when set, error traces are kept even if head
-    /// sampling dropped them (see [`crate::tail`]).
-    tail_keep_errors: AtomicBool,
-    pub(crate) tail: tail::TailBuffer,
 }
 
 impl Observability {
@@ -70,8 +62,6 @@ impl Observability {
             store: SpanStore::default(),
             metrics: MetricsRegistry::new(),
             sample_rate: AtomicU64::new(1.0f64.to_bits()),
-            tail_keep_errors: AtomicBool::new(false),
-            tail: tail::TailBuffer::default(),
         }
     }
 
@@ -95,19 +85,6 @@ impl Observability {
     /// The current head-based sampling probability.
     pub fn sample_rate(&self) -> f64 {
         f64::from_bits(self.sample_rate.load(Ordering::Relaxed))
-    }
-
-    /// Enable/disable tail sampling: when on, spans of head-unsampled
-    /// traces are buffered and the whole trace is retained if any of
-    /// its spans errors (see [`crate::tail`]). Off by default — the
-    /// unsampled fast path stays allocation-free when off.
-    pub fn set_tail_keep_errors(&self, enabled: bool) {
-        self.tail_keep_errors.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether tail sampling is on.
-    pub fn tail_keep_errors(&self) -> bool {
-        self.tail_keep_errors.load(Ordering::Relaxed)
     }
 
     /// One head-based sampling decision.
@@ -151,12 +128,6 @@ pub fn store() -> &'static SpanStore {
 /// [`Observability::set_sample_rate`]).
 pub fn set_sample_rate(rate: f64) {
     global().set_sample_rate(rate);
-}
-
-/// Enable/disable global tail sampling (see
-/// [`Observability::set_tail_keep_errors`]).
-pub fn set_tail_keep_errors(enabled: bool) {
-    global().set_tail_keep_errors(enabled);
 }
 
 /// The JSON tree served on `/observe/traces/{trace_id}`: the trace id,

@@ -18,8 +18,8 @@
 //! copy. A recorded span with static, integer and flag attributes
 //! therefore allocates nothing once its store shard is full, and each
 //! text attribute costs one allocation. Values render to the same
-//! strings `/observe/traces/{id}` and OTLP export always carried
-//! (`"200"`, `"true"`, ...).
+//! strings `/observe/traces/{id}` always carried (`"200"`, `"true"`,
+//! ...).
 //!
 //! # Cost
 //!
@@ -86,8 +86,8 @@ pub const INLINE_ATTRS: usize = 4;
 
 /// One attribute value. Static strings, integers and booleans are held
 /// as they are; only [`AttrValue::Text`] owns a heap copy.
-/// `/observe/traces/{id}` and OTLP export carry every value as the
-/// string [`AttrValue::render`] gives.
+/// `/observe/traces/{id}` carries every value as the string
+/// [`AttrValue::render`] gives.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AttrValue {
     /// A string known at compile time: no copy.
@@ -272,9 +272,6 @@ struct ActiveSpan {
 pub struct Span {
     ctx: TraceContext,
     active: Option<ActiveSpan>,
-    /// Head-unsampled but recorded anyway because tail sampling is on:
-    /// the finished record goes to the tail buffer, not the store.
-    tail_only: bool,
 }
 
 impl Span {
@@ -285,8 +282,7 @@ impl Span {
         name: &'static str,
         kind: SpanKind,
     ) -> Span {
-        let tail_only = !ctx.sampled && crate::global().tail_keep_errors();
-        let active = if ctx.sampled || tail_only {
+        let active = if ctx.sampled {
             let started = Instant::now();
             Some(ActiveSpan {
                 started,
@@ -306,7 +302,7 @@ impl Span {
         } else {
             None
         };
-        Span { ctx, active, tail_only }
+        Span { ctx, active }
     }
 
     /// This span's propagated context (fresh span id under the parent's
@@ -366,23 +362,9 @@ impl Drop for Span {
         let Some(active) = &mut self.active else { return };
         active.record.duration_us =
             active.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        if self.tail_only {
-            offer_to_tail(&mut active.record);
-        } else {
-            // The evicted record comes back in its place and is freed
-            // with this span, after the shard lock is released.
-            crate::global().store().record_swap(&mut active.record);
-        }
-    }
-}
-
-/// Buffer a head-unsampled span until its trace's fate is known; an
-/// error anywhere in the trace flushes it into the store.
-#[cold]
-fn offer_to_tail(record: &mut SpanRecord) {
-    let record = std::mem::replace(record, SpanRecord::blank());
-    for flushed in crate::global().tail.offer(record) {
-        crate::global().store().record(flushed);
+        // The evicted record comes back in its place and is freed with
+        // this span, after the shard lock is released.
+        crate::global().store().record_swap(&mut active.record);
     }
 }
 
@@ -450,16 +432,8 @@ mod tests {
         assert_eq!(spans[0].status, SpanStatus::Ok);
     }
 
-    /// Tests that flip the global tail-sampling flag (or assert that
-    /// unsampled spans vanish) serialize here so they don't race.
-    fn tail_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn unsampled_parent_disables_recording_but_propagates() {
-        let _serial = tail_lock();
         let parent = TraceContext {
             trace_id: TraceId::generate(),
             span_id: SpanId::generate(),
@@ -494,47 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_sampling_keeps_error_traces_and_drops_clean_ones() {
-        let _serial = tail_lock();
-        struct Off;
-        impl Drop for Off {
-            fn drop(&mut self) {
-                crate::set_tail_keep_errors(false);
-            }
-        }
-        let _off = Off;
-        crate::set_tail_keep_errors(true);
-
-        let unsampled = || TraceContext {
-            trace_id: TraceId::generate(),
-            span_id: SpanId::generate(),
-            sampled: false,
-        };
-
-        // Clean head-unsampled trace: buffered, never stored.
-        let clean = unsampled();
-        child_span(clean, "test.tail_clean", SpanKind::Internal).finish();
-        assert!(crate::global().store().trace(clean.trace_id).is_empty());
-
-        // Erroring head-unsampled trace: sibling + parent + error span
-        // all end up in the store.
-        let parent = unsampled();
-        child_span(parent, "test.tail_sibling", SpanKind::Internal).finish();
-        let mut failing = child_span(parent, "test.tail_error", SpanKind::Client);
-        failing.set_error("downstream reset");
-        failing.finish();
-        // A span finishing *after* promotion records directly.
-        child_span(parent, "test.tail_late", SpanKind::Internal).finish();
-        let spans = crate::global().store().trace(parent.trace_id);
-        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"test.tail_sibling"), "{names:?}");
-        assert!(names.contains(&"test.tail_error"), "{names:?}");
-        assert!(names.contains(&"test.tail_late"), "{names:?}");
-        let err = spans.iter().find(|s| s.name == "test.tail_error").unwrap();
-        assert_eq!(err.status, SpanStatus::Error);
-    }
-
-    #[test]
     fn typed_attributes_render_as_strings_in_insertion_order() {
         let mut s = root_span("test.typed_attrs", SpanKind::Server);
         let trace = s.context().trace_id;
@@ -565,17 +498,6 @@ mod tests {
             v
         };
         assert_eq!(attrs, &expected_json);
-        let otlp = crate::otlp::span_to_otlp(&rec);
-        for (i, (k, val)) in expected.iter().enumerate() {
-            assert_eq!(
-                otlp.pointer(&format!("/attributes/{i}/key")).and_then(Value::as_str),
-                Some(*k)
-            );
-            assert_eq!(
-                otlp.pointer(&format!("/attributes/{i}/value/stringValue")).and_then(Value::as_str),
-                Some(*val)
-            );
-        }
     }
 
     #[test]

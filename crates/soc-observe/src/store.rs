@@ -54,15 +54,11 @@ impl SpanStore {
     }
 
     /// Append a finished span, evicting the shard's oldest span when
-    /// the ring is full.
-    pub fn record(&self, mut rec: SpanRecord) {
-        self.record_swap(&mut rec);
-    }
-
-    /// Store `*rec` and leave the evicted record (or a blank one while
-    /// the ring still grows) in its place, for the caller to drop
-    /// outside the shard lock. A swap moves each record once, where
-    /// taking ownership would copy it out of the finished span first.
+    /// the ring is full: store `*rec` and leave the evicted record (or
+    /// a blank one while the ring still grows) in its place, for the
+    /// caller to drop outside the shard lock. A swap moves each record
+    /// once, where taking ownership would copy it out of the finished
+    /// span first. This is the one way a span enters the store.
     pub(crate) fn record_swap(&self, rec: &mut SpanRecord) {
         let mut ring = self.shard(rec.trace_id).ring.lock();
         if ring.slots.len() < self.shard_capacity {
@@ -148,9 +144,9 @@ mod tests {
     #[test]
     fn trace_lookup_filters_and_sorts() {
         let store = SpanStore::new(4, 16);
-        store.record(rec(7, 2, 20));
-        store.record(rec(7, 1, 10));
-        store.record(rec(9, 3, 5));
+        store.record_swap(&mut rec(7, 2, 20));
+        store.record_swap(&mut rec(7, 1, 10));
+        store.record_swap(&mut rec(9, 3, 5));
         let spans = store.trace(TraceId(7));
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].span_id, SpanId(1));
@@ -162,7 +158,7 @@ mod tests {
     fn ring_evicts_oldest() {
         let store = SpanStore::new(1, 3);
         for i in 0..5 {
-            store.record(rec(42, i + 1, i));
+            store.record_swap(&mut rec(42, i + 1, i));
         }
         assert_eq!(store.len(), 3);
         let spans = store.trace(TraceId(42));
@@ -172,9 +168,9 @@ mod tests {
     #[test]
     fn trace_ids_counts() {
         let store = SpanStore::new(4, 16);
-        store.record(rec(1, 1, 0));
-        store.record(rec(1, 2, 1));
-        store.record(rec(2, 3, 2));
+        store.record_swap(&mut rec(1, 1, 0));
+        store.record_swap(&mut rec(1, 2, 1));
+        store.record_swap(&mut rec(2, 3, 2));
         let ids = store.trace_ids();
         assert_eq!(ids[0], (TraceId(1), 2));
         assert_eq!(ids[1], (TraceId(2), 1));

@@ -1016,12 +1016,6 @@ impl StoreClient {
         true
     }
 
-    /// Forcibly install `map` even if older — tests use this to
-    /// simulate a client with a stale routing view.
-    pub fn force_map(&self, map: Arc<ShardMap>) {
-        *self.map.write() = map;
-    }
-
     /// The installed map.
     pub fn map(&self) -> Arc<ShardMap> {
         self.map.read().clone()

@@ -33,7 +33,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use soc_json::Value;
-use soc_parallel::ThreadPool;
 use soc_store::wal::{Lsn, WalConfig};
 use soc_store::{Durable, StateMachine, StoreClient, StoreResult};
 
@@ -422,7 +421,7 @@ impl WorkflowGraph {
         config: &SagaConfig,
     ) -> Result<WorkflowOutcome, WorkflowError> {
         journal.log_begin(saga_id);
-        self.finish_durable(journal, saga_id, SagaRecord::default(), None, inputs, config)
+        self.finish_durable(journal, saga_id, SagaRecord::default(), inputs, config)
     }
 
     /// Continue an interrupted saga forward: journalled completions are
@@ -438,20 +437,7 @@ impl WorkflowGraph {
         config: &SagaConfig,
     ) -> Result<WorkflowOutcome, WorkflowError> {
         let record = journal.record(saga_id).unwrap_or_default();
-        self.finish_durable(journal, saga_id, record, None, inputs, config)
-    }
-
-    /// Like [`WorkflowGraph::resume_saga`], on a pool.
-    pub fn resume_saga_parallel<J: Journal + Sync + ?Sized>(
-        &self,
-        pool: &ThreadPool,
-        journal: &J,
-        saga_id: &str,
-        inputs: &HashMap<String, Value>,
-        config: &SagaConfig,
-    ) -> Result<WorkflowOutcome, WorkflowError> {
-        let record = journal.record(saga_id).unwrap_or_default();
-        self.finish_durable(journal, saga_id, record, Some(pool), inputs, config)
+        self.finish_durable(journal, saga_id, record, inputs, config)
     }
 
     /// Abort an interrupted saga: run the compensators of every
@@ -485,7 +471,6 @@ impl WorkflowGraph {
         journal: &J,
         saga_id: &str,
         record: SagaRecord,
-        pool: Option<&ThreadPool>,
         inputs: &HashMap<String, Value>,
         config: &SagaConfig,
     ) -> Result<WorkflowOutcome, WorkflowError> {
@@ -494,7 +479,7 @@ impl WorkflowGraph {
             journal.log_node(saga_id, node, outputs);
         };
         let hook = SagaHook { completed, on_complete: &on_complete };
-        let outcome = self.run_saga_inner(inputs, pool, config, Some(&hook))?;
+        let outcome = self.run_saga_inner(inputs, None, config, Some(&hook))?;
         // Compensated outcomes rolled back in-run; either way the saga
         // is settled and leaves the open table.
         journal.log_end(saga_id);
