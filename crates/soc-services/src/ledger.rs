@@ -40,8 +40,32 @@
 //! A ledger built with [`SubmissionLedger::new`] runs the same events
 //! on a [`Durable::in_memory`] machine, so its state dies with the
 //! process.
+//!
+//! ## Journal events
+//!
+//! An event is journalled as one WAL record of bytes:
+//!
+//! ```text
+//! event   = 0x01 | kind u8 | field*      field = len u32 LE | UTF-8 bytes
+//! kind 1  apply               key | content | response
+//! kind 2  keyless             content
+//! kind 3  cancel_reservation  key
+//! kind 4  cancel              key
+//! ```
+//!
+//! The leading `0x01` is the format version. Replay borrows each field
+//! from the WAL buffer and copies into the maps only the strings it
+//! keeps, so the request body and the decided response cost a copy, not
+//! a JSON decode. A field whose length overruns the record, bytes after
+//! the last field, invalid UTF-8 or an unknown kind fail the open as
+//! corrupt. An `apply` replayed from cache logs an empty response.
+//!
+//! Journals written before the binary shape hold JSON objects, e.g.
+//! `{"ev":"apply","key":..,"content":..,"response":..}`, every field a
+//! string. A record starting with `{` is still read that way, so an
+//! older journal, or one that mixes both shapes, opens to the same
+//! state. Any other first byte is refused.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use soc_json::{Value, ValueRef};
@@ -75,28 +99,86 @@ struct Inner {
     orphan_cancels: u64,
 }
 
-/// A journal event: `ev` names it, the other pairs are its fields.
-fn event(fields: &[(&str, &str)]) -> Vec<u8> {
-    let mut ev = Value::object();
-    for (name, value) in fields {
-        ev.set(*name, *value);
-    }
-    ev.to_compact().into_bytes()
+/// The first byte of a binary journal event. A legacy JSON event
+/// starts with `{`, so the two shapes cannot be mistaken.
+const VERSION: u8 = 0x01;
+
+/// Kind bytes of the binary events.
+const APPLY: u8 = 1;
+const KEYLESS: u8 = 2;
+const CANCEL_RESERVATION: u8 = 3;
+const CANCEL: u8 = 4;
+
+/// One journal event. Its strings are borrowed: from the caller's
+/// arguments when it is logged, from the WAL buffer when it is replayed.
+#[derive(Debug, PartialEq)]
+enum Event<'a> {
+    Apply { key: &'a str, content: &'a str, response: &'a str },
+    Keyless { content: &'a str },
+    CancelReservation { key: &'a str },
+    Cancel { key: &'a str },
 }
 
-/// A decoded string the ledger keeps for good. An escaped one was
-/// unescaped into a buffer grown past its text; shrinking it hands
-/// the slack back to the allocator in place instead of holding it
-/// for every entry.
-fn kept(text: Cow<'_, str>) -> String {
-    let mut text = text.into_owned();
-    text.shrink_to_fit();
-    text
+impl<'a> Event<'a> {
+    fn encode(&self) -> Vec<u8> {
+        match *self {
+            Event::Apply { key, content, response } => record(APPLY, &[key, content, response]),
+            Event::Keyless { content } => record(KEYLESS, &[content]),
+            Event::CancelReservation { key } => record(CANCEL_RESERVATION, &[key]),
+            Event::Cancel { key } => record(CANCEL, &[key]),
+        }
+    }
+
+    /// Decode a binary event, the [`VERSION`] byte already stripped.
+    /// Each length is checked against the bytes left before anything is
+    /// sliced, so a damaged length is refused, never allocated; bytes
+    /// after the kind's last field are refused too.
+    fn decode(event: &'a [u8]) -> Result<Event<'a>, String> {
+        let (&kind, mut rest) = event.split_first().ok_or("ledger event without a kind")?;
+        let mut field = || -> Result<&'a str, String> {
+            let (len, tail) = rest.split_first_chunk::<4>().ok_or("ledger event cut short")?;
+            let len = u32::from_le_bytes(*len) as usize;
+            if len > tail.len() {
+                return Err(format!("ledger event field of {len} B overruns the event"));
+            }
+            let (text, tail) = tail.split_at(len);
+            rest = tail;
+            std::str::from_utf8(text).map_err(|e| e.to_string())
+        };
+        let event = match kind {
+            APPLY => Event::Apply { key: field()?, content: field()?, response: field()? },
+            KEYLESS => Event::Keyless { content: field()? },
+            CANCEL_RESERVATION => Event::CancelReservation { key: field()? },
+            CANCEL => Event::Cancel { key: field()? },
+            other => return Err(format!("unknown ledger event kind {other}")),
+        };
+        if !rest.is_empty() {
+            return Err(format!("{} B after the ledger event", rest.len()));
+        }
+        Ok(event)
+    }
+}
+
+/// `VERSION | kind | (len u32 LE | UTF-8 bytes)*`, allocated at its
+/// exact size.
+fn record(kind: u8, fields: &[&str]) -> Vec<u8> {
+    let size = 2 + fields.iter().map(|f| 4 + f.len()).sum::<usize>();
+    let mut ev = Vec::with_capacity(size);
+    ev.extend_from_slice(&[VERSION, kind]);
+    for field in fields {
+        let len = u32::try_from(field.len()).expect("a ledger field fits 4 GiB");
+        ev.extend_from_slice(&len.to_le_bytes());
+        ev.extend_from_slice(field.as_bytes());
+    }
+    ev
 }
 
 /// The response a submission under a tombstoned key gets.
 fn cancelled_response(key: &str) -> String {
-    format!("{{\"application_id\":{:?},\"cancelled\":true}}", key)
+    let mut out = String::from("{\"application_id\":");
+    soc_json::ser::write_str(key, &mut out);
+    out.push_str(",\"cancelled\":true}");
+    out
 }
 
 impl Inner {
@@ -110,15 +192,25 @@ impl Inner {
         }
     }
 
-    /// Count a submission under `key`. The decoded strings are moved
-    /// into the maps when they are new, not copied.
-    fn apply_submission(
-        &mut self,
-        key: Cow<'_, str>,
-        content: Cow<'_, str>,
-        response: Cow<'_, str>,
-    ) {
-        if let Some(entry) = self.entries.get_mut(&*key) {
+    /// Count one event. A string the maps keep is copied in once, at
+    /// its length.
+    fn apply_event(&mut self, event: Event<'_>) {
+        match event {
+            Event::Apply { key, content, response } => {
+                self.apply_submission(key, content, response)
+            }
+            Event::Keyless { content } => {
+                self.keyless += 1;
+                self.count_content(content);
+            }
+            Event::CancelReservation { key } => self.apply_cancel(key, true),
+            Event::Cancel { key } => self.apply_cancel(key, false),
+        }
+    }
+
+    /// Count a submission under `key`.
+    fn apply_submission(&mut self, key: &str, content: &str, response: &str) {
+        if let Some(entry) = self.entries.get_mut(key) {
             entry.deduped += 1;
             return;
         }
@@ -126,22 +218,22 @@ impl Inner {
         // up on a lost response and compensated): refuse to open the
         // application, recording an already-cancelled entry so the
         // audit shows what happened.
-        let (executions, cancellations, response) = if self.tombstones.remove(&*key) {
-            (0, 1, cancelled_response(&key))
+        let (executions, cancellations, response) = if self.tombstones.remove(key) {
+            (0, 1, cancelled_response(key))
         } else {
             self.count_content(content);
-            (1, 0, kept(response))
+            (1, 0, response.to_string())
         };
         let entry = LedgerEntry { executions, deduped: 0, cancellations, response };
-        self.entries.insert(key.into_owned(), entry);
+        self.entries.insert(key.to_string(), entry);
     }
 
     /// One more decision execution for the request body `content`.
-    fn count_content(&mut self, content: Cow<'_, str>) {
-        match self.by_content.get_mut(&*content) {
+    fn count_content(&mut self, content: &str) {
+        match self.by_content.get_mut(content) {
             Some(n) => *n += 1,
             None => {
-                self.by_content.insert(kept(content), 1);
+                self.by_content.insert(content.to_string(), 1);
             }
         }
     }
@@ -157,15 +249,14 @@ impl Inner {
             None => self.orphan_cancels += 1,
         }
     }
-}
 
-impl StateMachine for Inner {
-    fn apply(&mut self, _lsn: Lsn, payload: &[u8]) -> Result<(), String> {
+    /// Apply a legacy event: a JSON object whose `ev` member names it
+    /// and whose other members are its fields.
+    fn apply_json(&mut self, payload: &[u8]) -> Result<(), String> {
         let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
         let ev = soc_json::parse_ref(text).map_err(|e| e.to_string())?;
         // Every field is a string; a missing or non-string one reads as
-        // absent, the last duplicate winning like `Value::get`. The
-        // escaped (hence already owned) strings are moved out whole.
+        // absent, the last duplicate winning like `Value::get`.
         let (mut name, mut key, mut content, mut response) = (None, None, None, None);
         if let ValueRef::Object(members) = ev {
             for (field, value) in members {
@@ -182,17 +273,27 @@ impl StateMachine for Inner {
                 }
             }
         }
-        let key = key.unwrap_or_default();
-        let content = content.unwrap_or_default();
-        match name.as_deref() {
-            Some("apply") => self.apply_submission(key, content, response.unwrap_or_default()),
-            Some("keyless") => {
-                self.keyless += 1;
-                self.count_content(content);
-            }
-            Some("cancel_reservation") => self.apply_cancel(&key, true),
-            Some("cancel") => self.apply_cancel(&key, false),
+        let key = key.as_deref().unwrap_or_default();
+        let content = content.as_deref().unwrap_or_default();
+        let response = response.as_deref().unwrap_or_default();
+        let event = match name.as_deref() {
+            Some("apply") => Event::Apply { key, content, response },
+            Some("keyless") => Event::Keyless { content },
+            Some("cancel_reservation") => Event::CancelReservation { key },
+            Some("cancel") => Event::Cancel { key },
             other => return Err(format!("unknown ledger event {other:?}")),
+        };
+        self.apply_event(event);
+        Ok(())
+    }
+}
+
+impl StateMachine for Inner {
+    fn apply(&mut self, _lsn: Lsn, payload: &[u8]) -> Result<(), String> {
+        match payload.split_first() {
+            Some((&VERSION, event)) => self.apply_event(Event::decode(event)?),
+            Some((b'{', _)) => self.apply_json(payload)?,
+            _ => return Err("unknown ledger event encoding".to_string()),
         }
         Ok(())
     }
@@ -334,15 +435,14 @@ impl SubmissionLedger {
                 None => (decide(), false),
             };
             let logged = if replayed { "" } else { response.as_str() };
-            let ev =
-                event(&[("ev", "apply"), ("key", key), ("content", content), ("response", logged)]);
+            let ev = Event::Apply { key, content, response: logged }.encode();
             (ev, (response, replayed))
         })
     }
 
     /// Record a keyless submission (no dedupe possible).
     pub fn note_keyless(&self, content: &str) {
-        self.commit(|_| (event(&[("ev", "keyless"), ("content", content)]), ()))
+        self.commit(|_| (Event::Keyless { content }.encode(), ()))
     }
 
     /// Cancel a submission that may not have arrived yet. An existing
@@ -355,7 +455,7 @@ impl SubmissionLedger {
     /// submission was cancelled.
     pub fn cancel_reservation(&self, key: &str) -> bool {
         self.commit(|inner| {
-            (event(&[("ev", "cancel_reservation"), ("key", key)]), inner.entries.contains_key(key))
+            (Event::CancelReservation { key }.encode(), inner.entries.contains_key(key))
         })
     }
 
@@ -369,9 +469,7 @@ impl SubmissionLedger {
     /// unknown ids are recorded as orphan cancels (a compensation
     /// invariant violation if it ever happens).
     pub fn cancel(&self, key: &str) -> bool {
-        self.commit(|inner| {
-            (event(&[("ev", "cancel"), ("key", key)]), inner.entries.contains_key(key))
-        })
+        self.commit(|inner| (Event::Cancel { key }.encode(), inner.entries.contains_key(key)))
     }
 
     /// Audit record for one application id.
@@ -590,6 +688,60 @@ mod tests {
             assert!(inner.apply(3, bad).is_err(), "{}", String::from_utf8_lossy(bad));
         }
         assert_eq!(inner.entries.len(), 1);
+    }
+
+    #[test]
+    fn binary_events_round_trip() {
+        let events = [
+            Event::Apply { key: "k\"1", content: "{\"a\":\"\\u00e9\"}\n", response: "" },
+            Event::Apply { key: "", content: "中\0", response: "{\"ok\":true}" },
+            Event::Keyless { content: "" },
+            Event::CancelReservation { key: "a\u{301}b" },
+            Event::Cancel { key: "\u{1b}" },
+        ];
+        for event in events {
+            let bytes = event.encode();
+            assert_eq!(bytes.len(), bytes.capacity(), "sized exactly");
+            assert_eq!(bytes[0], VERSION);
+            assert_eq!(Event::decode(&bytes[1..]), Ok(event));
+        }
+    }
+
+    #[test]
+    fn damaged_binary_events_are_refused() {
+        let good = Event::Apply { key: "k1", content: "body", response: "{}" }.encode();
+        let mut inner = Inner::default();
+        // A key length claiming more than is left; invalid UTF-8 in the
+        // key; an unknown kind; an unknown version. (Cut and padded
+        // events are swept by the proptests.)
+        let mut overrun = good.clone();
+        overrun[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bad_utf8 = good.clone();
+        bad_utf8[6] = 0xFF;
+        let mut unknown_kind = good.clone();
+        unknown_kind[1] = 9;
+        let mut unknown_version = good.clone();
+        unknown_version[0] = 2;
+        for bad in [overrun, bad_utf8, unknown_kind, unknown_version] {
+            assert!(inner.apply(1, &bad).is_err(), "{bad:?}");
+        }
+        assert!(inner.entries.is_empty() && inner.by_content.is_empty());
+        inner.apply(1, &good).unwrap();
+        assert_eq!(inner.entries["k1"].response, "{}");
+        assert_eq!(inner.by_content["body"], 1);
+    }
+
+    #[test]
+    fn cancelled_responses_are_json_for_any_key() {
+        let ledger = SubmissionLedger::new();
+        for key in ["a\u{301}b", "nul\0", "esc\u{1b}", "q\"\\"] {
+            assert!(!ledger.cancel_reservation(key));
+            let (resp, replayed) = ledger.apply(key, key, || unreachable!("tombstoned"));
+            assert!(replayed);
+            let resp = Value::parse(&resp).unwrap_or_else(|e| panic!("{resp}: {e}"));
+            assert_eq!(resp.get("application_id").and_then(Value::as_str), Some(key));
+            assert_eq!(resp.get("cancelled").and_then(Value::as_bool), Some(true));
+        }
     }
 
     #[test]

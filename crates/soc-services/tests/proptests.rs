@@ -2,9 +2,12 @@
 //! arbitrary data/keys, cart arithmetic laws, cache behavioral model,
 //! mortgage decision invariants, and the replay contract of the
 //! journalled cart and submission ledger (a durable service answers
-//! every operation like an in-memory one and reopens to the same state).
+//! every operation like an in-memory one and reopens to the same state),
+//! and the ledger's journal event decoder (any field text survives it;
+//! damaged events are refused, never a panic).
 
 use proptest::prelude::*;
+use soc_json::Value;
 use soc_services::cache::CacheService;
 use soc_services::cart::{CartService, LineItem, Promotion};
 use soc_services::crypto::{
@@ -15,7 +18,7 @@ use soc_services::ledger::SubmissionLedger;
 use soc_services::mortgage::{Application, CreditScoreService, Decision, MortgageService};
 use soc_services::password::PasswordService;
 use soc_store::wal::{FsyncPolicy, WalConfig};
-use soc_store::TempDir;
+use soc_store::{StoreError, StoreResult, TempDir, Wal};
 
 /// Reopening after a drop is a process crash, not a power loss, so the
 /// replay properties need no fsync.
@@ -48,6 +51,45 @@ fn ledger_audit(ledger: &SubmissionLedger) -> String {
         ledger.keyless_submissions(),
         ledger.pending_tombstones(),
     )
+}
+
+/// Characters a text encoding gets wrong first: JSON specials, control
+/// characters, a combining mark, multi-byte UTF-8.
+const AWKWARD: [char; 12] =
+    ['"', '\\', '\0', '\n', '\t', '\u{1b}', '\u{301}', 'é', '中', '😀', '{', '}'];
+
+/// Field text, the empty string included: awkward characters mixed
+/// with arbitrary scalar values.
+fn field() -> impl Strategy<Value = String> {
+    let awkward = any::<prop::sample::Index>().prop_map(|i| *i.get(&AWKWARD));
+    let scalar = any::<u32>().prop_map(|n| char::from_u32(n % 0x11_0000).unwrap_or('\u{fffd}'));
+    proptest::collection::vec(prop_oneof![awkward, scalar], 0..10)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// The one event a ledger journals for `kind` (apply, keyless,
+/// reservation cancel, cancel) with these fields.
+fn logged_event(kind: u8, key: &str, content: &str, response: &str) -> Vec<u8> {
+    let tmp = TempDir::new("ledger-event");
+    {
+        let ledger = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
+        match kind {
+            0 => drop(ledger.apply(key, content, || response.to_string())),
+            1 => ledger.note_keyless(content),
+            2 => drop(ledger.cancel_reservation(key)),
+            _ => drop(ledger.cancel(key)),
+        }
+    }
+    let (_, mut recovery) = Wal::open_with(tmp.path(), unsynced()).unwrap();
+    assert_eq!(recovery.records.len(), 1);
+    recovery.records.pop().unwrap().1
+}
+
+/// Reopen a ledger over a journal holding `event` alone.
+fn open_journal(event: &[u8]) -> StoreResult<()> {
+    let tmp = TempDir::new("ledger-raw");
+    Wal::open_with(tmp.path(), unsynced()).unwrap().0.append(event).unwrap();
+    SubmissionLedger::durable(tmp.path(), unsynced()).map(drop)
 }
 
 proptest! {
@@ -285,5 +327,84 @@ proptest! {
         drop(durable);
         let reopened = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
         prop_assert_eq!(ledger_audit(&reopened), ledger_audit(&live));
+    }
+
+    #[test]
+    fn ledger_fields_survive_the_journal(
+        key in field(),
+        content in field(),
+        response in field(),
+        tombstone in field(),
+    ) {
+        prop_assume!(key != tombstone);
+        let tmp = TempDir::new("ledger-fields");
+        {
+            let ledger = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
+            ledger.apply(&key, &content, || response.clone());
+            ledger.note_keyless(&content);
+            ledger.cancel_reservation(&tombstone);
+        }
+        let reopened = SubmissionLedger::durable(tmp.path(), unsynced()).unwrap();
+        prop_assert_eq!(reopened.keys(), vec![key.clone()]);
+        prop_assert_eq!(reopened.entry(&key).unwrap().response, response);
+        prop_assert_eq!(reopened.max_executions_per_content(), 2);
+        // The body and the tombstone, read back from a snapshot of the
+        // replayed state.
+        reopened.compact().unwrap();
+        drop(reopened);
+        let (_, recovery) = Wal::open_with(tmp.path(), unsynced()).unwrap();
+        let (_, state) = recovery.snapshot.unwrap();
+        let state = Value::parse(std::str::from_utf8(&state).unwrap()).unwrap();
+        let by_content = state.get("by_content").and_then(Value::as_array).unwrap();
+        prop_assert_eq!(by_content.len(), 1);
+        prop_assert_eq!(by_content[0].get("content").and_then(Value::as_str), Some(&*content));
+        let tombstones = state.get("tombstones").and_then(Value::as_array).unwrap();
+        prop_assert_eq!(tombstones, &[Value::from(tombstone.as_str())][..]);
+    }
+
+    #[test]
+    fn arbitrary_ledger_events_open_or_refuse(
+        head in 0u8..4,
+        kind in 0u8..6,
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        // Bare bytes, or bytes behind a binary event's version byte and
+        // a kind byte in or out of range.
+        let mut event = match head {
+            0 => vec![],
+            1 => vec![0x01],
+            _ => vec![0x01, kind],
+        };
+        event.extend(bytes);
+        match open_journal(&event) {
+            Ok(()) | Err(StoreError::Corrupt(_)) => {}
+            Err(e) => prop_assert!(false, "{e}"),
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_ledger_event_is_refused(
+        kind in 0u8..4,
+        key in field(),
+        content in field(),
+        response in field(),
+    ) {
+        let event = logged_event(kind, &key, &content, &response);
+        prop_assert!(open_journal(&event).is_ok());
+        for cut in 0..event.len() {
+            let opened = open_journal(&event[..cut]);
+            prop_assert!(matches!(opened, Err(StoreError::Corrupt(_))), "cut at {}", cut);
+        }
+    }
+
+    #[test]
+    fn bytes_after_a_ledger_event_are_refused(
+        kind in 0u8..4,
+        key in field(),
+        tail in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let mut event = logged_event(kind, &key, "body", "{}");
+        event.extend(tail);
+        prop_assert!(matches!(open_journal(&event), Err(StoreError::Corrupt(_))));
     }
 }
